@@ -17,8 +17,6 @@ from fractions import Fraction
 from .errors import InputError
 from .exactlin import Matrix, parse_q
 
-Q = Fraction
-
 REYNOLDS = "reynolds"
 NIJENHUIS = "nijenhuis"
 REYNOLDS_NIJENHUIS = "reynolds_nijenhuis"
@@ -220,33 +218,48 @@ def _require_associative(a: Algebra) -> None:
         raise InputError("algebra is not associative")
 
 
-def _identity_residual(a: Algebra, p: Matrix, identity: str,
-                       weight: Fraction | None, x, y) -> list[Fraction]:
-    px = p.apply(x)
-    py = p.apply(y)
+def _vadd(x, y):
+    return [u + v for u, v in zip(x, y)]
+
+
+def _vsub(x, y):
+    return [u - v for u, v in zip(x, y)]
+
+
+def _cross(mul, x, y, px, py) -> list:
+    # xP(y) + P(x)y, the part all four identities share
+    return _vadd(mul(x, py), mul(px, y))
+
+
+def star(mul, apply, x, y, px, py) -> list:
+    """The deformed product x*y = xP(y) + P(x)y - P(xy), with px = P(x), py = P(y)."""
+    return _vsub(_cross(mul, x, y, px, py), apply(mul(x, y)))
+
+
+def identity_residual(identity: str, weight, mul, apply, x, y, px, py) -> list:
+    """lhs - rhs of one identity at (x, y), with px = P(x) and py = P(y).
+
+    mul and apply act on coordinate vectors whose entries support +, - and
+    *, so the one definition serves rationals and polynomials alike:
+
+      nijenhuis            P(x)P(y) = P(x*y)
+      reynolds             P(x)P(y) = P(xP(y) + P(x)y - P(x)P(y))
+      rota_baxter          P(x)P(y) = P(xP(y) + P(x)y + weight xy)
+      modified_rota_baxter P(xy)    = xP(y) + P(x)y + weight xy
+    """
     if identity == NIJENHUIS:
-        inner = [u + v - w for u, v, w in
-                 zip(a.multiply(px, y), a.multiply(x, py), p.apply(a.multiply(x, y)))]
-        lhs = a.multiply(px, py)
-        rhs = p.apply(inner)
-    elif identity == REYNOLDS:
-        lhs = a.multiply(px, py)
-        inner = [u + v - w for u, v, w in
-                 zip(a.multiply(x, py), a.multiply(px, y), lhs)]
-        rhs = p.apply(inner)
-    elif identity == ROTA_BAXTER:
-        inner = [u + v + weight * w for u, v, w in
-                 zip(a.multiply(px, y), a.multiply(x, py), a.multiply(x, y))]
-        lhs = a.multiply(px, py)
-        rhs = p.apply(inner)
-    elif identity == MODIFIED_ROTA_BAXTER:
-        xy = a.multiply(x, y)
-        lhs = p.apply(xy)
-        rhs = [u + v + weight * w for u, v, w in
-               zip(a.multiply(px, y), a.multiply(x, py), xy)]
-    else:  # pragma: no cover
-        raise InputError(f"unknown identity {identity!r}")
-    return [l - r for l, r in zip(lhs, rhs)]
+        return _vsub(mul(px, py), apply(star(mul, apply, x, y, px, py)))
+    cross = _cross(mul, x, y, px, py)
+    if identity == REYNOLDS:
+        lhs = mul(px, py)
+        return _vsub(lhs, apply(_vsub(cross, lhs)))
+    xy = mul(x, y)
+    weighted = _vadd(cross, [weight * t for t in xy])
+    if identity == ROTA_BAXTER:
+        return _vsub(mul(px, py), apply(weighted))
+    if identity == MODIFIED_ROTA_BAXTER:
+        return _vsub(apply(xy), weighted)
+    raise InputError(f"unknown identity {identity!r}")  # pragma: no cover
 
 
 def _component_identities(kind: OperatorKind) -> list[str]:
@@ -261,10 +274,12 @@ def check_operator(a: Algebra, p: Matrix, kind: OperatorKind) -> IdentityReport:
     _require_associative(a)
     violations = []
     basis = [a.basis_vector(i) for i in range(a.dim)]
+    images = [p.apply(x) for x in basis]
     for i in range(a.dim):
         for j in range(a.dim):
             for ident in _component_identities(kind):
-                res = _identity_residual(a, p, ident, kind.weight, basis[i], basis[j])
+                res = identity_residual(ident, kind.weight, a.multiply, p.apply,
+                                        basis[i], basis[j], images[i], images[j])
                 if any(res):
                     violations.append(IdentityViolation(i, j, ident, tuple(res)))
     return IdentityReport(kind, a.dim, tuple(violations))
@@ -275,16 +290,9 @@ def star_product(a: Algebra, p: Matrix) -> Algebra:
     _require_square(a, p)
     _require_associative(a)
     basis = [a.basis_vector(i) for i in range(a.dim)]
-    c = []
-    for i in range(a.dim):
-        plane = []
-        for j in range(a.dim):
-            v = [u + w - z for u, w, z in
-                 zip(a.multiply(basis[i], p.apply(basis[j])),
-                     a.multiply(p.apply(basis[i]), basis[j]),
-                     p.apply(a.multiply(basis[i], basis[j])))]
-            plane.append(v)
-        c.append(plane)
+    images = [p.apply(x) for x in basis]
+    c = [[star(a.multiply, p.apply, basis[i], basis[j], images[i], images[j])
+          for j in range(a.dim)] for i in range(a.dim)]
     return Algebra(a.dim, c, basis=a.basis,
                    name=f"star({a.name})" if a.name else None)
 

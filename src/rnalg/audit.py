@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import fileio
 from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
-                      star_product)
+                      parse_kind, star_product)
 from .catalog import catalog
 from .cohomology import ComplexBuilder, flatten_map
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
@@ -162,7 +162,7 @@ def _violation_doc(v) -> dict:
 
 def _run_check_operator(inputs: dict) -> dict:
     a, p = _load_algebra_input(inputs)
-    rep = check_operator(a, p, fileio.load_kind(inputs["kind"]))
+    rep = check_operator(a, p, parse_kind(inputs["kind"]))
     return {"passed": rep.passed,
             "first_violation": _violation_doc(rep.violations[0]) if rep.violations else None}
 
@@ -196,7 +196,7 @@ def _run_verify_family(inputs: dict) -> dict:
     params = list(inputs["family"]["params"])
     assign = {(r, c): name for r, c, name in inputs["family"]["assign"]}
     fam = SymbolicMatrix.build(a.dim, params, assign)
-    system = build_identity_system(a, fileio.load_kind(inputs["kind"]))
+    system = build_identity_system(a, parse_kind(inputs["kind"]))
     rep = verify_family(system, fam)
     return {"passed": rep.passed,
             "residuals": [poly.format(params) for poly in rep.residuals]}
@@ -234,7 +234,7 @@ def _run_induce_representation(inputs: dict) -> dict:
     p = fileio.matrix_from_json(inputs["operator"])
     m = fileio.load_bimodule(inputs["bimodule"])
     out = induce_representation(a, p, m)
-    return _rep_record(out.bimodule_report, out.rn_report)
+    return _rep_record(check_bimodule(a, out), check_rn_representation(a, p, out))
 
 
 def _builder(a: Algebra, p: Matrix) -> ComplexBuilder:

@@ -36,20 +36,12 @@ from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, kernel_basis, kron, rank
 from .representation import Bimodule
 
-Q = Fraction
-
-RESIDUAL_NAMES = ("delta2", "partial2", "psi_delta", "d2")
-
 
 def flat_offset(dim_a: int, multi: tuple[int, ...]) -> int:
     off = 0
     for i in multi:
         off = off * dim_a + i
     return off
-
-
-def flat_index(dim_a: int, dim_v: int, multi: tuple[int, ...], v: int) -> int:
-    return flat_offset(dim_a, multi) * dim_v + v
 
 
 def flatten_map(dim_a: int, dim_v: int, n: int, value_at) -> list[Fraction]:
@@ -86,6 +78,7 @@ class ComplexBuilder:
         self._delta: dict[int, Matrix] = {}
         self._psi: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
+        self._d: dict[int, Matrix] = {}
 
     def amb(self, n: int) -> int:
         return self.m.dim_v * self.a.dim ** n
@@ -226,7 +219,9 @@ class ComplexBuilder:
         the canonical basis of the degree n-1 constrained subspace; rows
         stay ambient so non-closure remains visible.
         """
-        return self.d_ambient(n).mul(self.domain_inclusion(n))
+        if n not in self._d:
+            self._d[n] = self.d_ambient(n).mul(self.domain_inclusion(n))
+        return self._d[n]
 
     def domain_dim(self, n: int) -> int:
         if n == 0:
@@ -235,7 +230,7 @@ class ComplexBuilder:
 
     def d_square_residual(self, n: int) -> Matrix:
         """d_(n+1) . d_n on the restricted domain, in ambient output coordinates."""
-        return self.d_ambient(n + 1).mul(self.d_ambient(n)).mul(self.domain_inclusion(n))
+        return self.d_ambient(n + 1).mul(self.d(n))
 
     def psi_delta_residual(self, n: int) -> Matrix:
         """psi_(n+1) delta_n - partial_n psi_n on ambient C^n."""
@@ -252,45 +247,6 @@ class ComplexBuilder:
             return True
         stacked = basis.hstack(second)
         return rank(stacked) == rank(basis)
-
-
-@dataclass(frozen=True)
-class ComplexMatrices:
-    degree: int
-    delta: Matrix
-    partial: Matrix
-    psi: Matrix
-    rno_basis: Matrix
-    d: Matrix
-
-
-def hochschild_delta(a: Algebra, m: Bimodule, n: int, budget: int | None = None) -> Matrix:
-    if m.xi is None:
-        m = Bimodule(m.dim_v, m.left, m.right, rho=m.rho, xi=Matrix.zeros(m.dim_v, m.dim_v))
-    return ComplexBuilder(a, Matrix.zeros(a.dim, a.dim), m, budget).delta(n)
-
-
-def rno_subspace(a: Algebra, p: Matrix, m: Bimodule, n: int,
-                 budget: int | None = None) -> list[list[Fraction]]:
-    b = ComplexBuilder(a, p, m, budget).rno_basis(n)
-    return [b.col_list(j) for j in range(b.cols)]
-
-
-def psi_matrix(a: Algebra, p: Matrix, m: Bimodule, n: int,
-               budget: int | None = None) -> Matrix:
-    return ComplexBuilder(a, p, m, budget).psi(n)
-
-
-def combined_d(a: Algebra, p: Matrix, m: Bimodule, n: int,
-               budget: int | None = None) -> Matrix:
-    return ComplexBuilder(a, p, m, budget).d(n)
-
-
-def complex_matrices(a: Algebra, p: Matrix, m: Bimodule, n: int,
-                     budget: int | None = None) -> ComplexMatrices:
-    b = ComplexBuilder(a, p, m, budget)
-    return ComplexMatrices(n, b.delta(n), b.partial(n), b.psi(n),
-                           b.rno_basis(n), b.d(n))
 
 
 @dataclass(frozen=True)
@@ -344,67 +300,29 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     if max_n < 1:
         raise InputError("max degree must be >= 1")
     b = ComplexBuilder(a, p, m, budget)
-    ranks = {n: rank(b.d(n)) for n in range(max_n + 1)}
+    degrees = range(max_n + 1)
+    ranks = {n: rank(b.d(n)) for n in degrees}
+    delta2 = {n: b.delta(n + 1).mul(b.delta(n)) for n in degrees}
+    psi_delta = {n: b.psi_delta_residual(n) for n in degrees}
+    d2 = {n: b.d_square_residual(n) for n in degrees}
     reports = []
-    for n in range(max_n + 1):
+    for n in degrees:
         dim_space = b.domain_dim(n)
         dim_z = dim_space - ranks[n]
         dim_b = ranks[n - 1] if n >= 1 else 0
-        residual_zero = {
-            "delta2": b.delta(n + 1).mul(b.delta(n)).is_zero(),
-            "partial2": (b.partial(n).mul(b.partial(n - 1)).is_zero() if n >= 1 else True),
-            "psi_delta": b.psi_delta_residual(n).is_zero(),
-            "d2": b.d_square_residual(n).is_zero(),
-        }
+        # partial is delta, so partial_n partial_(n-1) is delta2 one degree down
+        residuals = {"delta2": delta2[n],
+                     "partial2": delta2[n - 1] if n >= 1 else None,
+                     "psi_delta": psi_delta[n],
+                     "d2": d2[n]}
+        residual_zero = {name: mat is None or mat.is_zero()
+                         for name, mat in residuals.items()}
         consistent = residual_zero["d2"]
         if n >= 1:
-            incoming_zero = b.d_square_residual(n - 1).is_zero()
-            incoming_closed = b.image_closed(n - 1)
-            consistent = consistent and incoming_zero and incoming_closed
-        witnesses = {}
-        for name, flag in residual_zero.items():
-            if not flag:
-                if name == "delta2":
-                    mat = b.delta(n + 1).mul(b.delta(n))
-                elif name == "partial2":
-                    mat = b.partial(n).mul(b.partial(n - 1))
-                elif name == "psi_delta":
-                    mat = b.psi_delta_residual(n)
-                else:
-                    mat = b.d_square_residual(n)
-                witnesses[name] = _first_nonzero(mat)
+            consistent = consistent and d2[n - 1].is_zero() and b.image_closed(n - 1)
+        witnesses = {name: _first_nonzero(residuals[name])
+                     for name, zero in residual_zero.items() if not zero}
         dim_h = dim_z - dim_b if consistent else None
         reports.append(DegreeReport(n, dim_space, dim_z, dim_b, dim_h,
                                     consistent, residual_zero, witnesses))
     return CohomologyResult(max_n, tuple(reports))
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    degree: int
-    matrices: dict
-
-    def residual_zero(self, name: str) -> bool:
-        return self.matrices[name].is_zero()
-
-
-def consistency_residuals(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
-                          budget: int | None = None) -> list[ConsistencyReport]:
-    """Exact residual matrices per degree n <= max_n.
-
-    delta2 = delta_(n+1) delta_n, partial2 = partial_n partial_(n-1)
-    (degree >= 1), psi_delta = psi_(n+1) delta_n - partial_n psi_n, and
-    d2 = d_(n+1) d_n on the restricted domain.
-    """
-    b = ComplexBuilder(a, p, m, budget)
-    out = []
-    for n in range(max_n + 1):
-        mats = {
-            "delta2": b.delta(n + 1).mul(b.delta(n)),
-            "psi_delta": b.psi_delta_residual(n),
-            "d2": b.d_square_residual(n),
-        }
-        if n >= 1:
-            mats["partial2"] = b.partial(n).mul(b.partial(n - 1))
-        out.append(ConsistencyReport(n, mats))
-    return out

@@ -30,13 +30,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, _vadd, _vsub
 from .cohomology import ComplexBuilder, flatten_map
 from .errors import InputError
 from .exactlin import Matrix, solve
 from .representation import regular_representation
-
-Q = Fraction
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
                    "runs over all index splits i+j+k+l = n")
@@ -48,14 +46,6 @@ EQ_AVERAGED = "averaged-compatibility"
 
 def _vzero(dim: int) -> list[Fraction]:
     return [Fraction(0)] * dim
-
-
-def _vadd(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-    return [a + b for a, b in zip(x, y)]
-
-
-def _vsub(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-    return [a - b for a, b in zip(x, y)]
 
 
 def _splits(n: int, parts: int):
@@ -159,9 +149,6 @@ class OrderReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def equation_ok(self, equation: str) -> bool:
-        return all(v.equation != equation for v in self.violations)
 
 
 @dataclass(frozen=True)

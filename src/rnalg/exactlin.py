@@ -1,11 +1,11 @@
 """Exact rational linear algebra over fractions.Fraction.
 
-Matrices are dense, row-major, immutable by convention.  Rank runs through
-fraction-free (Bareiss) elimination on an integer-scaled copy, with an
-optional full-rank certificate mod a large prime used as a fast filter;
-the exact result is always authoritative.  Kernel bases and solutions come
-from reduced row echelon form and are canonical: each kernel vector carries
-a 1 in "its" free coordinate and 0 in the other free coordinates.
+Matrices are dense, row-major, immutable by convention.  Rank is first
+tested for fullness mod a large prime, which can only certify full rank;
+otherwise fraction-free (Bareiss) elimination on an integer-scaled copy
+gives the exact rank.  Kernel bases and solutions come from reduced row
+echelon form and are canonical: each kernel vector carries a 1 in "its"
+free coordinate and 0 in the other free coordinates.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from math import lcm
 
 from .errors import InputError
 
-Q = Fraction
-
-# primes just above 2**31; the filter only ever certifies full rank,
+# a prime just above 2**31; the filter only ever certifies full rank,
 # so any single prime is sound
-_FILTER_PRIMES = (2147483659, 2147483693, 2147483713)
+_FILTER_PRIME = 2147483659
 
 
 def qstr(x: Fraction) -> str:
@@ -27,6 +25,8 @@ def qstr(x: Fraction) -> str:
 
 
 def parse_q(text) -> Fraction:
+    if isinstance(text, bool):
+        raise InputError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):
@@ -272,15 +272,14 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank(m: Matrix, use_modular: bool = True) -> int:
+def rank(m: Matrix) -> int:
     """Exact rank; a mod-p full-rank certificate may short-circuit Bareiss."""
     if m.rows == 0 or m.cols == 0:
         return 0
     rows = _int_rows(m)
-    if use_modular:
-        bound = min(m.rows, m.cols)
-        if _rank_mod(rows, _FILTER_PRIMES[0]) == bound:
-            return bound
+    bound = min(m.rows, m.cols)
+    if _rank_mod(rows, _FILTER_PRIME) == bound:
+        return bound
     return _rank_bareiss(rows)
 
 

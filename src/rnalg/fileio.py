@@ -13,15 +13,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import (Algebra, AssociativityReport, IdentityReport, MorphismReport,
-                      SquareClassification, parse_kind)
+from .algebra import Algebra, AssociativityReport, IdentityReport
 from .cohomology import CohomologyResult
 from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
                           TruncatedDeformation)
 from .errors import InputError
 from .exactlin import Matrix, parse_q, qstr
-from .polysys import (EnumerationResult, FamilyReport, GroebnerResult,
-                      LinearReduction, MPoly, PolySystem)
+from .polysys import (EnumerationResult, GroebnerResult, LinearReduction,
+                      MPoly, PolySystem)
 from .representation import Bimodule
 
 LINOP_CONVENTION = "P(e_j) = sum_i M[i][j] e_i"
@@ -48,6 +47,18 @@ def _require(data, key: str, where: str):
     if not isinstance(data, dict) or key not in data:
         raise InputError(f"{where}: missing key {key!r}")
     return data[key]
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_int(data, key: str, where: str) -> int:
+    value = _require(data, key, where)
+    if not _is_int(value):
+        raise InputError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -99,7 +110,7 @@ def dump_algebra(a: Algebra) -> dict:
 
 def load_algebra(data) -> Algebra:
     dim = _require(data, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InputError("algebra: dim must be a nonnegative integer")
     raw = _require(data, "c", "algebra")
     triples = []
@@ -108,7 +119,7 @@ def load_algebra(data) -> Algebra:
             raise InputError("algebra: each c entry must be [i, j, k, coeff]")
         i, j, k, v = entry
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_int(idx) or not 0 <= idx < dim:
                 raise InputError(f"algebra: index {idx} out of range for dim {dim}")
         triples.append((i, j, k, parse_q(v)))
     basis = data.get("basis")
@@ -124,7 +135,7 @@ def dump_linop(m: Matrix) -> dict:
 
 
 def load_linop(data) -> Matrix:
-    dim = _require(data, "dim", "operator")
+    dim = _require_int(data, "dim", "operator")
     conv = data.get("convention")
     if conv is not None and conv != LINOP_CONVENTION:
         raise InputError(f"operator: convention header {conv!r} is not {LINOP_CONVENTION!r}")
@@ -148,7 +159,7 @@ def dump_bimodule(m: Bimodule) -> dict:
 
 
 def load_bimodule(data) -> Bimodule:
-    dim_v = _require(data, "dimV", "bimodule")
+    dim_v = _require_int(data, "dimV", "bimodule")
     left = [matrix_from_json(x, "bimodule l") for x in _require(data, "l", "bimodule")]
     right = [matrix_from_json(x, "bimodule r") for x in _require(data, "r", "bimodule")]
     rho = data.get("rho")
@@ -167,7 +178,7 @@ def dump_deformation(d: TruncatedDeformation) -> dict:
 
 
 def load_deformation(data) -> TruncatedDeformation:
-    order = _require(data, "order", "deformation")
+    order = _require_int(data, "order", "deformation")
     nu_raw = _require(data, "nu", "deformation")
     p_raw = _require(data, "p", "deformation")
     nu = [[[vector_from_json(vec, "deformation nu") for vec in row] for row in table]
@@ -181,7 +192,7 @@ def dump_iso(iso: FormalIso) -> dict:
 
 
 def load_iso(data) -> FormalIso:
-    order = _require(data, "order", "iso")
+    order = _require_int(data, "order", "iso")
     phi = [matrix_from_json(m, "iso phi") for m in _require(data, "phi", "iso")]
     return FormalIso(order, phi)
 
@@ -235,33 +246,6 @@ def identity_report_dict(r: IdentityReport) -> dict:
             {"pair": [v.i, v.j], "identity": v.identity,
              "residual": vector_to_json(v.residual)}
             for v in r.violations
-        ],
-    }
-
-
-def morphism_report_dict(r: MorphismReport) -> dict:
-    return {
-        "check": "operator-morphism",
-        "passed": r.passed,
-        "product_violations": [
-            {"pair": [i, j], "residual": vector_to_json(res)}
-            for i, j, res in r.product_violations
-        ],
-        "intertwine_residual": [vector_to_json(row) for row in r.intertwine_residual],
-    }
-
-
-def square_classification_dict(r: SquareClassification) -> dict:
-    return {
-        "check": "square-classification",
-        "square_zero": r.square_zero,
-        "idempotent": r.idempotent,
-        "involutive": r.involutive,
-        "anti_involutive": r.anti_involutive,
-        "cases": [
-            {"condition": c.condition, "equivalent_kind": c.equivalent_kind.label(),
-             "rn_holds": c.is_rn, "other_holds": c.other_holds, "agree": c.agree}
-            for c in r.cases
         ],
     }
 
@@ -321,14 +305,6 @@ def equivalence_report_dict(r: EquivalenceReport) -> dict:
     }
 
 
-def family_report_dict(r: FamilyReport, params: list[str]) -> dict:
-    return {
-        "check": "family-substitution",
-        "passed": r.passed,
-        "residuals": [p.format(params) for p in r.residuals],
-    }
-
-
 def groebner_result_dict(r: GroebnerResult, variables: list[str]) -> dict:
     return {
         "check": "groebner",
@@ -363,7 +339,3 @@ def linear_reduction_dict(r: LinearReduction, variables: list[str]) -> dict:
 
 def poly_system_dict(s: PolySystem) -> dict:
     return s.to_dict()
-
-
-def load_kind(text: str):
-    return parse_kind(text)

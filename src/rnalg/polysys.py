@@ -10,18 +10,16 @@ byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import (MODIFIED_ROTA_BAXTER, NIJENHUIS, REYNOLDS,
-                      REYNOLDS_NIJENHUIS, ROTA_BAXTER, Algebra, OperatorKind,
-                      _component_identities)
+from .algebra import (Algebra, OperatorKind, _component_identities,
+                      identity_residual)
 from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix
-
-Q = Fraction
 
 ENUM_PRIMES = (2, 3, 5)
 ENUM_CAP = 10 ** 8
@@ -91,12 +89,6 @@ class MPoly:
             return MPoly(self.nvars)
         return MPoly(self.nvars, {tuple(a + b for a, b in zip(m, mono)): c * coeff
                                   for m, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "MPoly":
-        out = MPoly.const(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -281,14 +273,6 @@ def _sym_mult(a: Algebra, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
     return out
 
 
-def _vec_add(x, y):
-    return [a + b for a, b in zip(x, y)]
-
-
-def _vec_sub(x, y):
-    return [a - b for a, b in zip(x, y)]
-
-
 def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
     """Polynomial residuals (lhs - rhs) of the identity over symbolic entries.
 
@@ -301,33 +285,17 @@ def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
     n = dim * dim
     cols = _sym_columns(dim)
     basis = [[MPoly.const(n, 1 if r == i else 0) for r in range(dim)] for i in range(dim)]
+    mul = functools.partial(_sym_mult, a)
+    apply = functools.partial(_sym_apply, cols)
+    weight = MPoly.const(n, kind.weight or 0)
     entries: list[SystemPolynomial] = []
     for i in range(dim):
         for j in range(dim):
-            x, y = basis[i], basis[j]
-            px, py = cols[i], cols[j]
             for ident in _component_identities(kind):
-                if ident == NIJENHUIS:
-                    lhs = _sym_mult(a, px, py)
-                    inner = _vec_sub(_vec_add(_sym_mult(a, px, y), _sym_mult(a, x, py)),
-                                     _sym_apply(cols, _sym_mult(a, x, y)))
-                    rhs = _sym_apply(cols, inner)
-                elif ident == REYNOLDS:
-                    lhs = _sym_mult(a, px, py)
-                    inner = _vec_sub(_vec_add(_sym_mult(a, x, py), _sym_mult(a, px, y)), lhs)
-                    rhs = _sym_apply(cols, inner)
-                elif ident == ROTA_BAXTER:
-                    lhs = _sym_mult(a, px, py)
-                    inner = _vec_add(_vec_add(_sym_mult(a, px, y), _sym_mult(a, x, py)),
-                                     [t.scale(kind.weight) for t in _sym_mult(a, x, y)])
-                    rhs = _sym_apply(cols, inner)
-                else:  # modified Rota-Baxter
-                    xy = _sym_mult(a, x, y)
-                    lhs = _sym_apply(cols, xy)
-                    rhs = _vec_add(_vec_add(_sym_mult(a, px, y), _sym_mult(a, x, py)),
-                                   [t.scale(kind.weight) for t in xy])
-                for k in range(dim):
-                    poly = (lhs[k] - rhs[k]).normalized()
+                res = identity_residual(ident, weight, mul, apply,
+                                        basis[i], basis[j], cols[i], cols[j])
+                for k, poly in enumerate(res):
+                    poly = poly.normalized()
                     if not poly.is_zero():
                         entries.append(SystemPolynomial(i, j, k, ident, poly))
     return PolySystem(dim, kind, entries)
@@ -524,9 +492,6 @@ class EnumerationResult:
     def count(self) -> int:
         return len(self.solutions)
 
-    def contains(self, entries) -> bool:
-        return tuple(int(x) % self.prime for x in entries) in set(self.solutions)
-
 
 def _compile_mod_p(system: PolySystem, p: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
     compiled = []
@@ -597,9 +562,6 @@ class LinearReduction:
     constraints: list[tuple[int, MPoly]]
     residual: list[MPoly]
     inconsistent: bool
-
-    def constraint_map(self) -> dict[int, MPoly]:
-        return dict(self.constraints)
 
 
 def linear_reduce(polys: list[MPoly]) -> LinearReduction:

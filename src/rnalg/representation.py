@@ -5,7 +5,8 @@ matrix per algebra basis element.  Validation reports two profiles: the
 axioms as written with the given twist rho, and the standard profile with
 rho replaced by the identity.  An operator-compatible action adds xi with
 four compatibility conditions against P; l(P(a)) always means the linear
-extension sum_k P[k][i] l(e_k).
+extension sum_k P[k][i] l(e_k).  Constructors only build modules: the
+validators run where a caller asks for them.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from fractions import Fraction
 from .algebra import Algebra
 from .errors import InputError
 from .exactlin import Matrix
-
-Q = Fraction
 
 
 class Bimodule:
@@ -39,14 +38,12 @@ class Bimodule:
         self.xi = xi
         if xi is not None and (xi.rows != dim_v or xi.cols != dim_v):
             raise InputError("xi must be dimV x dimV")
-        self.bimodule_report: "BimoduleReport | None" = None
-        self.rn_report: "RNRepresentationReport | None" = None
 
     @property
     def dim_a(self) -> int:
         return len(self.left)
 
-    def left_of(self, a: Algebra, vec: list[Fraction]) -> Matrix:
+    def left_of(self, vec: list[Fraction]) -> Matrix:
         """Linear extension of the left action to a coordinate vector."""
         out = Matrix.zeros(self.dim_v, self.dim_v)
         for i, x in enumerate(vec):
@@ -54,7 +51,7 @@ class Bimodule:
                 out = out.add(self.left[i].scale(x))
         return out
 
-    def right_of(self, a: Algebra, vec: list[Fraction]) -> Matrix:
+    def right_of(self, vec: list[Fraction]) -> Matrix:
         out = Matrix.zeros(self.dim_v, self.dim_v)
         for i, x in enumerate(vec):
             if x:
@@ -106,8 +103,8 @@ def _check_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> ProfileReport:
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.multiply(basis[i], basis[j])
-            lp = m.left_of(a, prod)
-            rp = m.right_of(a, prod)
+            lp = m.left_of(prod)
+            rp = m.right_of(prod)
             note("left-action-multiplicative", (i, j),
                  lp.mul(rho).sub(m.left[i].mul(m.left[j])))
             note("right-action-antimultiplicative", (i, j),
@@ -121,10 +118,8 @@ def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
     """Evaluate the bimodule axioms with the given rho and with rho = Id."""
     if m.dim_a != a.dim:
         raise InputError("action count != algebra dimension")
-    report = BimoduleReport(_check_axioms(a, m, m.rho),
-                            _check_axioms(a, m, Matrix.identity(m.dim_v)))
-    m.bimodule_report = report
-    return report
+    return BimoduleReport(_check_axioms(a, m, m.rho),
+                          _check_axioms(a, m, Matrix.identity(m.dim_v)))
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
         if not diff.is_zero():
             violations.append(ConditionViolation(cond, idx, tuple(tuple(r) for r in diff.to_rows())))
 
-    lp = [m.left_of(a, p.apply(a.basis_vector(i))) for i in range(a.dim)]
-    rp = [m.right_of(a, p.apply(a.basis_vector(i))) for i in range(a.dim)]
+    lp = [m.left_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
+    rp = [m.right_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
     for i in range(a.dim):
         note("xi-left-intertwine", (i,), xi.mul(m.left[i]).sub(lp[i].mul(xi)))
         note("xi-right-intertwine", (i,), xi.mul(m.right[i]).sub(rp[i].mul(xi)))
@@ -162,22 +157,17 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
                  lp[i].mul(m.left[j]).sub(m.left[i].mul(lp[j])))
             note("right-operator-exchange", (i, j),
                  rp[i].mul(m.right[j]).sub(m.right[j].mul(rp[i])))
-    report = RNRepresentationReport(tuple(violations))
-    m.rn_report = report
-    return report
+    return RNRepresentationReport(tuple(violations))
 
 
 def regular_representation(a: Algebra, p: Matrix) -> Bimodule:
-    """V = A with multiplication actions, rho = Id, xi = P; validators attached."""
+    """V = A with multiplication actions, rho = Id, xi = P; nothing is validated."""
     if p.rows != a.dim or p.cols != a.dim:
         raise InputError("operator shape != algebra dimension")
-    m = Bimodule(a.dim,
-                 [a.left_mult_matrix(i) for i in range(a.dim)],
-                 [a.right_mult_matrix(i) for i in range(a.dim)],
-                 rho=Matrix.identity(a.dim), xi=p)
-    check_bimodule(a, m)
-    check_rn_representation(a, p, m)
-    return m
+    return Bimodule(a.dim,
+                    [a.left_mult_matrix(i) for i in range(a.dim)],
+                    [a.right_mult_matrix(i) for i in range(a.dim)],
+                    rho=Matrix.identity(a.dim), xi=p)
 
 
 def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], list[Matrix]]:
@@ -188,18 +178,20 @@ def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], l
     left, right = [], []
     for i in range(a.dim):
         pa = p.apply(a.basis_vector(i))
-        left.append(m.left[i].mul(xi).sub(xi.mul(m.left[i])).add(m.left_of(a, pa)))
-        right.append(m.right[i].mul(xi).sub(xi.mul(m.right[i])).add(m.right_of(a, pa)))
+        left.append(m.left[i].mul(xi).sub(xi.mul(m.left[i])).add(m.left_of(pa)))
+        right.append(m.right[i].mul(xi).sub(xi.mul(m.right[i])).add(m.right_of(pa)))
     return left, right
 
 
 def induce_representation(a: Algebra, p: Matrix, m: Bimodule,
                           validate: bool = True) -> Bimodule:
-    """Build the induced bimodule and re-run both validators on the result.
+    """Build the induced bimodule from the twisted actions.
 
     With validate=True (the default) the input must already pass the
-    standard bimodule profile and the xi conditions; the induced actions
-    are a definition, so their validity is re-checked, never assumed.
+    standard bimodule profile and the xi conditions.  The result is not
+    validated: the induced actions are a definition, so a caller that
+    relies on their validity checks them with check_bimodule and
+    check_rn_representation.
     """
     if validate:
         if not check_bimodule(a, m).passed_standard:
@@ -207,7 +199,4 @@ def induce_representation(a: Algebra, p: Matrix, m: Bimodule,
         if not check_rn_representation(a, p, m).passed:
             raise InputError("input bimodule fails the xi compatibility conditions")
     left, right = induced_actions(a, p, m)
-    out = Bimodule(m.dim_v, left, right, rho=m.rho, xi=m.xi)
-    check_bimodule(a, out)
-    check_rn_representation(a, p, out)
-    return out
+    return Bimodule(m.dim_v, left, right, rho=m.rho, xi=m.xi)

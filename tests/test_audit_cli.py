@@ -348,6 +348,23 @@ def test_cli_input_errors_exit_two(files, capsys, tmp_path):
     broken.write_text("{oops", encoding="utf-8")
     code, _, _ = _run(capsys, ["check-assoc", str(broken)])
     assert code == 2
+    # integer fields must be JSON integers: strings and booleans are refused
+    rep = fileio.dump_bimodule(regular_representation(CAT["leftunit2"], Matrix.zeros(2, 2)))
+    rep["dimV"] = "2"
+    deform = fileio.read_json(files["triv"])
+    deform["order"] = "1"
+    cases = {
+        "rep.json": (rep, ["check-rep", files["leftunit2"], files["zero2"], "--rep"]),
+        "deform.json": (deform, ["deform", "check", files["leftunit2"]]),
+        "bool_dim.json": ({"dim": True, "c": []}, ["check-assoc"]),
+        "bool_coeff.json": ({"dim": 1, "c": [[0, 0, 0, True]]}, ["check-assoc"]),
+    }
+    for name, (doc, argv) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = _run(capsys, argv + [str(path)])
+        assert code == 2, name
+        assert "error" in err, name
 
 
 def test_cli_usage_errors_exit_two(files):

@@ -9,9 +9,10 @@ import pytest
 from rnalg.catalog import catalog, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix
-from rnalg.representation import (Bimodule, check_bimodule,
-                                  check_rn_representation, induce_representation,
-                                  induced_actions, regular_representation)
+from rnalg.representation import (Bimodule, BimoduleReport, RNRepresentationReport,
+                                  check_bimodule, check_rn_representation,
+                                  induce_representation, induced_actions,
+                                  regular_representation)
 
 CAT = catalog()
 
@@ -30,11 +31,11 @@ def test_regular_bimodule_satisfies_standard_profile_everywhere():
         assert check_bimodule(a, m).passed_standard, name
 
 
-def test_regular_representation_attaches_reports():
+def test_regular_representation_of_zero_operator_passes_both_checks():
     a = CAT["leftunit2"]
     m = regular_representation(a, _zero(2))
-    assert m.bimodule_report.passed_standard
-    assert m.rn_report.passed
+    assert check_bimodule(a, m).passed_standard
+    assert check_rn_representation(a, _zero(2), m).passed
 
 
 def test_zero_operator_always_satisfies_the_conditions():
@@ -88,9 +89,9 @@ def test_induced_actions_formula_on_fixed_instance():
     left, right = induced_actions(a, p, m)
     for i in range(3):
         pa = p.apply(a.basis_vector(i))
-        expect = m.left[i].mul(p).sub(p.mul(m.left[i])).add(m.left_of(a, pa))
+        expect = m.left[i].mul(p).sub(p.mul(m.left[i])).add(m.left_of(pa))
         assert left[i].eq(expect)
-        expect_r = m.right[i].mul(p).sub(p.mul(m.right[i])).add(m.right_of(a, pa))
+        expect_r = m.right[i].mul(p).sub(p.mul(m.right[i])).add(m.right_of(pa))
         assert right[i].eq(expect_r)
 
 
@@ -98,8 +99,8 @@ def test_induce_representation_from_zero_operator_is_valid():
     for name, a in CAT.items():
         m = regular_representation(a, _zero(a.dim))
         out = induce_representation(a, _zero(a.dim), m)
-        assert out.bimodule_report.passed_standard, name
-        assert out.rn_report.passed, name
+        assert check_bimodule(a, out).passed_standard, name
+        assert check_rn_representation(a, _zero(a.dim), out).passed, name
         # with xi = 0 the twisted actions collapse to zero maps
         assert all(x.is_zero() for x in out.left)
         assert all(x.is_zero() for x in out.right)
@@ -118,8 +119,8 @@ def test_induce_representation_unvalidated_still_reports():
     p = operator([[0, 0], [1, 0]])
     m = regular_representation(a, p)
     out = induce_representation(a, p, m, validate=False)
-    assert out.bimodule_report is not None
-    assert out.rn_report is not None
+    assert isinstance(check_bimodule(a, out), BimoduleReport)
+    assert isinstance(check_rn_representation(a, p, out), RNRepresentationReport)
 
 
 def test_bimodule_shape_mismatch_is_an_input_error():
