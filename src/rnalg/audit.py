@@ -18,7 +18,7 @@ from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
 from .catalog import catalog
-from .cohomology import ComplexBuilder, flatten_map
+from .cohomology import ComplexBuilder, _first_nonzero, flatten_map
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           check_equivalence, infinitesimal_cocycle,
                           order_residuals, rigidity_report,
@@ -242,12 +242,8 @@ def _builder(a: Algebra, p: Matrix) -> ComplexBuilder:
 
 
 def _first_entry(m: Matrix):
-    for r in range(m.rows):
-        for c in range(m.cols):
-            x = m.at(r, c)
-            if x:
-                return [r, c, qstr(x)]
-    return None
+    w = _first_nonzero(m)
+    return None if w is None else [w.row, w.col, qstr(w.value)]
 
 
 def _run_psi_delta_residual(inputs: dict) -> dict:

@@ -18,6 +18,14 @@ The combined differential on C^n_A (+) C^(n-1)_RNO is
 
   d_n(f, g) = (delta_n f, -partial_(n-1) g - psi_n f),      d_0 f = (delta_0 f, -f).
 
+psi_n and the constraint are each one sum of Kronecker products, and with
+R_n the constrained basis (one vector per column) the combined complex is
+assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
+
+  d_n = [[delta_n, 0], [-psi_n, -partial_(n-1) R_(n-1)]],     d_0 = [[delta_0], [-psi_0]],
+  d_(n+1) d_n = [[delta_(n+1) delta_n, 0], [-Psi_n, partial_n partial_(n-1) R_(n-1)]],
+  d_1 d_0 = [[delta_1 delta_0], [-Psi_0]],  Psi_n = psi_(n+1) delta_n - partial_n psi_n.
+
 Nothing here assumes the combined complex squares to zero: composites are
 computed exactly, outputs stay in ambient coordinates, and non-closure of
 the constrained subspace under partial/psi is reported, never projected
@@ -33,7 +41,7 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import BudgetError, InputError, resolve_budget
-from .exactlin import Matrix, kernel_basis, kron, rank
+from .exactlin import Matrix, basis_matrix, kernel_basis, kron_sum, rank
 from .representation import Bimodule
 
 
@@ -61,6 +69,15 @@ def unflatten(coords: list[Fraction], dim_a: int, dim_v: int, n: int,
     return list(coords[base : base + dim_v])
 
 
+def _blocks(top_left: Matrix, bottom_left: Matrix,
+            bottom_right: Matrix | None) -> Matrix:
+    """[[top_left, 0], [bottom_left, bottom_right]]; no second column if bottom_right is None."""
+    if bottom_right is None:
+        return top_left.vstack(bottom_left)
+    top = top_left.hstack(Matrix.zeros(top_left.rows, bottom_right.cols))
+    return top.vstack(bottom_left.hstack(bottom_right))
+
+
 class ComplexBuilder:
     """Caches the matrices of one (algebra, operator, bimodule) complex."""
 
@@ -79,6 +96,8 @@ class ComplexBuilder:
         self._psi: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
         self._d: dict[int, Matrix] = {}
+        self._delta2: dict[int, Matrix] = {}
+        self._psi_delta: dict[int, Matrix] = {}
 
     def amb(self, n: int) -> int:
         return self.m.dim_v * self.a.dim ** n
@@ -99,46 +118,36 @@ class ComplexBuilder:
         da, dv = self.a.dim, self.m.dim_v
         rows, cols = self.amb(n + 1), self.amb(n)
         flat = [Fraction(0)] * (rows * cols)
-        if n == 0:
-            for t in range(da):
-                diff = self.m.left[t].sub(self.m.right[t])
-                for w in range(dv):
-                    col = w
+        sign_last = Fraction(-1 if (n + 1) % 2 else 1)
+        for multi in itertools.product(range(da), repeat=n):
+            base_col = flat_offset(da, multi) * dv
+            for w in range(dv):
+                col = base_col + w
+                for i1 in range(da):
+                    rbase = flat_offset(da, (i1,) + multi) * dv
+                    lm = self.m.left[i1]
                     for v in range(dv):
-                        val = diff.at(v, w)
+                        val = lm.at(v, w)
                         if val:
-                            flat[(t * dv + v) * cols + col] += val
-        else:
-            sign_last = Fraction(-1 if (n + 1) % 2 else 1)
-            for multi in itertools.product(range(da), repeat=n):
-                base_col = flat_offset(da, multi) * dv
-                for w in range(dv):
-                    col = base_col + w
-                    for i1 in range(da):
-                        rbase = flat_offset(da, (i1,) + multi) * dv
-                        lm = self.m.left[i1]
-                        for v in range(dv):
-                            val = lm.at(v, w)
-                            if val:
-                                flat[(rbase + v) * cols + col] += val
-                    for slot in range(1, n + 1):
-                        sign = Fraction(-1 if slot % 2 else 1)
-                        target = multi[slot - 1]
-                        for pi in range(da):
-                            crow = self.a.c[pi]
-                            for qi in range(da):
-                                cv = crow[qi][target]
-                                if cv:
-                                    out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
-                                    row = flat_offset(da, out_multi) * dv + w
-                                    flat[row * cols + col] += sign * cv
-                    for t in range(da):
-                        rbase = flat_offset(da, multi + (t,)) * dv
-                        rm = self.m.right[t]
-                        for v in range(dv):
-                            val = rm.at(v, w)
-                            if val:
-                                flat[(rbase + v) * cols + col] += sign_last * val
+                            flat[(rbase + v) * cols + col] += val
+                for slot in range(1, n + 1):
+                    sign = Fraction(-1 if slot % 2 else 1)
+                    target = multi[slot - 1]
+                    for pi in range(da):
+                        crow = self.a.c[pi]
+                        for qi in range(da):
+                            cv = crow[qi][target]
+                            if cv:
+                                out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
+                                row = flat_offset(da, out_multi) * dv + w
+                                flat[row * cols + col] += sign * cv
+                for t in range(da):
+                    rbase = flat_offset(da, multi + (t,)) * dv
+                    rm = self.m.right[t]
+                    for v in range(dv):
+                        val = rm.at(v, w)
+                        if val:
+                            flat[(rbase + v) * cols + col] += sign_last * val
         out = Matrix(rows, cols, flat)
         self._delta[n] = out
         return out
@@ -148,69 +157,38 @@ class ComplexBuilder:
         return self.delta(n)
 
     def psi(self, n: int) -> Matrix:
-        if n in self._psi:
-            return self._psi[n]
-        self._guard(n)
-        dv_id = Matrix.identity(self.m.dim_v)
-        if n == 0:
-            out = dv_id
-        else:
-            pt = self.p.transpose()
-            da_id = Matrix.identity(self.a.dim)
-            xi = self.m.xi
-            out = kron([pt] * n + [dv_id])
-            for i in range(n):
-                slots = [pt] * n
-                slots[i] = da_id
-                out = out.sub(kron(slots + [xi]))
-            out = out.add(kron([da_id] * n + [xi.mul(xi)]))
-        self._psi[n] = out
-        return out
+        if n not in self._psi:
+            self._guard(n)
+            dv_id = Matrix.identity(self.m.dim_v)
+            if n == 0:
+                self._psi[n] = dv_id
+            else:
+                pt, xi, da_id = self.p.transpose(), self.m.xi, Matrix.identity(self.a.dim)
+                self._psi[n] = kron_sum(
+                    [(1, [pt] * n + [dv_id]), (1, [da_id] * n + [xi.mul(xi)])]
+                    + [(-1, [pt] * i + [da_id] + [pt] * (n - 1 - i) + [xi]) for i in range(n)])
+        return self._psi[n]
 
     def rno_constraint(self, n: int) -> Matrix:
         """Operator whose kernel is the first-slot constrained subspace."""
         self._guard(n)
         if n == 0:
             return Matrix.zeros(0, self.amb(0))
-        pt = self.p.transpose()
         da_id = Matrix.identity(self.a.dim)
-        dv_id = Matrix.identity(self.m.dim_v)
-        precompose = kron([pt] + [da_id] * (n - 1) + [dv_id])
-        postcompose = kron([da_id] * n + [self.m.xi])
-        return precompose.sub(postcompose)
+        return kron_sum([(1, [self.p.transpose()] + [da_id] * (n - 1)
+                          + [Matrix.identity(self.m.dim_v)]),
+                         (-1, [da_id] * n + [self.m.xi])])
 
     def rno_basis(self, n: int) -> Matrix:
         """Canonical basis of the constrained subspace, one vector per column."""
-        if n in self._rno:
-            return self._rno[n]
-        vecs = kernel_basis(self.rno_constraint(n))
-        out = Matrix.zeros(self.amb(n), 0)
-        if vecs:
-            flat = [Fraction(0)] * (self.amb(n) * len(vecs))
-            for j, v in enumerate(vecs):
-                for i, x in enumerate(v):
-                    flat[i * len(vecs) + j] = x
-            out = Matrix(self.amb(n), len(vecs), flat)
-        self._rno[n] = out
-        return out
+        if n not in self._rno:
+            self._rno[n] = basis_matrix(kernel_basis(self.rno_constraint(n)), self.amb(n))
+        return self._rno[n]
 
     def d_ambient(self, n: int) -> Matrix:
         """Combined differential on ambient (+) ambient coordinates."""
-        if n == 0:
-            return self.delta(0).vstack(self.psi(0).scale(-1))
-        top = self.delta(n).hstack(Matrix.zeros(self.amb(n + 1), self.amb(n - 1)))
-        bottom = self.psi(n).scale(-1).hstack(self.partial(n - 1).scale(-1))
-        return top.vstack(bottom)
-
-    def domain_inclusion(self, n: int) -> Matrix:
-        """Columns spanning C^n_A (+) C^(n-1)_RNO inside ambient (+) ambient."""
-        if n == 0:
-            return Matrix.identity(self.amb(0))
-        first = Matrix.identity(self.amb(n))
-        second = self.rno_basis(n - 1)
-        top = first.hstack(Matrix.zeros(self.amb(n), second.cols))
-        bottom = Matrix.zeros(second.rows, first.cols).hstack(second)
-        return top.vstack(bottom)
+        return _blocks(self.delta(n), self.psi(n).scale(-1),
+                       self.partial(n - 1).scale(-1) if n else None)
 
     def d(self, n: int) -> Matrix:
         """Combined differential restricted to its stated domain.
@@ -220,21 +198,31 @@ class ComplexBuilder:
         stay ambient so non-closure remains visible.
         """
         if n not in self._d:
-            self._d[n] = self.d_ambient(n).mul(self.domain_inclusion(n))
+            self._d[n] = _blocks(
+                self.delta(n), self.psi(n).scale(-1),
+                self.partial(n - 1).mul(self.rno_basis(n - 1)).scale(-1) if n else None)
         return self._d[n]
 
     def domain_dim(self, n: int) -> int:
-        if n == 0:
-            return self.amb(0)
-        return self.amb(n) + self.rno_basis(n - 1).cols
+        return self.amb(n) + (self.rno_basis(n - 1).cols if n else 0)
 
-    def d_square_residual(self, n: int) -> Matrix:
-        """d_(n+1) . d_n on the restricted domain, in ambient output coordinates."""
-        return self.d_ambient(n + 1).mul(self.d(n))
+    def delta_square(self, n: int) -> Matrix:
+        """delta_(n+1) delta_n on ambient C^n."""
+        if n not in self._delta2:
+            self._delta2[n] = self.delta(n + 1).mul(self.delta(n))
+        return self._delta2[n]
 
     def psi_delta_residual(self, n: int) -> Matrix:
         """psi_(n+1) delta_n - partial_n psi_n on ambient C^n."""
-        return self.psi(n + 1).mul(self.delta(n)).sub(self.partial(n).mul(self.psi(n)))
+        if n not in self._psi_delta:
+            self._psi_delta[n] = self.psi(n + 1).mul(self.delta(n)).sub(
+                self.partial(n).mul(self.psi(n)))
+        return self._psi_delta[n]
+
+    def d_square_residual(self, n: int) -> Matrix:
+        """d_(n+1) . d_n on the restricted domain, in ambient output coordinates."""
+        return _blocks(self.delta_square(n), self.psi_delta_residual(n).scale(-1),
+                       self.delta_square(n - 1).mul(self.rno_basis(n - 1)) if n else None)
 
     def image_closed(self, n: int) -> bool:
         """Does the image of d_n land back in C^(n+1)_A (+) C^n_RNO?"""
@@ -302,7 +290,7 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     b = ComplexBuilder(a, p, m, budget)
     degrees = range(max_n + 1)
     ranks = {n: rank(b.d(n)) for n in degrees}
-    delta2 = {n: b.delta(n + 1).mul(b.delta(n)) for n in degrees}
+    delta2 = {n: b.delta_square(n) for n in degrees}
     psi_delta = {n: b.psi_delta_residual(n) for n in degrees}
     d2 = {n: b.d_square_residual(n) for n in degrees}
     reports = []

@@ -5,13 +5,14 @@ tested for fullness mod a large prime, which can only certify full rank;
 otherwise fraction-free (Bareiss) elimination on an integer-scaled copy
 gives the exact rank.  Kernel bases and solutions come from reduced row
 echelon form and are canonical: each kernel vector carries a 1 in "its"
-free coordinate and 0 in the other free coordinates.
+free coordinate and 0 in the other free coordinates.  kron_sum adds
+Kronecker products built from the nonzeros of their factors only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import InputError
 
@@ -191,25 +192,30 @@ def from_cols(cols: list[list[Fraction]]) -> Matrix:
 
 def kron(mats: list[Matrix]) -> Matrix:
     """Kronecker product, leftmost factor most significant (row-major nesting)."""
-    out = Matrix(1, 1, [Fraction(1)])
-    for m in mats:
-        prev = out
-        flat = [Fraction(0)] * (prev.rows * m.rows * prev.cols * m.cols)
-        cols = prev.cols * m.cols
-        for i in range(prev.rows):
-            for j in range(prev.cols):
-                a = prev.entries[i * prev.cols + j]
-                if not a:
-                    continue
-                for k in range(m.rows):
-                    rbase = (i * m.rows + k) * cols + j * m.cols
-                    mbase = k * m.cols
-                    for l in range(m.cols):
-                        b = m.entries[mbase + l]
-                        if b:
-                            flat[rbase + l] = a * b
-        out = Matrix(prev.rows * m.rows, cols, flat)
-    return out
+    return kron_sum([(1, mats)])
+
+
+def kron_sum(terms) -> Matrix:
+    """Sum of c * (M1 kron ... kron Mk) over the (c, [M1, ..., Mk]) terms.
+
+    All terms have one shape; each product is expanded from the nonzeros
+    of its factors only.
+    """
+    shapes = {(prod(m.rows for m in mats), prod(m.cols for m in mats)) for _, mats in terms}
+    if len(shapes) != 1:
+        raise InputError(f"kron_sum needs terms of one shape, got {sorted(shapes)}")
+    rows, cols = shapes.pop()
+    flat = [Fraction(0)] * (rows * cols)
+    for c, mats in terms:
+        products = [(0, 0, Fraction(c))]
+        for m in mats:
+            nonzeros = [(k, l, b) for k, row in enumerate(m.to_rows())
+                        for l, b in enumerate(row) if b]
+            products = [(i * m.rows + k, j * m.cols + l, a * b)
+                        for i, j, a in products for k, l, b in nonzeros]
+        for i, j, v in products:
+            flat[i * cols + j] += v
+    return Matrix(rows, cols, flat)
 
 
 def _int_rows(m: Matrix) -> list[list[int]]:

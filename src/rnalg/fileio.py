@@ -54,6 +54,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where}: need a list, got {type(value).__name__}")
+    return value
+
+
+def _require_list(data, key: str, where: str) -> list:
+    return _list(_require(data, key, where), f"{where} {key}")
+
+
 def _require_int(data, key: str, where: str) -> int:
     value = _require(data, key, where)
     if not _is_int(value):
@@ -82,9 +92,7 @@ def vector_to_json(v) -> list[str]:
 
 
 def vector_from_json(data, where: str = "vector") -> list[Fraction]:
-    if not isinstance(data, list):
-        raise InputError(f"{where}: need a list")
-    return [parse_q(x) for x in data]
+    return [parse_q(x) for x in _list(data, where)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +120,8 @@ def load_algebra(data) -> Algebra:
     dim = _require(data, "dim", "algebra")
     if not _is_int(dim) or dim < 0:
         raise InputError("algebra: dim must be a nonnegative integer")
-    raw = _require(data, "c", "algebra")
     triples = []
-    for entry in raw:
+    for entry in _require_list(data, "c", "algebra"):
         if not isinstance(entry, list) or len(entry) != 4:
             raise InputError("algebra: each c entry must be [i, j, k, coeff]")
         i, j, k, v = entry
@@ -160,8 +167,8 @@ def dump_bimodule(m: Bimodule) -> dict:
 
 def load_bimodule(data) -> Bimodule:
     dim_v = _require_int(data, "dimV", "bimodule")
-    left = [matrix_from_json(x, "bimodule l") for x in _require(data, "l", "bimodule")]
-    right = [matrix_from_json(x, "bimodule r") for x in _require(data, "r", "bimodule")]
+    left = [matrix_from_json(x, "bimodule l") for x in _require_list(data, "l", "bimodule")]
+    right = [matrix_from_json(x, "bimodule r") for x in _require_list(data, "r", "bimodule")]
     rho = data.get("rho")
     xi = data.get("xi")
     return Bimodule(dim_v, left, right,
@@ -179,11 +186,10 @@ def dump_deformation(d: TruncatedDeformation) -> dict:
 
 def load_deformation(data) -> TruncatedDeformation:
     order = _require_int(data, "order", "deformation")
-    nu_raw = _require(data, "nu", "deformation")
-    p_raw = _require(data, "p", "deformation")
-    nu = [[[vector_from_json(vec, "deformation nu") for vec in row] for row in table]
-          for table in nu_raw]
-    p = [matrix_from_json(m, "deformation p") for m in p_raw]
+    nu = [[[vector_from_json(vec, "deformation nu") for vec in _list(row, "deformation nu")]
+           for row in _list(table, "deformation nu")]
+          for table in _require_list(data, "nu", "deformation")]
+    p = [matrix_from_json(m, "deformation p") for m in _require_list(data, "p", "deformation")]
     return TruncatedDeformation(order, nu, p)
 
 
@@ -193,7 +199,7 @@ def dump_iso(iso: FormalIso) -> dict:
 
 def load_iso(data) -> FormalIso:
     order = _require_int(data, "order", "iso")
-    phi = [matrix_from_json(m, "iso phi") for m in _require(data, "phi", "iso")]
+    phi = [matrix_from_json(m, "iso phi") for m in _require_list(data, "phi", "iso")]
     return FormalIso(order, phi)
 
 
@@ -205,16 +211,16 @@ def dump_polynomials(variables: list[str], polys: list[MPoly]) -> dict:
 
 
 def load_polynomials(data) -> tuple[list[str], list[MPoly]]:
-    variables = _require(data, "variables", "polynomial system")
+    variables = _require_list(data, "variables", "polynomial system")
     nv = len(variables)
     polys = []
-    for raw in _require(data, "polynomials", "polynomial system"):
+    for raw in _require_list(data, "polynomials", "polynomial system"):
         terms = {}
-        for entry in raw:
+        for entry in _list(raw, "polynomial system polynomials"):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise InputError("polynomial system: each term must be [exponents, coeff]")
             exps, coef = entry
-            if len(exps) != nv:
+            if len(_list(exps, "polynomial system exponents")) != nv:
                 raise InputError("polynomial system: exponent tuple length != variable count")
             terms[tuple(int(e) for e in exps)] = parse_q(coef)
         polys.append(MPoly(nv, terms))

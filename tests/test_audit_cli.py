@@ -188,6 +188,11 @@ def test_polynomial_round_trip():
     variables, polys = fileio.load_polynomials(doc)
     assert variables == list(system.variables)
     assert polys == system.polynomials()
+    # list fields must be lists at every nesting level
+    for bad in ({**doc, "variables": 3}, {**doc, "polynomials": 5},
+                {**doc, "polynomials": [5]}, {**doc, "polynomials": [[[5, "1"]]]}):
+        with pytest.raises(InputError):
+            fileio.load_polynomials(bad)
 
 
 def test_read_json_wraps_parse_errors(tmp_path):
@@ -353,12 +358,25 @@ def test_cli_input_errors_exit_two(files, capsys, tmp_path):
     rep["dimV"] = "2"
     deform = fileio.read_json(files["triv"])
     deform["order"] = "1"
+    check_rep = ["check-rep", files["leftunit2"], files["zero2"], "--rep"]
+    check_deform = ["deform", "check", files["leftunit2"]]
     cases = {
-        "rep.json": (rep, ["check-rep", files["leftunit2"], files["zero2"], "--rep"]),
-        "deform.json": (deform, ["deform", "check", files["leftunit2"]]),
+        "rep.json": (rep, check_rep),
+        "deform.json": (deform, check_deform),
         "bool_dim.json": ({"dim": True, "c": []}, ["check-assoc"]),
         "bool_coeff.json": ({"dim": 1, "c": [[0, 0, 0, True]]}, ["check-assoc"]),
+        # list fields must be lists at every nesting level
+        "c_scalar.json": ({"dim": 1, "c": 7}, ["check-assoc"]),
+        "l_scalar.json": ({**rep, "dimV": 2, "l": 3}, check_rep),
+        "r_scalar.json": ({**rep, "dimV": 2, "r": 3}, check_rep),
+        "nu_scalar.json": ({**deform, "order": 1, "nu": 5}, check_deform),
+        "nu_table_scalar.json": ({**deform, "order": 1, "nu": [5]}, check_deform),
+        "nu_row_scalar.json": ({**deform, "order": 1, "nu": [[5]]}, check_deform),
+        "p_scalar.json": ({**deform, "order": 1, "p": 5}, check_deform),
     }
+    iso = {**fileio.read_json(files["iso_id"]), "phi": 5}
+    cases["phi_scalar.json"] = (iso, ["deform", "equiv", files["leftunit2"],
+                                      files["triv"], files["triv"]])
     for name, (doc, argv) in cases.items():
         path = tmp_path / name
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from rnalg.catalog import catalog, operator
 from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten_map
 from rnalg.errors import BudgetError
-from rnalg.exactlin import Matrix
+from rnalg.exactlin import Matrix, rank
 from rnalg.representation import regular_representation
 
 CAT = catalog()
@@ -71,6 +72,101 @@ def test_psi_is_identity_then_zero_at_identity_operator():
 def test_psi_degree_zero_is_identity_on_values():
     b = _builder("pair3", [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert b.psi(0).eq(Matrix.identity(3))
+
+
+# operators whose psi and constrained subspace are far from the P = 0 / Id cases
+NONTRIVIAL_OPERATORS = (("leftunit2", [[1, 0], [1, -1]]),           # reflect-shear
+                        ("leftunit2", [[0, 0], [1, 0]]),            # e0-to-e1
+                        ("pair3", [[0, 1, 0], [0, 0, 0], [0, 1, 0]]))  # mid-to-ends
+
+
+def _index_matrix(dim, n, image):
+    """Matrix of a map on flat n-cochains of the regular bimodule (V = A).
+
+    image(J, w, I) is the value at e_I of the image of the basis cochain
+    sending e_J to e_w and every other basis tuple to 0.
+    """
+    multis = list(itertools.product(range(dim), repeat=n))
+    size = dim * len(multis)
+    flat = [Fraction(0)] * (size * size)
+    for col, (J, w) in enumerate(itertools.product(multis, range(dim))):
+        for ioff, I in enumerate(multis):
+            for u, x in enumerate(image(J, w, I)):
+                flat[(ioff * dim + u) * size + col] = Fraction(x)
+    return Matrix(size, size, flat)
+
+
+def _psi_oracle(p, n):
+    """psi_n(f)(a1..an) = f(Pa1..Pan) - sum_i xi f(Pa1,..,ai,..,Pan) + xi^2 f(a1..an), xi = P.
+
+    For the basis cochain (J, w), f(x1..xn) = prod_k (x_k)_(J_k) e_w, and
+    (P e_i)_j = P[j][i].
+    """
+    dim = p.rows
+
+    def image(J, w, I):
+        def scalar(replaced):
+            out = Fraction(1)
+            for k in range(n):
+                out *= p.at(J[k], I[k]) if k in replaced else Fraction(J[k] == I[k])
+            return out
+
+        xi_w = [p.at(u, w) for u in range(dim)]
+        xi2_w = [sum(p.at(u, v) * p.at(v, w) for v in range(dim)) for u in range(dim)]
+        every = set(range(n))
+        value = [scalar(every) * (u == w) for u in range(dim)]
+        for i in range(n):
+            value = [x - scalar(every - {i}) * y for x, y in zip(value, xi_w)]
+        return [x + scalar(set()) * y for x, y in zip(value, xi2_w)]
+
+    return _index_matrix(dim, n, image)
+
+
+def _constraint_oracle(p, n):
+    """f -> f(P a1, a2, ..., an) - xi f(a1, ..., an) with xi = P."""
+    dim = p.rows
+
+    def image(J, w, I):
+        rest = Fraction(J[1:] == I[1:])
+        return [p.at(J[0], I[0]) * rest * (u == w) - (J == I) * p.at(u, w)
+                for u in range(dim)]
+
+    return _index_matrix(dim, n, image)
+
+
+def test_psi_and_constraint_match_index_oracle_on_nontrivial_operators():
+    for name, rows in NONTRIVIAL_OPERATORS:
+        b = _builder(name, rows)
+        p = operator(rows)
+        for n in (1, 2):
+            assert b.psi(n).eq(_psi_oracle(p, n)), (name, rows, n)
+            constraint = _constraint_oracle(p, n)
+            assert b.rno_constraint(n).eq(constraint), (name, rows, n)
+            basis = b.rno_basis(n)
+            assert constraint.mul(basis).is_zero(), (name, rows, n)
+            assert rank(basis) == basis.cols == b.amb(n) - rank(constraint), (name, rows, n)
+
+
+def _domain_inclusion(b, n):
+    """Columns spanning C^n_A (+) C^(n-1)_RNO inside ambient (+) ambient."""
+    if n == 0:
+        return Matrix.identity(b.amb(0))
+    basis = b.rno_basis(n - 1)
+    top = Matrix.identity(b.amb(n)).hstack(Matrix.zeros(b.amb(n), basis.cols))
+    return top.vstack(Matrix.zeros(basis.rows, b.amb(n)).hstack(basis))
+
+
+def test_block_assembly_equals_ambient_products():
+    # the audit's complex instances, plus mat2 with P = Id
+    for name, rows in (("zero1", [[0]]), ("leftunit2", [[0, 0], [0, 0]]),
+                       ("leftunit2", [[1, 0], [0, 1]]),
+                       ("pair3", [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                       ("trunc3", [[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+                       ("mat2", [[int(i == j) for j in range(4)] for i in range(4)])):
+        b = _builder(name, rows)
+        for n in range(3):
+            assert b.d(n).eq(b.d_ambient(n).mul(_domain_inclusion(b, n))), (name, n)
+            assert b.d_square_residual(n).eq(b.d_ambient(n + 1).mul(b.d(n))), (name, n)
 
 
 def test_zero_algebra_dimension_table():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from rnalg.errors import InputError
 from rnalg.exactlin import (Matrix, basis_matrix, from_cols, kernel_basis,
-                            kron, parse_q, qstr, rank, rref, solve)
+                            kron, kron_sum, parse_q, qstr, rank, rref, solve)
 
 
 def _naive_rank(rows: list[list[Fraction]]) -> int:
@@ -130,6 +131,23 @@ def test_kron_mixed_product_rule():
     c = Matrix.from_rows([[Fraction(1), Fraction(0)], [Fraction(3), Fraction(1)]])
     d = Matrix.from_rows([[Fraction(5)]])
     assert kron([a, b]).mul(kron([c, d])).eq(kron([a.mul(c), b.mul(d)]))
+
+
+def test_kron_sum_is_the_sum_of_separate_krons():
+    a = Matrix.from_rows([[1, 2, 0], [0, -1, 3]])
+    b = Matrix.from_rows([[0, Fraction(1, 2)], [4, 0]])
+    c = Matrix.from_rows([[1, 0, 0], [0, 0, 1]])
+    d = Matrix.from_rows([[Fraction(-2, 3), 1], [1, 1]])
+    # row-major nesting: entry (i*br + k, j*bc + l) of A kron B is A[i][j] B[k][l]
+    ab = kron([a, b])
+    for i, j, k, l in itertools.product(range(2), range(3), range(2), range(2)):
+        assert ab.at(i * 2 + k, j * 2 + l) == a.at(i, j) * b.at(k, l)
+    terms = [(1, [a, b]), (-2, [c, d]), (Fraction(1, 3), [a, Matrix.identity(2)])]
+    expected = ab.sub(kron([c, d]).scale(2)).add(kron([a, Matrix.identity(2)]).scale(Fraction(1, 3)))
+    assert kron_sum(terms).eq(expected)
+    assert kron_sum([(1, [b, a, d])]).eq(kron([b, a, d]))
+    with pytest.raises(InputError):
+        kron_sum([(1, [a]), (1, [b])])
 
 
 def test_from_cols_and_basis_matrix_layout():
