@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .exactlin import Matrix, parse_q
+from .exactlin import Matrix, basis_matrix, parse_q
 
 REYNOLDS = "reynolds"
 NIJENHUIS = "nijenhuis"
@@ -131,19 +131,11 @@ class Algebra:
 
     def left_mult_matrix(self, i: int) -> Matrix:
         # column j holds the coordinates of e_i * e_j
-        flat = [Fraction(0)] * (self.dim * self.dim)
-        for j in range(self.dim):
-            for k in range(self.dim):
-                flat[k * self.dim + j] = self.c[i][j][k]
-        return Matrix(self.dim, self.dim, flat)
+        return basis_matrix([self.c[i][j] for j in range(self.dim)], self.dim)
 
     def right_mult_matrix(self, i: int) -> Matrix:
         # column j holds the coordinates of e_j * e_i
-        flat = [Fraction(0)] * (self.dim * self.dim)
-        for j in range(self.dim):
-            for k in range(self.dim):
-                flat[k * self.dim + j] = self.c[j][i][k]
-        return Matrix(self.dim, self.dim, flat)
+        return basis_matrix([self.c[j][i] for j in range(self.dim)], self.dim)
 
     def is_associative(self) -> bool:
         if self._assoc is None:

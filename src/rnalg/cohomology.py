@@ -117,7 +117,7 @@ class ComplexBuilder:
         self._guard(n + 1)
         da, dv = self.a.dim, self.m.dim_v
         rows, cols = self.amb(n + 1), self.amb(n)
-        flat = [Fraction(0)] * (rows * cols)
+        out: dict[tuple[int, int], Fraction] = {}
         sign_last = Fraction(-1 if (n + 1) % 2 else 1)
         for multi in itertools.product(range(da), repeat=n):
             base_col = flat_offset(da, multi) * dv
@@ -129,7 +129,7 @@ class ComplexBuilder:
                     for v in range(dv):
                         val = lm.at(v, w)
                         if val:
-                            flat[(rbase + v) * cols + col] += val
+                            out[rbase + v, col] = out.get((rbase + v, col), 0) + val
                 for slot in range(1, n + 1):
                     sign = Fraction(-1 if slot % 2 else 1)
                     target = multi[slot - 1]
@@ -140,17 +140,16 @@ class ComplexBuilder:
                             if cv:
                                 out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
                                 row = flat_offset(da, out_multi) * dv + w
-                                flat[row * cols + col] += sign * cv
+                                out[row, col] = out.get((row, col), 0) + sign * cv
                 for t in range(da):
                     rbase = flat_offset(da, multi + (t,)) * dv
                     rm = self.m.right[t]
                     for v in range(dv):
                         val = rm.at(v, w)
                         if val:
-                            flat[(rbase + v) * cols + col] += sign_last * val
-        out = Matrix(rows, cols, flat)
-        self._delta[n] = out
-        return out
+                            out[rbase + v, col] = out.get((rbase + v, col), 0) + sign_last * val
+        self._delta[n] = Matrix(rows, cols, out)
+        return self._delta[n]
 
     def partial(self, n: int) -> Matrix:
         """Restricted differential; same formula as delta on ambient coordinates."""
@@ -226,15 +225,11 @@ class ComplexBuilder:
 
     def image_closed(self, n: int) -> bool:
         """Does the image of d_n land back in C^(n+1)_A (+) C^n_RNO?"""
-        dn = self.d(n)
-        top_rows = self.amb(n + 1)
-        second = Matrix(dn.rows - top_rows, dn.cols,
-                        dn.entries[top_rows * dn.cols :])
-        basis = self.rno_basis(n)
-        if second.is_zero():
-            return True
-        stacked = basis.hstack(second)
-        return rank(stacked) == rank(basis)
+        # the constrained subspace is the kernel of rno_constraint(n), so the
+        # lower rows of d_n land in it iff the constraint annihilates them
+        constraint = self.rno_constraint(n)
+        lower = Matrix.zeros(constraint.rows, self.amb(n + 1)).hstack(constraint)
+        return lower.mul(self.d(n)).is_zero()
 
 
 @dataclass(frozen=True)
@@ -266,12 +261,11 @@ class CohomologyResult:
 
 
 def _first_nonzero(m: Matrix) -> ResidualWitness | None:
-    for i in range(m.rows):
-        base = i * m.cols
-        for j in range(m.cols):
-            if m.entries[base + j]:
-                return ResidualWitness(i, j, m.entries[base + j])
-    return None
+    """The nonzero entry that comes first in row-major order."""
+    if m.is_zero():
+        return None
+    i, j = min(m.entries)
+    return ResidualWitness(i, j, m.at(i, j))
 
 
 def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,

@@ -1,24 +1,25 @@
 """Exact rational linear algebra over fractions.Fraction.
 
-Matrices are dense, row-major, immutable by convention.  Rank is first
-tested for fullness mod a large prime, which can only certify full rank;
-otherwise fraction-free (Bareiss) elimination on an integer-scaled copy
-gives the exact rank.  Kernel bases and solutions come from reduced row
-echelon form and are canonical: each kernel vector carries a 1 in "its"
-free coordinate and 0 in the other free coordinates.  kron_sum adds
-Kronecker products built from the nonzeros of their factors only.
+A Matrix stores only its nonzero entries, in a dict from (row, col) to
+Fraction, and is immutable by convention; from_rows, to_rows, row_list
+and col_list are the dense boundary.  One sparse row echelon serves rank,
+rref, kernel_basis and solve: it pivots each row on its leftmost nonzero
+column and keeps every pivot row fully reduced, so its rows are the
+unique reduced row echelon form.  Kernel bases and solutions read those
+rows and are canonical: each kernel vector carries a 1 in "its" free
+coordinate and 0 in the other free coordinates.  kron_sum adds Kronecker
+products built from the nonzeros of their factors only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import InputError
 
-# a prime just above 2**31; the filter only ever certifies full rank,
-# so any single prime is sound
-_FILTER_PRIME = 2147483659
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def qstr(x: Fraction) -> str:
@@ -41,13 +42,17 @@ def parse_q(text) -> Fraction:
 
 
 class Matrix:
-    """Dense rational matrix; entries stored row-major."""
+    """Sparse rational matrix: entries maps (i, j) to a nonzero Fraction."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: list[Fraction]):
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise InputError(f"entry count {len(entries)} != {rows}x{cols}")
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
+        if rows < 0 or cols < 0:
+            raise InputError(f"negative shape {rows}x{cols}")
+        if any(not (0 <= i < rows and 0 <= j < cols) for i, j in entries):
+            raise InputError(f"entry index outside {rows}x{cols}")
+        if not all(entries.values()):
+            entries = {ij: x for ij, x in entries.items() if x}
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -57,108 +62,103 @@ class Matrix:
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        flat: list[Fraction] = []
-        for r in data:
+        entries = {}
+        for i, r in enumerate(data):
             if len(r) != cols:
                 raise InputError("ragged rows")
-            flat.extend(Fraction(x) for x in r)
-        return cls(rows, cols, flat)
+            for j, x in enumerate(r):
+                if x:
+                    entries[i, j] = Fraction(x)
+        return cls(rows, cols, entries)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        e = [Fraction(0)] * (n * n)
-        for i in range(n):
-            e[i * n + i] = Fraction(1)
-        return cls(n, n, e)
+        return cls(n, n, {(i, i): _ONE for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls(rows, cols, {})
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.entries.get((i, j), _ZERO)
 
     def row_list(self, i: int) -> list[Fraction]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return [self.entries.get((i, j), _ZERO) for j in range(self.cols)]
 
     def col_list(self, j: int) -> list[Fraction]:
-        return self.entries[j :: self.cols] if self.cols else []
+        return [self.entries.get((i, j), _ZERO) for i in range(self.rows)]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row_list(i) for i in range(self.rows)]
 
+    def _row_dicts(self) -> dict[int, dict[int, Fraction]]:
+        """Row index -> {col: value} for the rows that have a nonzero."""
+        out: dict[int, dict[int, Fraction]] = {}
+        for (i, j), x in self.entries.items():
+            out.setdefault(i, {})[j] = x
+        return out
+
     def transpose(self) -> "Matrix":
-        out = [Fraction(0)] * (self.rows * self.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.entries[base + j]
-        return Matrix(self.cols, self.rows, out)
+        return Matrix(self.cols, self.rows, {(j, i): x for (i, j), x in self.entries.items()})
 
     def add(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._combine(other, 1)
 
     def sub(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        out = dict(self.entries)
+        for ij, x in other.entries.items():
+            out[ij] = out.get(ij, 0) + sign * x
+        return Matrix(self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        if not c:
+            return Matrix.zeros(self.rows, self.cols)
+        return Matrix(self.rows, self.cols, {ij: c * x for ij, x in self.entries.items()})
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [Fraction(0)] * (self.rows * other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            tbase = i * oc
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    obase = k * oc
-                    for j in range(oc):
-                        b = other.entries[obase + j]
-                        if b:
-                            out[tbase + j] += a * b
-        return Matrix(self.rows, oc, out)
+        right = other._row_dicts()
+        out = {}
+        for i, row in self._row_dicts().items():
+            acc: dict[int, Fraction] = {}
+            for k, a in row.items():
+                for j, b in right.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.update(((i, j), x) for j, x in acc.items())
+        return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise InputError(f"vector length {len(vec)} != {self.cols} columns")
-        out = [Fraction(0)] * self.rows
-        for j, x in enumerate(vec):
+        out = [_ZERO] * self.rows
+        for (i, j), a in self.entries.items():
+            x = vec[j]
             if x:
-                for i in range(self.rows):
-                    a = self.entries[i * self.cols + j]
-                    if a:
-                        out[i] += a * x
+                out[i] += a * x
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise InputError("row count mismatch in hstack")
-        flat: list[Fraction] = []
-        for i in range(self.rows):
-            flat.extend(self.row_list(i))
-            flat.extend(other.row_list(i))
-        return Matrix(self.rows, self.cols + other.cols, flat)
+        out = dict(self.entries)
+        out.update(((i, self.cols + j), x) for (i, j), x in other.entries.items())
+        return Matrix(self.rows, self.cols + other.cols, out)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise InputError("column count mismatch in vstack")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        out = dict(self.entries)
+        out.update(((self.rows + i, j), x) for (i, j), x in other.entries.items())
+        return Matrix(self.rows + other.rows, self.cols, out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not self.entries
 
     def eq(self, other: "Matrix") -> bool:
         return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
@@ -167,7 +167,7 @@ class Matrix:
         return isinstance(other, Matrix) and self.eq(other)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
+        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"Matrix({self.to_rows()!r})"
@@ -181,13 +181,14 @@ def from_cols(cols: list[list[Fraction]]) -> Matrix:
     if not cols:
         return Matrix.zeros(0, 0)
     n = len(cols[0])
-    flat = [Fraction(0)] * (n * len(cols))
+    entries = {}
     for j, c in enumerate(cols):
         if len(c) != n:
             raise InputError("ragged columns")
         for i, x in enumerate(c):
-            flat[i * len(cols) + j] = Fraction(x)
-    return Matrix(n, len(cols), flat)
+            if x:
+                entries[i, j] = Fraction(x)
+    return Matrix(n, len(cols), entries)
 
 
 def kron(mats: list[Matrix]) -> Matrix:
@@ -205,140 +206,97 @@ def kron_sum(terms) -> Matrix:
     if len(shapes) != 1:
         raise InputError(f"kron_sum needs terms of one shape, got {sorted(shapes)}")
     rows, cols = shapes.pop()
-    flat = [Fraction(0)] * (rows * cols)
+    out = {}
     for c, mats in terms:
         products = [(0, 0, Fraction(c))]
         for m in mats:
-            nonzeros = [(k, l, b) for k, row in enumerate(m.to_rows())
-                        for l, b in enumerate(row) if b]
             products = [(i * m.rows + k, j * m.cols + l, a * b)
-                        for i, j, a in products for k, l, b in nonzeros]
-        for i, j, v in products:
-            flat[i * cols + j] += v
-    return Matrix(rows, cols, flat)
+                        for i, j, a in products for (k, l), b in m.entries.items()]
+        for i, j, x in products:
+            out[i, j] = out.get((i, j), 0) + x
+    return Matrix(rows, cols, out)
 
 
-def _int_rows(m: Matrix) -> list[list[int]]:
-    # scale each row by the lcm of denominators; rank is unchanged
-    out = []
-    for i in range(m.rows):
-        row = m.row_list(i)
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:
+    """row -= f * pivot_row, in place, storing no zero."""
+    for j, x in pivot_row.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    work = [[x % p for x in r] for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if piv is None:
-            col += 1
+def _echelon(m: Matrix) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form of m as {pivot column: reduced row}.
+
+    Each row of m is reduced by the pivot rows found so far; if anything
+    is left, it is scaled to a leading 1 in its leftmost column and that
+    column is cleared from the earlier pivot rows.  Every pivot row is
+    therefore zero in every other pivot column, and the pivot rows are
+    the nonzero rows of the unique RREF.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for _, row in sorted(m._row_dicts().items()):
+        # a pivot row is zero in the other pivot columns, so subtracting it
+        # leaves the other pivot entries of row as they were
+        for j in [j for j in row if j in pivots]:
+            _subtract(row, row[j], pivots[j])
+        if not row:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        prow = [(inv * x) % p for x in work[rank]]
-        work[rank] = prow
-        for r in range(rank + 1, nrows):
-            f = work[r][col]
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {j: inv * x for j, x in row.items()}
+        for other in pivots.values():
+            f = other.get(lead)
             if f:
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], prow)]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    work = [r[:] for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    col = 0
-    prev = 1
-    while rank < nrows and col < ncols:
-        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for r in range(rank + 1, nrows):
-            fr = work[r][col]
-            row = work[r]
-            top = work[rank]
-            for c in range(col, ncols):
-                row[c] = (row[c] * pv - fr * top[c]) // prev
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
+                _subtract(other, f, row)
+        pivots[lead] = row
+        if len(pivots) == m.cols:
+            break
+    return pivots
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank; a mod-p full-rank certificate may short-circuit Bareiss."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = _int_rows(m)
-    bound = min(m.rows, m.cols)
-    if _rank_mod(rows, _FILTER_PRIME) == bound:
-        return bound
-    return _rank_bareiss(rows)
+    """Exact rank: the pivot count of the sparse echelon."""
+    return len(_echelon(m))
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    work = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    pivots = _echelon(m)
+    order = sorted(pivots)
+    rows = [[pivots[p].get(j, _ZERO) for j in range(m.cols)] for p in order]
+    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(order))]
+    return rows, order
 
 
 def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     """Canonical null-space basis from the RREF, one vector per free column."""
-    work, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][f]
-        basis.append(v)
-    return basis
+    pivots = _echelon(m)
+    basis = {}
+    for f in range(m.cols):
+        if f not in pivots:
+            basis[f] = [_ZERO] * m.cols
+            basis[f][f] = _ONE
+    # off its pivot, a reduced row is nonzero only in free columns
+    for p, row in pivots.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 def solve(m: Matrix, b: list[Fraction]) -> list[Fraction] | None:
     """One exact solution of m x = b with free variables set to 0, else None."""
     if len(b) != m.rows:
         raise InputError(f"rhs length {len(b)} != {m.rows} rows")
-    aug = m.hstack(Matrix(m.rows, 1, [Fraction(x) for x in b]))
-    work, pivots = rref(aug)
+    pivots = _echelon(m.hstack(from_cols([b])))
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = work[r][m.cols]
+    x = [_ZERO] * m.cols
+    for p, row in pivots.items():
+        x[p] = row.get(m.cols, _ZERO)
     return x
 
 

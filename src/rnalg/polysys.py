@@ -211,11 +211,11 @@ class PolySystem:
         return [e.poly for e in self.entries]
 
     def residuals_at(self, m: Matrix) -> list[Fraction]:
-        point = [Fraction(x) for x in m.entries]
+        point = _point(m)
         return [e.poly.evaluate(point) for e in self.entries]
 
     def holds_at(self, m: Matrix) -> bool:
-        point = [Fraction(x) for x in m.entries]
+        point = _point(m)
         return all(e.poly.evaluate(point) == 0 for e in self.entries)
 
     def max_total_degree(self) -> int:
@@ -237,6 +237,11 @@ class PolySystem:
                 for e in self.entries
             ],
         }
+
+
+def _point(m: Matrix) -> list[Fraction]:
+    """The entries of m in the row-major order of the unknowns P_r_c."""
+    return [x for row in m.to_rows() for x in row]
 
 
 def _sym_columns(dim: int) -> list[list[MPoly]]:
@@ -273,11 +278,12 @@ def _sym_mult(a: Algebra, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
     return out
 
 
-def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
-    """Polynomial residuals (lhs - rhs) of the identity over symbolic entries.
+def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
+    """Residuals (lhs - rhs) of the identity over symbolic entries, as computed.
 
     Order is pair-major (i, j lexicographic), then identity, then output
-    coordinate; identically zero polynomials are pruned.
+    coordinate.  Coefficients are those the structure constants and the
+    weight give, neither normalized nor pruned.
     """
     if not a.is_associative():
         raise InputError("algebra is not associative")
@@ -288,17 +294,21 @@ def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
     mul = functools.partial(_sym_mult, a)
     apply = functools.partial(_sym_apply, cols)
     weight = MPoly.const(n, kind.weight or 0)
-    entries: list[SystemPolynomial] = []
-    for i in range(dim):
-        for j in range(dim):
-            for ident in _component_identities(kind):
-                res = identity_residual(ident, weight, mul, apply,
-                                        basis[i], basis[j], cols[i], cols[j])
-                for k, poly in enumerate(res):
-                    poly = poly.normalized()
-                    if not poly.is_zero():
-                        entries.append(SystemPolynomial(i, j, k, ident, poly))
-    return PolySystem(dim, kind, entries)
+    return [SystemPolynomial(i, j, k, ident, poly)
+            for i in range(dim) for j in range(dim)
+            for ident in _component_identities(kind)
+            for k, poly in enumerate(identity_residual(ident, weight, mul, apply,
+                                                       basis[i], basis[j], cols[i], cols[j]))]
+
+
+def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
+    """Normalized polynomial residuals of the identity; zero ones are pruned."""
+    entries = []
+    for e in _raw_residuals(a, kind):
+        poly = e.poly.normalized()
+        if not poly.is_zero():
+            entries.append(SystemPolynomial(e.i, e.j, e.coord, e.identity, poly))
+    return PolySystem(a.dim, kind, entries)
 
 
 class SymbolicMatrix:
@@ -493,14 +503,13 @@ class EnumerationResult:
         return len(self.solutions)
 
 
-def _compile_mod_p(system: PolySystem, p: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
+    # every denominator is prime to p, so each coefficient has an image in F_p
     compiled = []
-    for e in system.entries:
+    for poly in polys:
         terms = []
-        for m, c in e.poly.sorted_terms():
-            if c.denominator != 1:
-                raise AssertionError("normalized polynomials must be integral")
-            cm = c.numerator % p
+        for m, c in poly.sorted_terms():
+            cm = c.numerator * pow(c.denominator, -1, p) % p
             if cm:
                 terms.append((cm, tuple((i, ex) for i, ex in enumerate(m) if ex)))
         if terms:
@@ -511,8 +520,12 @@ def _compile_mod_p(system: PolySystem, p: int) -> list[list[tuple[int, tuple[tup
 def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult:
     """All matrices over F_p satisfying the identity system reduced mod p.
 
-    Solutions are exact members of the mod-p variety; they are evidence
-    about characteristic p only and are not lifted to Q.
+    The residuals are reduced mod p as computed, before any normalization,
+    so they are the identity system of the algebra whose structure
+    constants and weight are reduced mod p; a p that divides one of their
+    denominators is refused.  Solutions are exact members of the mod-p
+    variety; they are evidence about characteristic p only and are not
+    lifted to Q.
     """
     if p not in ENUM_PRIMES:
         raise InputError(f"prime must be one of {ENUM_PRIMES}, got {p}")
@@ -521,8 +534,10 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
         raise BudgetError(f"{p}^{n} matrices exceeds the enumeration cap {ENUM_CAP}")
     if kind.weight is not None and kind.weight.denominator % p == 0:
         raise InputError(f"weight {kind.weight} is not defined mod {p}")
-    system = build_identity_system(a, kind)
-    compiled = _compile_mod_p(system, p)
+    undefined = [c for plane in a.c for row in plane for c in row if c.denominator % p == 0]
+    if undefined:
+        raise InputError(f"structure constant {undefined[0]} is not defined mod {p}")
+    compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
     solutions = []
     for point in itertools.product(range(p), repeat=n):
         ok = True
@@ -549,7 +564,7 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
 
 def solution_matrix(solution: tuple[int, ...], dim: int) -> Matrix:
     """Entries of a mod-p solution as an integer matrix (no lifting implied)."""
-    return Matrix(dim, dim, [Fraction(x) for x in solution])
+    return Matrix.from_rows([solution[r * dim:(r + 1) * dim] for r in range(dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_criterion_02_trivial_operators():
             assert check_operator(a, Matrix.identity(a.dim), KIND_RN).passed
 
 
-def _identity_holds(a: Algebra, m: Matrix, kind) -> bool:
+def _identity_holds(a: Algebra, m: Matrix, kind, p: int | None = None) -> bool:
     """Independent oracle: the five identities written out as index sums.
 
     With P(e_j) = sum_i M[i][j] e_i and e_i e_j = sum_k c[i][j][k] e_k,
@@ -105,7 +105,8 @@ def _identity_holds(a: Algebra, m: Matrix, kind) -> bool:
       rota_baxter(w)       P(x)P(y) = P(xP(y) + P(x)y + w xy)
       modified_rota_baxter P(xy)    = xP(y) + P(x)y + w xy
 
-    and an RN operator satisfies the first two.  No rnalg identity code runs.
+    and an RN operator satisfies the first two, exactly or, given p and
+    integer data, modulo p.  No rnalg identity code runs.
     """
     n = a.dim
     mat = m.to_rows()
@@ -139,7 +140,7 @@ def _identity_holds(a: Algebra, m: Matrix, kind) -> bool:
                     lhs, rhs = pxpy, apply([cross[k] + w * xy[k] for k in range(n)])
                 else:
                     lhs, rhs = apply(xy), [cross[k] + w * xy[k] for k in range(n)]
-                if lhs != rhs:
+                if any((l - r) % p if p else l != r for l, r in zip(lhs, rhs)):
                     return False
     return True
 
@@ -173,35 +174,22 @@ def test_criterion_04_finite_field_exhaustion():
         a = CAT["pair3"]
         result = enumerate_mod_p(a, KIND_RN, 2)
         assert result.prime == 2 and result.dim == 3
-        # independent recount: reduce every system coefficient mod 2 and
-        # score all 512 candidate matrices directly, with no lifting
-        reduced = []
-        for poly in build_identity_system(a, KIND_RN).polynomials():
-            terms = []
-            for m, c in poly.sorted_terms():
-                assert c.denominator == 1
-                if c.numerator % 2:
-                    terms.append(m)
-            reduced.append(terms)
+        # independent recount: score all 512 candidate 0/1 matrices with the
+        # identities written out as index sums over the integer structure
+        # constants, residuals reduced mod 2, with no lifting
         brute = set()
         scanned = 0
         for val in range(2 ** 9):
             point = tuple((val >> s) & 1 for s in range(9))
             scanned += 1
-            ok = True
-            for terms in reduced:
-                acc = 0
-                for m in terms:
-                    if all(x or not e for x, e in zip(point, m)):
-                        acc ^= 1
-                if acc:
-                    ok = False
-                    break
-            if ok:
+            rows = [point[r * 3:(r + 1) * 3] for r in range(3)]
+            if _identity_holds(a, Matrix.from_rows(rows), KIND_RN, 2):
                 brute.add(point)
         assert scanned == 512
         assert brute == set(result.solutions)
-        assert result.count == 32
+        # the Nijenhuis and Reynolds residuals at (e0, e0), (e1, e1) and
+        # (e2, e2) are even, so they vanish over F_2 at every matrix
+        assert result.count == 56
         required = {
             (0,) * 9,
             (1, 0, 0, 0, 1, 0, 0, 0, 1),
@@ -301,8 +289,8 @@ def test_criterion_09_correction_residual_report():
             for n in (1, 2):
                 psi_delta = b.psi_delta_residual(n)
                 d_square = b.d_square_residual(n)
-                assert all(isinstance(x, Fraction) for x in psi_delta.entries)
-                assert all(isinstance(x, Fraction) for x in d_square.entries)
+                assert all(isinstance(x, Fraction) for row in psi_delta.to_rows() for x in row)
+                assert all(isinstance(x, Fraction) for row in d_square.to_rows() for x in row)
                 report.append((name, n, psi_delta.is_zero(), d_square.is_zero()))
         assert report == [
             ("pair3", 1, False, False),

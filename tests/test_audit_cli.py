@@ -275,7 +275,7 @@ def test_cli_solve_modes(files, capsys):
     assert len(doc["polynomials"]) == 52
     code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--mod", "2"])
     assert code == 0
-    assert json.loads(out)["count"] == 32
+    assert json.loads(out)["count"] == 56
     code, out, _ = _run(capsys, ["solve", files["leftunit2"], "--kind", "rn",
                                  "--groebner"])
     assert code == 0

@@ -88,12 +88,12 @@ def _index_matrix(dim, n, image):
     """
     multis = list(itertools.product(range(dim), repeat=n))
     size = dim * len(multis)
-    flat = [Fraction(0)] * (size * size)
+    rows = [[Fraction(0)] * size for _ in range(size)]
     for col, (J, w) in enumerate(itertools.product(multis, range(dim))):
         for ioff, I in enumerate(multis):
             for u, x in enumerate(image(J, w, I)):
-                flat[(ioff * dim + u) * size + col] = Fraction(x)
-    return Matrix(size, size, flat)
+                rows[ioff * dim + u][col] = Fraction(x)
+    return Matrix.from_rows(rows)
 
 
 def _psi_oracle(p, n):
@@ -224,3 +224,29 @@ def test_budget_cap_raises_budget_error():
     p = Matrix.zeros(4, 4)
     with pytest.raises(BudgetError):
         ComplexBuilder(a, p, regular_representation(a, p), budget=10).delta(2)
+
+
+def test_psi_storage_is_linear_in_the_cochain_dimension():
+    # the default budget admits psi at degree 6 on mat2: 16384 x 16384, which
+    # would be 268M entries stored densely; n + 2 Kronecker terms store at most
+    # amb(6) nonzeros each
+    b = _builder("mat2", [[int(i == j) for j in range(4)] for i in range(4)])
+    psi = b.psi(6)
+    assert psi.rows == psi.cols == b.amb(6) == 16384
+    assert len(psi.entries) <= (6 + 2) * b.amb(6)
+
+
+def test_image_closed_is_column_space_containment():
+    # image_closed asks the constraint to annihilate the lower rows of d_n;
+    # the oracle asks that those rows add nothing to the span of rno_basis
+    seen = set()
+    for name, rows in NONTRIVIAL_OPERATORS + (("leftunit2", [[0, 0], [0, 0]]),
+                                              ("pair3", [[1, 0, 0], [0, 0, 0], [0, 0, 0]])):
+        b = _builder(name, rows)
+        for n in range(3):
+            lower = Matrix.from_rows(b.d(n).to_rows()[b.amb(n + 1):])
+            basis = b.rno_basis(n)
+            expected = rank(basis.hstack(lower)) == rank(basis)
+            assert b.image_closed(n) == expected, (name, rows, n)
+            seen.add(expected)
+    assert seen == {True, False}

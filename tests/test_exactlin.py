@@ -1,4 +1,5 @@
-"""Exact linear algebra: rank against a naive oracle, kernel and solve laws."""
+"""Exact linear algebra: sparse storage and RREF against naive dense oracles,
+kernel and solve laws."""
 
 from __future__ import annotations
 
@@ -15,13 +16,17 @@ from rnalg.exactlin import (Matrix, basis_matrix, from_cols, kernel_basis,
                             kron, kron_sum, parse_q, qstr, rank, rref, solve)
 
 
-def _naive_rank(rows: list[list[Fraction]]) -> int:
-    """Plain fraction Gaussian elimination, written independently of rref."""
+def _naive_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Plain dense Gauss-Jordan elimination, written independently of rref.
+
+    Returns every row (the zero rows last) and the pivot columns.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -32,17 +37,19 @@ def _naive_rank(rows: list[list[Fraction]]) -> int:
             if i != r and m[i][c] != 0:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return m, pivots
 
 
 _small_q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# mostly zero, like the differentials of the combined complex
+_sparse_q = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)), _small_q)
 
 
-def _matrix_strategy(max_dim=4):
-    return st.integers(1, max_dim).flatmap(
+def _matrix_strategy(max_dim=4, max_rows=None, entries=_small_q):
+    return st.integers(1, max_rows or max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
-            lambda c: st.lists(st.lists(_small_q, min_size=c, max_size=c),
+            lambda c: st.lists(st.lists(entries, min_size=c, max_size=c),
                                min_size=r, max_size=r)))
 
 
@@ -50,7 +57,16 @@ def _matrix_strategy(max_dim=4):
 @given(_matrix_strategy())
 def test_rank_matches_naive_gaussian_oracle(rows):
     m = Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
-    assert rank(m) == _naive_rank(m.to_rows())
+    assert rank(m) == len(_naive_rref(m.to_rows())[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_matrix_strategy(), _matrix_strategy(5, max_rows=12, entries=_sparse_q)))
+def test_rref_equals_naive_gauss_jordan(rows):
+    # kernel_basis reads these rows, and rno_basis, d(n) and every
+    # cohomology result read kernel_basis, so the canonical form is pinned
+    m = Matrix.from_rows(rows)
+    assert rref(m) == _naive_rref(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,6 +110,69 @@ def test_rref_is_idempotent_on_seeded_matrices():
         again_rows, again_pivots = rref(Matrix.from_rows(once_rows))
         assert again_rows == once_rows
         assert again_pivots == once_pivots
+
+
+def _d_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+def _d_kron(a, b):
+    return [[a[i][j] * b[k][l] for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def _assert_sparse(m: Matrix) -> None:
+    assert all(isinstance(x, Fraction) and x != 0 for x in m.entries.values())
+    assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m.entries)
+
+
+_three_dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+def _rows_of(r, c):
+    return st.lists(st.lists(_sparse_q, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_three_dims.flatmap(lambda s: st.tuples(
+    _rows_of(s[0], s[1]), _rows_of(s[0], s[1]), _rows_of(s[1], s[2]), _rows_of(s[2], s[1]),
+    st.lists(_small_q, min_size=s[1], max_size=s[1]), _small_q)))
+def test_sparse_operations_equal_dense_oracle(data):
+    ra, rb, rc, rd, vec, c = data
+    a, b, cm, dm = (Matrix.from_rows(r) for r in (ra, rb, rc, rd))
+    n, k = len(ra), len(ra[0])
+    cases = [
+        (a.mul(cm), _d_mul(ra, rc)),
+        (a.add(b), [[x + y for x, y in zip(u, v)] for u, v in zip(ra, rb)]),
+        (a.sub(b), [[x - y for x, y in zip(u, v)] for u, v in zip(ra, rb)]),
+        (a.scale(c), [[c * x for x in u] for u in ra]),
+        (a.transpose(), [[ra[i][j] for i in range(n)] for j in range(k)]),
+        (a.hstack(b), [u + v for u, v in zip(ra, rb)]),
+        (a.vstack(dm), ra + rd),
+        (kron([a, dm]), _d_kron(ra, rd)),
+        (kron_sum([(c, [a, dm]), (-1, [b, dm])]),
+         [[c * x - y for x, y in zip(u, v)] for u, v in zip(_d_kron(ra, rd), _d_kron(rb, rd))]),
+    ]
+    for got, want in cases:
+        assert got.to_rows() == want
+        _assert_sparse(got)
+    assert a.apply(vec) == [sum((x * y for x, y in zip(u, vec)), Fraction(0)) for u in ra]
+    # no zero is ever stored
+    assert a.sub(a).entries == {}
+    assert a.scale(0).is_zero()
+    # equal matrices are eq and hash equal, whatever their insertion order
+    again = Matrix(a.rows, a.cols, dict(reversed(list(a.entries.items()))))
+    assert again.eq(a) and again == a and hash(again) == hash(a)
+    assert a.transpose().transpose() == a and hash(a.transpose().transpose()) == hash(a)
+
+
+def test_constructor_refuses_bad_shapes_and_keys():
+    for rows, cols, entries in ((-1, 2, {}), (2, -1, {}), (2, 2, {(2, 0): Fraction(1)}),
+                                (2, 2, {(0, 2): Fraction(1)}), (2, 2, {(-1, 0): Fraction(1)})):
+        with pytest.raises(InputError):
+            Matrix(rows, cols, entries)
+    assert Matrix(2, 2, {(0, 1): Fraction(0)}).entries == {}
 
 
 def test_matrix_algebra_basics():

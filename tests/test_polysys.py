@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnalg.algebra import KIND_NIJENHUIS, KIND_RN, check_operator, rota_baxter
+from rnalg.algebra import KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, rota_baxter
 from rnalg.catalog import catalog, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix
@@ -127,7 +127,8 @@ def test_groebner_of_rn_system_terminates():
 def test_enumeration_mod_2_on_pair3():
     result = enumerate_mod_p(CAT["pair3"], KIND_RN, 2)
     assert result.prime == 2
-    assert len(result.solutions) == 32
+    # 32 for the content-normalized system, whose even residuals were halved
+    assert len(result.solutions) == 56
     sols = set(result.solutions)
     assert (0,) * 9 in sols
     assert (1, 0, 0, 0, 1, 0, 0, 0, 1) in sols
@@ -138,6 +139,18 @@ def test_enumeration_mod_2_on_pair3():
 def test_enumeration_rejects_non_prime_modulus():
     with pytest.raises(InputError):
         enumerate_mod_p(CAT["pair3"], KIND_RN, 4)
+
+
+def test_enumeration_reduces_structure_constants_not_normalized_residuals():
+    # e0 e0 = 3 e0 is the zero algebra over F_3, where every operator is RN
+    a = Algebra.from_sparse(1, [(0, 0, 0, Fraction(3))])
+    assert enumerate_mod_p(a, KIND_RN, 3).solutions == [(0,), (1,), (2,)]
+    assert enumerate_mod_p(a, KIND_RN, 2).solutions == [(0,), (1,)]
+    # e0 e0 = 1/3 e0 has no reduction mod 3
+    a = Algebra.from_sparse(1, [(0, 0, 0, Fraction(1, 3))])
+    with pytest.raises(InputError, match="not defined mod 3"):
+        enumerate_mod_p(a, KIND_RN, 3)
+    assert enumerate_mod_p(a, KIND_RN, 2).solutions == [(0,), (1,)]
 
 
 def test_solution_matrix_reshapes_row_major():
