@@ -1,9 +1,13 @@
 """Audit of the structural claims behind the operator machinery.
 
-Each documented claim is evaluated on explicit fixture instances.  A
-refutation always carries a self-contained counterexample record;
-replay_counterexample re-runs the originating operation from that record
-alone and compares the recomputed data against what the report stored.
+Every claim is evaluated on explicit fixture instances by one loop,
+_Evidence.run: for each (row, inputs) case it runs the operation's runner
+on the JSON inputs, records the row with the fields the claim reports,
+and, when the claim's judge rejects the runner's record, refutes the
+claim with the counterexample (operation, inputs, record).  _settle turns
+the judged rows and the counterexamples into the verdict.  Runners read
+JSON inputs only, so replay_counterexample re-runs a counterexample from
+its record alone and compares the result with what the report stored.
 Refuted claims are ordinary results, never errors: the audit's job is to
 find out which claims survive contact with exact arithmetic.
 """
@@ -12,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from . import fileio
 from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
 from .catalog import catalog
-from .cohomology import ComplexBuilder, _first_nonzero, flatten_map
+from .cohomology import ComplexBuilder, _first_nonzero, flatten_map, unflatten
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           check_equivalence, infinitesimal_cocycle,
                           order_residuals, rigidity_report,
@@ -147,12 +152,18 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _load_algebra_input(inputs: dict) -> tuple[Algebra, Matrix]:
+def _load(inputs: dict) -> tuple[Algebra, Matrix]:
+    """The algebra and operator of an input record, star-deformed on request."""
     a = fileio.load_algebra(inputs["algebra"])
     p = fileio.matrix_from_json(inputs["operator"])
     if inputs.get("star"):
         a = star_product(a, p)
     return a, p
+
+
+def _builder(inputs: dict) -> ComplexBuilder:
+    a, p = _load(inputs)
+    return ComplexBuilder(a, p, regular_representation(a, p), None)
 
 
 def _violation_doc(v) -> dict:
@@ -161,14 +172,14 @@ def _violation_doc(v) -> dict:
 
 
 def _run_check_operator(inputs: dict) -> dict:
-    a, p = _load_algebra_input(inputs)
+    a, p = _load(inputs)
     rep = check_operator(a, p, parse_kind(inputs["kind"]))
     return {"passed": rep.passed,
             "first_violation": _violation_doc(rep.violations[0]) if rep.violations else None}
 
 
 def _run_check_associative(inputs: dict) -> dict:
-    a, _ = _load_algebra_input(inputs)
+    a, _ = _load(inputs)
     rep = check_associative(a)
     first = rep.violations[0] if rep.violations else None
     return {"passed": rep.passed,
@@ -178,8 +189,7 @@ def _run_check_associative(inputs: dict) -> dict:
 
 
 def _run_star_morphism(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
+    a, p = _load(inputs)
     st = star_product(a, p)
     if inputs["direction"] == "into-deformed":
         rep = check_morphism(a, st, p, p, p)
@@ -203,9 +213,7 @@ def _run_verify_family(inputs: dict) -> dict:
 
 
 def _run_classify_square(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    cls = classify_square(a, p)
+    cls = classify_square(*_load(inputs))
     for case in cls.cases:
         if case.condition == inputs["condition"]:
             return {"condition": case.condition,
@@ -223,62 +231,46 @@ def _rep_record(std, rn) -> dict:
 
 
 def _run_regular_representation(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
+    a, p = _load(inputs)
     m = regular_representation(a, p)
     return _rep_record(check_bimodule(a, m), check_rn_representation(a, p, m))
 
 
 def _run_induce_representation(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    m = fileio.load_bimodule(inputs["bimodule"])
-    out = induce_representation(a, p, m)
+    a, p = _load(inputs)
+    out = induce_representation(a, p, fileio.load_bimodule(inputs["bimodule"]))
     return _rep_record(check_bimodule(a, out), check_rn_representation(a, p, out))
 
 
-def _builder(a: Algebra, p: Matrix) -> ComplexBuilder:
-    return ComplexBuilder(a, p, regular_representation(a, p), None)
-
-
-def _first_entry(m: Matrix):
-    w = _first_nonzero(m)
-    return None if w is None else [w.row, w.col, qstr(w.value)]
+def _residual_record(res: Matrix) -> dict:
+    w = _first_nonzero(res)
+    return {"zero": res.is_zero(),
+            "first_nonzero": None if w is None else [w.row, w.col, qstr(w.value)]}
 
 
 def _run_psi_delta_residual(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    res = _builder(a, p).psi_delta_residual(inputs["degree"])
-    return {"zero": res.is_zero(), "first_nonzero": _first_entry(res)}
+    return _residual_record(_builder(inputs).psi_delta_residual(inputs["degree"]))
 
 
 def _run_d_square_residual(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    res = _builder(a, p).d_square_residual(inputs["degree"])
-    return {"zero": res.is_zero(), "first_nonzero": _first_entry(res)}
+    return _residual_record(_builder(inputs).d_square_residual(inputs["degree"]))
 
 
 def _run_operator_part(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
+    b = _builder(inputs)
+    dim = b.a.dim
     phi = fileio.matrix_from_json(inputs["cochain"])
-    b = _builder(a, p)
-    vec = flatten_map(a.dim, a.dim, 1, lambda multi: phi.col_list(multi[0]))
+    vec = flatten_map(dim, dim, 1, lambda multi: phi.col_list(multi[0]))
     from_complex = [-x for x in b.psi(1).apply(vec)]
-    comm = p.mul(phi).sub(phi.mul(p))
-    claimed = flatten_map(a.dim, a.dim, 1, lambda multi: comm.col_list(multi[0]))
+    comm = b.p.mul(phi).sub(phi.mul(b.p))
+    claimed = flatten_map(dim, dim, 1, lambda multi: comm.col_list(multi[0]))
     diff = [x - y for x, y in zip(from_complex, claimed)]
     first = next(([i, qstr(x)] for i, x in enumerate(diff) if x), None)
     return {"matches": first is None, "first_difference": first}
 
 
 def _run_infinitesimal_cocycle(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    d = fileio.load_deformation(inputs["deformation"])
-    rep = infinitesimal_cocycle(a, p, d)
+    rep = infinitesimal_cocycle(*_load(inputs), fileio.load_deformation(inputs["deformation"]))
     return {"in_constrained_subspace": rep.in_constrained_subspace,
             "differential_zero": rep.differential_zero,
             "is_cocycle": rep.is_cocycle,
@@ -287,11 +279,9 @@ def _run_infinitesimal_cocycle(inputs: dict) -> dict:
 
 
 def _run_same_class(inputs: dict) -> dict:
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    d1 = fileio.load_deformation(inputs["deformation1"])
-    d2 = fileio.load_deformation(inputs["deformation2"])
-    rep = same_cohomology_class(a, p, d1, d2)
+    rep = same_cohomology_class(*_load(inputs),
+                                fileio.load_deformation(inputs["deformation1"]),
+                                fileio.load_deformation(inputs["deformation2"]))
     return {"difference_in_domain": rep.difference_in_domain,
             "same_class": rep.same_class, "witness_found": rep.witness is not None}
 
@@ -347,13 +337,6 @@ def _alg_op_inputs(a: Algebra, p: Matrix, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _kind_fixtures(fx: dict, kind):
-    for aname, a in fx["algebras"].items():
-        for label, p in fx["operators"][aname]:
-            if check_operator(a, p, kind).passed:
-                yield aname, a, label, p
-
-
 def _settle(verdict_rows: list[bool], counterexamples: list) -> str:
     if counterexamples:
         return VERDICT_REFUTED
@@ -362,59 +345,65 @@ def _settle(verdict_rows: list[bool], counterexamples: list) -> str:
     return VERDICT_NOT_EVALUABLE
 
 
-def _claim_star_associativity(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _kind_fixtures(fx, KIND_NIJENHUIS):
-        inputs = _alg_op_inputs(a, p, star=True)
-        rec = _run_check_associative(inputs)
-        instances.append({"algebra": aname, "operator": label, "passed": rec["passed"]})
-        oks.append(rec["passed"])
-        if not rec["passed"]:
-            ces.append(_ce("check_associative", inputs, rec))
-    return ClaimVerdict(
-        "star-product-associativity",
-        "For P satisfying the twisted identity, the product "
-        "a*b = a.P(b) + P(a).b - P(a.b) is associative.",
-        _settle(oks, ces), instances, ces)
+_passed = itemgetter("passed")
 
 
-def _claim_star_preserves_operator(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _kind_fixtures(fx, KIND_RN):
-        inputs = _alg_op_inputs(a, p, star=True, kind="rn")
-        rec = _run_check_operator(inputs)
-        instances.append({"algebra": aname, "operator": label, "passed": rec["passed"]})
-        oks.append(rec["passed"])
-        if not rec["passed"]:
-            ces.append(_ce("check_operator", inputs, rec))
-    return ClaimVerdict(
-        "star-preserves-operator",
-        "An operator satisfying both identities still satisfies them on the "
-        "algebra deformed by its own star product.",
-        _settle(oks, ces), instances, ces)
+class _Evidence:
+    """Instance rows, their verdicts and the counterexamples of one claim."""
+
+    def __init__(self):
+        self.rows: list[dict] = []
+        self.oks: list[bool] = []
+        self.counterexamples: list[dict] = []
+
+    def run(self, op: str, cases, judge=_passed, fields=("passed",),
+            judged_as: str | None = None) -> "_Evidence":
+        """Run op on each (row, inputs) case, record the row, refute on failure.
+
+        The judge reads the runner's record and returns True (the case
+        holds), False (the record becomes a counterexample) or None (the
+        case lies outside the claim and leaves no row).  A row gains the
+        record's fields, then the judge's verdict under judged_as.
+        """
+        for row, inputs in cases:
+            rec = _RUNNERS[op](inputs)
+            ok = judge(rec)
+            if ok is None:
+                continue
+            row.update((k, rec[k]) for k in fields)
+            if judged_as:
+                row[judged_as] = ok
+            self.rows.append(row)
+            self.oks.append(ok)
+            if not ok:
+                self.counterexamples.append(_ce(op, inputs, rec))
+        return self
+
+    def refute(self, op: str, inputs: dict) -> None:
+        """Record a counterexample that no row judged: the runner's record as is."""
+        self.counterexamples.append(_ce(op, inputs, _RUNNERS[op](inputs)))
+
+    def verdict(self, claim_id: str, statement: str, notes=()) -> ClaimVerdict:
+        return ClaimVerdict(claim_id, statement, _settle(self.oks, self.counterexamples),
+                            self.rows, self.counterexamples, list(notes))
 
 
-def _claim_star_morphism(fx: dict, direction: str) -> ClaimVerdict:
-    into = direction == "into-deformed"
-    kind = KIND_RN if into else KIND_NIJENHUIS
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _kind_fixtures(fx, kind):
-        inputs = _alg_op_inputs(a, p, direction=direction)
-        rec = _run_star_morphism(inputs)
-        instances.append({"algebra": aname, "operator": label, "passed": rec["passed"]})
-        oks.append(rec["passed"])
-        if not rec["passed"]:
-            ces.append(_ce("star_morphism", inputs, rec))
-    if into:
-        claim_id = "star-morphism-into-deformed"
-        statement = ("Claimed: P is an algebra morphism from the original product "
-                     "to its star deformation, P(a.b) = P(a)*P(b).")
-    else:
-        claim_id = "star-morphism-from-deformed"
-        statement = ("P is an algebra morphism from the star deformation back to "
-                     "the original product, P(a*b) = P(a).P(b); this restates the "
-                     "twisted identity.")
-    return ClaimVerdict(claim_id, statement, _settle(oks, ces), instances, ces)
+def _rep_ok(rec: dict) -> bool:
+    return rec["standard_ok"] and rec["rn_ok"]
+
+
+def _kind_cases(fx: dict, op_kind, **extra):
+    """(row, inputs) for every fixture operator of the given kind."""
+    for aname, a in fx["algebras"].items():
+        for label, p in fx["operators"][aname]:
+            if check_operator(a, p, op_kind).passed:
+                yield {"algebra": aname, "operator": label}, _alg_op_inputs(a, p, **extra)
+
+
+def _claim_on_kind(fx: dict, op: str, op_kind, extra: dict, claim_id: str,
+                   statement: str) -> ClaimVerdict:
+    """A claim that op passes on every fixture operator of the given kind."""
+    return _Evidence().run(op, _kind_cases(fx, op_kind, **extra)).verdict(claim_id, statement)
 
 
 def _claim_family_completeness(fx: dict) -> ClaimVerdict:
@@ -423,185 +412,124 @@ def _claim_family_completeness(fx: dict) -> ClaimVerdict:
                  "satisfying both identities form a two-parameter linear family "
                  "supported on the middle basis column.")
     if "pair3" not in fx["algebras"]:
-        return ClaimVerdict(claim_id, statement, VERDICT_NOT_EVALUABLE,
-                            notes=["requires the pair3 fixture"])
+        return _Evidence().verdict(claim_id, statement, ["requires the pair3 fixture"])
     a = fx["algebras"]["pair3"]
     ops = dict(fx["operators"]["pair3"])
-    instances, ces = [], []
 
+    def check(name: str, label: str):
+        return {"check": name}, _alg_op_inputs(a, ops[label], kind="rn")
+
+    ev = _Evidence()
     fam_inputs = {"algebra": fileio.dump_algebra(a), "kind": "rn",
                   "family": {"params": ["v", "q"], "assign": [[0, 1, "v"], [2, 1, "q"]]}}
-    fam_rec = _run_verify_family(fam_inputs)
-    instances.append({"check": "family-residuals", "passed": fam_rec["passed"],
-                      "residuals": fam_rec["residuals"]})
-    if not fam_rec["passed"]:
-        ces.append(_ce("verify_family", fam_inputs, fam_rec))
-
+    ev.run("verify_family", [({"check": "family-residuals"}, fam_inputs)],
+           fields=("passed", "residuals"))
     # A family member with nonzero parameters fails the identities outright.
-    member_inputs = _alg_op_inputs(a, ops["mid-to-ends"], kind="rn")
-    member_rec = _run_check_operator(member_inputs)
-    instances.append({"check": "family-member-v1-q1", "passed": member_rec["passed"]})
-    if not member_rec["passed"]:
-        ces.append(_ce("check_operator", member_inputs, member_rec))
-
-    # Solutions outside the family: scaling the first or last basis vector.
-    for label in ("e0-only", "e2-only"):
-        inputs = _alg_op_inputs(a, ops[label], kind="rn")
-        rec = _run_check_operator(inputs)
-        instances.append({"check": f"outside-family-{label}", "passed": rec["passed"]})
-        if rec["passed"]:
-            ces.append(_ce("check_operator", inputs, rec))
-
+    ev.run("check_operator", [check("family-member-v1-q1", "mid-to-ends")])
+    # Solutions outside the family, scaling the first or last basis vector:
+    # here a passing check is the counterexample.
+    ev.run("check_operator",
+           [check(f"outside-family-{label}", label) for label in ("e0-only", "e2-only")],
+           lambda rec: not rec["passed"])
     # The solution set is not even closed under addition.
-    sum_inputs = _alg_op_inputs(a, ops["ends-projection"], kind="rn")
-    sum_rec = _run_check_operator(sum_inputs)
-    instances.append({"check": "sum-of-solutions", "passed": sum_rec["passed"]})
-    if not sum_rec["passed"]:
-        ces.append(_ce("check_operator", sum_inputs, sum_rec))
-
+    ev.run("check_operator", [check("sum-of-solutions", "ends-projection")])
     enum = enumerate_mod_p(a, KIND_RN, 2)
-    instances.append({"check": "mod-2-enumeration",
-                      "solutions": len(enum.solutions), "candidates": 2 ** 9})
-    notes = [
+    ev.rows.append({"check": "mod-2-enumeration",
+                    "solutions": len(enum.solutions), "candidates": 2 ** 9})
+    return ev.verdict(claim_id, statement, [
         "the two-parameter family satisfies the identities only at the origin; "
         "the recorded residual polynomials vanish simultaneously only there",
         "operators scaling the first or last basis vector satisfy both "
         "identities but lie outside the claimed family",
         "two solutions with non-solution sum witness that the solution set is "
         "not a linear subspace",
-    ]
-    return ClaimVerdict(claim_id, statement, VERDICT_REFUTED if ces else VERDICT_CONFIRMED,
-                        instances, ces, notes)
+    ])
 
 
-def _claim_square_condition(fx: dict, condition: str, claim_id: str, statement: str,
-                            notes: list[str] | None = None) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a in fx["algebras"].items():
-        for label, p in fx["operators"][aname]:
-            inputs = _alg_op_inputs(a, p, condition=condition)
-            rec = _run_classify_square(inputs)
-            if rec.get("detected") is False:
-                continue
-            instances.append({"algebra": aname, "operator": label,
-                              "is_rn": rec["is_rn"], "other_holds": rec["other_holds"],
-                              "agree": rec["agree"]})
-            oks.append(rec["agree"])
-            if not rec["agree"]:
-                ces.append(_ce("classify_square", inputs, rec))
-    return ClaimVerdict(claim_id, statement, _settle(oks, ces), instances, ces, notes or [])
+def _agreement(rec: dict) -> bool | None:
+    """A square-condition case counts only where the condition holds."""
+    return None if rec.get("detected") is False else rec["agree"]
+
+
+def _claim_square_condition(fx: dict, condition: str, claim_id: str,
+                            statement: str) -> ClaimVerdict:
+    cases = (({"algebra": aname, "operator": label}, _alg_op_inputs(a, p, condition=condition))
+             for aname, a in fx["algebras"].items() for label, p in fx["operators"][aname])
+    return _Evidence().run("classify_square", cases, _agreement,
+                           ("is_rn", "other_holds", "agree")).verdict(claim_id, statement)
 
 
 def _claim_regular_representation(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _kind_fixtures(fx, KIND_RN):
-        inputs = _alg_op_inputs(a, p)
-        rec = _run_regular_representation(inputs)
-        ok = rec["standard_ok"] and rec["rn_ok"]
-        instances.append({"algebra": aname, "operator": label, "passed": ok})
-        oks.append(ok)
-        if not ok:
-            ces.append(_ce("regular_representation", inputs, rec))
-    return ClaimVerdict(
+    return _Evidence().run("regular_representation", _kind_cases(fx, KIND_RN), _rep_ok,
+                           (), "passed").verdict(
         "regular-action-compatibility",
         "Assumed by the cohomology construction: the algebra acting on "
         "itself by multiplication with xi = P satisfies the four operator "
         "compatibility conditions whenever P satisfies both identities.",
-        _settle(oks, ces), instances, ces,
         ["on a noncommutative base even P = Id fails the exchange "
          "conditions, so the complex built on these coefficients starts "
          "from an unverified premise"])
 
 
 def _claim_induced_representation(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _kind_fixtures(fx, KIND_RN):
-        m = regular_representation(a, p)
-        premise = (check_bimodule(a, m).passed_standard
-                   and check_rn_representation(a, p, m).passed)
-        if not premise:
-            instances.append({"algebra": aname, "operator": label, "premise_holds": False})
+    ev = _Evidence()
+    for row, inputs in _kind_cases(fx, KIND_RN):
+        if not _rep_ok(_run_regular_representation(inputs)):
+            ev.rows.append(dict(row, premise_holds=False))
             continue
-        inputs = _alg_op_inputs(a, p, bimodule=fileio.dump_bimodule(m))
-        rec = _run_induce_representation(inputs)
-        ok = rec["standard_ok"] and rec["rn_ok"]
-        instances.append({"algebra": aname, "operator": label, "premise_holds": True,
-                          "induced_valid": ok})
-        oks.append(ok)
-        if not ok:
-            ces.append(_ce("induce_representation", inputs, rec))
-    return ClaimVerdict(
+        m = regular_representation(*_load(inputs))
+        ev.run("induce_representation",
+               [(dict(row, premise_holds=True), dict(inputs, bimodule=fileio.dump_bimodule(m)))],
+               _rep_ok, (), "induced_valid")
+    return ev.verdict(
         "induced-representation-validity",
         "Twisting a compatible module action by the operator pair yields "
         "another compatible module action.",
-        _settle(oks, ces), instances, ces,
         ["instances whose starting action fails the compatibility conditions "
          "are recorded with premise_holds=false and not evaluated"])
 
 
 def _complex_instances(fx: dict):
+    """(row, algebra, operator) for each complex instance the fixtures hold."""
     for aname, label in _COMPLEX_INSTANCES:
-        if aname not in fx["algebras"]:
-            continue
         ops = dict(fx["operators"].get(aname, []))
-        if label not in ops:
-            continue
-        yield aname, fx["algebras"][aname], label, ops[label]
+        if aname in fx["algebras"] and label in ops:
+            yield {"algebra": aname, "operator": label}, fx["algebras"][aname], ops[label]
+
+
+def _cochain_instances(fx: dict):
+    """(row, algebra, operator, phi) for the complex instances with a cochain."""
+    for row, a, p in _complex_instances(fx):
+        table = _COCHAIN_TABLE.get(row["algebra"])
+        if table is not None:
+            yield row, a, p, Matrix.from_rows([[Fraction(x) for x in r] for r in table])
 
 
 def _claim_residual_grid(fx: dict, op_name: str, degrees, claim_id: str,
                          statement: str, notes: list[str]) -> ClaimVerdict:
-    runner = _RUNNERS[op_name]
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _complex_instances(fx):
-        for n in degrees:
-            inputs = _alg_op_inputs(a, p, degree=n)
-            rec = runner(inputs)
-            instances.append({"algebra": aname, "operator": label, "degree": n,
-                              "zero": rec["zero"]})
-            oks.append(rec["zero"])
-            if not rec["zero"]:
-                ces.append(_ce(op_name, inputs, rec))
-    return ClaimVerdict(claim_id, statement, _settle(oks, ces), instances, ces, notes)
+    cases = ((dict(row, degree=n), _alg_op_inputs(a, p, degree=n))
+             for row, a, p in _complex_instances(fx) for n in degrees)
+    return _Evidence().run(op_name, cases, itemgetter("zero"), ("zero",)).verdict(
+        claim_id, statement, notes)
 
 
 def _claim_operator_part(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _complex_instances(fx):
-        phi_rows = _COCHAIN_TABLE.get(aname)
-        if phi_rows is None:
-            continue
-        phi = Matrix.from_rows([[Fraction(x) for x in row] for row in phi_rows])
-        inputs = _alg_op_inputs(a, p, cochain=fileio.matrix_to_json(phi))
-        rec = _run_operator_part(inputs)
-        instances.append({"algebra": aname, "operator": label, "matches": rec["matches"]})
-        oks.append(rec["matches"])
-        if not rec["matches"]:
-            ces.append(_ce("degree_one_operator_part", inputs, rec))
-    return ClaimVerdict(
+    cases = ((row, _alg_op_inputs(a, p, cochain=fileio.matrix_to_json(phi)))
+             for row, a, p, phi in _cochain_instances(fx))
+    return _Evidence().run("degree_one_operator_part", cases, itemgetter("matches"),
+                           ("matches",)).verdict(
         "degree-one-operator-part",
         "Claimed: the operator component of the degree-1 combined differential "
         "of a map f is the commutator P.f - f.P.",
-        _settle(oks, ces), instances, ces,
         ["the two expressions differ exactly by P.P.f, so they agree only "
          "where the operator's square annihilates the cochain"])
 
 
-def _unknown_count(dim: int) -> int:
-    return dim ** 3 + dim ** 2
-
-
 def _vector_to_order1(dim: int, vec) -> tuple[list, Matrix]:
-    nu1 = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                nu1[i][j][k] = Fraction(vec[(i * dim + j) * dim + k])
-    p1 = Matrix.zeros(dim, dim).to_rows()
-    for i in range(dim):
-        for k in range(dim):
-            p1[k][i] = Fraction(vec[dim ** 3 + i * dim + k])
-    return nu1, Matrix.from_rows(p1)
+    """(nu_1, P_1) from coordinates in the layout of deformation._pair_vector."""
+    split = dim ** 3
+    nu1 = [[unflatten(vec[:split], dim, dim, (i, j)) for j in range(dim)] for i in range(dim)]
+    return nu1, from_cols([unflatten(vec[split:], dim, dim, (i,)) for i in range(dim)])
 
 
 def order1_system(a: Algebra, p: Matrix) -> Matrix:
@@ -611,10 +539,11 @@ def order1_system(a: Algebra, p: Matrix) -> Matrix:
     first (input pair index major), then P_1 column by column.
     """
     dim = a.dim
+    unknowns = dim ** 3 + dim ** 2
     base = TruncatedDeformation.constant(a, p, 1)
     cols = []
-    for idx in range(_unknown_count(dim)):
-        unit = [Fraction(0)] * _unknown_count(dim)
+    for idx in range(unknowns):
+        unit = [Fraction(0)] * unknowns
         unit[idx] = Fraction(1)
         nu1, p1 = _vector_to_order1(dim, unit)
         cols.append(order_residuals(base.with_coefficient(1, nu1, p1), 1))
@@ -622,94 +551,63 @@ def order1_system(a: Algebra, p: Matrix) -> Matrix:
 
 
 def _claim_infinitesimal_cocycle(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _complex_instances(fx):
-        system = order1_system(a, p)
-        kernel = kernel_basis(system)
-        b = _builder(a, p)
-        constraint = b.rno_constraint(1)
-        differential = b.d_ambient(2)
-        split = a.dim ** 3
-        failures = 0
-        first_bad = None
-        for vec in kernel:
-            member = all(not x for x in constraint.apply(vec[split:]))
-            closed = all(not x for x in differential.apply(list(vec)))
-            if not (member and closed):
-                failures += 1
-                if first_bad is None:
-                    first_bad = vec
-        instances.append({"algebra": aname, "operator": label,
-                          "order1_solution_dim": len(kernel),
-                          "cocycle_failures": failures})
-        oks.append(failures == 0)
-        if first_bad is not None:
-            nu1, p1 = _vector_to_order1(a.dim, first_bad)
+    ev = _Evidence()
+    for row, a, p in _complex_instances(fx):
+        inputs = _alg_op_inputs(a, p)
+        kernel = kernel_basis(order1_system(a, p))
+        b = _builder(inputs)
+        constraint, differential, split = b.rno_constraint(1), b.d_ambient(2), a.dim ** 3
+        bad = [vec for vec in map(kernel.col_list, range(kernel.cols))
+               if any(constraint.apply(vec[split:])) or any(differential.apply(vec))]
+        ev.rows.append(dict(row, order1_solution_dim=kernel.cols, cocycle_failures=len(bad)))
+        ev.oks.append(not bad)
+        if bad:
+            nu1, p1 = _vector_to_order1(a.dim, bad[0])
             d = TruncatedDeformation.constant(a, p, 1).with_coefficient(1, nu1, p1)
-            inputs = _alg_op_inputs(a, p, deformation=fileio.dump_deformation(d))
-            ces.append(_ce("infinitesimal_cocycle", inputs,
-                           _run_infinitesimal_cocycle(inputs)))
-    return ClaimVerdict(
+            ev.refute("infinitesimal_cocycle",
+                      dict(inputs, deformation=fileio.dump_deformation(d)))
+    return ev.verdict(
         "infinitesimal-is-cocycle",
         "Claimed: the order-1 coefficient pair of any deformation is a "
         "degree-2 cocycle of the combined complex.",
-        _settle(oks, ces), instances, ces,
         ["the order-1 equations are linear in the coefficient pair, so the "
          "full solution space is a kernel and every basis vector is tested"])
 
 
 def _claim_same_class(fx: dict) -> ClaimVerdict:
-    instances, ces, oks = [], [], []
-    for aname, a, label, p in _complex_instances(fx):
-        phi_rows = _COCHAIN_TABLE.get(aname)
-        if phi_rows is None:
-            continue
-        phi = Matrix.from_rows([[Fraction(x) for x in row] for row in phi_rows])
+    ev = _Evidence()
+    for row, a, p, phi in _cochain_instances(fx):
         iso = FormalIso(2, [Matrix.identity(a.dim), phi, Matrix.zeros(a.dim, a.dim)])
         d1 = TruncatedDeformation.constant(a, p, 2)
         d2 = transport(d1, iso)
-        equiv = check_equivalence(d1, d2, iso)
-        inputs = _alg_op_inputs(a, p,
-                                deformation1=fileio.dump_deformation(d1),
-                                deformation2=fileio.dump_deformation(d2))
-        rec = _run_same_class(inputs)
-        instances.append({"algebra": aname, "operator": label,
-                          "equivalent": equiv.ok,
-                          "transported_valid": check_deformation(d2).ok,
-                          "difference_in_domain": rec["difference_in_domain"],
-                          "same_class": rec["same_class"]})
-        oks.append(rec["same_class"])
-        if not rec["same_class"]:
-            ces.append(_ce("same_cohomology_class", inputs, rec))
-            eq_inputs = {"deformation1": inputs["deformation1"],
-                         "deformation2": inputs["deformation2"],
-                         "iso": fileio.dump_iso(iso)}
-            ces.append(_ce("check_equivalence", eq_inputs,
-                           _run_check_equivalence(eq_inputs)))
-    return ClaimVerdict(
+        row.update(equivalent=check_equivalence(d1, d2, iso).ok,
+                   transported_valid=check_deformation(d2).ok)
+        pair = {"deformation1": fileio.dump_deformation(d1),
+                "deformation2": fileio.dump_deformation(d2)}
+        ev.run("same_cohomology_class", [(row, _alg_op_inputs(a, p, **pair))],
+               itemgetter("same_class"), ("difference_in_domain", "same_class"))
+        if not ev.oks[-1]:
+            ev.refute("check_equivalence", dict(pair, iso=fileio.dump_iso(iso)))
+    return ev.verdict(
         "equivalent-deformations-same-class",
         "Claimed: order-1 coefficients of two equivalent deformations lie in "
         "the same degree-2 class of the combined complex.",
-        _settle(oks, ces), instances, ces,
         ["each instance transports the trivial deformation along Id + t*phi, "
          "so the pair is equivalent by construction; paired counterexamples "
          "record a passing equivalence check next to the failing class check"])
 
 
 def _claim_rigidity(fx: dict) -> ClaimVerdict:
-    instances = []
-    for aname, a, label, p in _complex_instances(fx):
+    # rows without a verdict: the claim is not decidable on instances
+    ev = _Evidence()
+    for row, a, p in _complex_instances(fx):
         rep = rigidity_report(a, p)
-        instances.append({"algebra": aname, "operator": label,
-                          "verdict": rep.verdict,
-                          "dim_h2": rep.dim_h2,
-                          "residuals_zero": dict(rep.residuals_zero),
-                          "reasons": list(rep.reasons)})
-    return ClaimVerdict(
+        ev.rows.append(dict(row, verdict=rep.verdict, dim_h2=rep.dim_h2,
+                            residuals_zero=dict(rep.residuals_zero), reasons=list(rep.reasons)))
+    return ev.verdict(
         "rigidity-criterion",
         "Claimed: a vanishing degree-2 quotient forces every deformation to "
         "be equivalent to the trivial one.",
-        VERDICT_NOT_EVALUABLE, instances, [],
         ["the conclusion quantifies over all deformations and is not "
          "decidable by finite instance checks; the operational criterion "
          "and its consistency gating are recorded per instance",
@@ -728,10 +626,27 @@ def run_audit(fixtures: dict | None = None) -> AuditReport:
                       for name, ops in fx["operators"].items()},
     }
     claims = [
-        _claim_star_associativity(fx),
-        _claim_star_preserves_operator(fx),
-        _claim_star_morphism(fx, "into-deformed"),
-        _claim_star_morphism(fx, "from-deformed"),
+        _claim_on_kind(
+            fx, "check_associative", KIND_NIJENHUIS, {"star": True},
+            "star-product-associativity",
+            "For P satisfying the twisted identity, the product "
+            "a*b = a.P(b) + P(a).b - P(a.b) is associative."),
+        _claim_on_kind(
+            fx, "check_operator", KIND_RN, {"star": True, "kind": "rn"},
+            "star-preserves-operator",
+            "An operator satisfying both identities still satisfies them on the "
+            "algebra deformed by its own star product."),
+        _claim_on_kind(
+            fx, "star_morphism", KIND_RN, {"direction": "into-deformed"},
+            "star-morphism-into-deformed",
+            "Claimed: P is an algebra morphism from the original product "
+            "to its star deformation, P(a.b) = P(a)*P(b)."),
+        _claim_on_kind(
+            fx, "star_morphism", KIND_NIJENHUIS, {"direction": "from-deformed"},
+            "star-morphism-from-deformed",
+            "P is an algebra morphism from the star deformation back to "
+            "the original product, P(a*b) = P(a).P(b); this restates the "
+            "twisted identity."),
         _claim_family_completeness(fx),
         _claim_square_condition(
             fx, "square_zero", "square-zero-weight-zero",

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import BudgetError, InputError, resolve_budget
-from .exactlin import Matrix, basis_matrix, kernel_basis, kron_sum, rank
+from .exactlin import Matrix, kernel_basis, kron_sum, rank
 from .representation import Bimodule
 
 
@@ -63,8 +63,9 @@ def flatten_map(dim_a: int, dim_v: int, n: int, value_at) -> list[Fraction]:
     return out
 
 
-def unflatten(coords: list[Fraction], dim_a: int, dim_v: int, n: int,
+def unflatten(coords: list[Fraction], dim_a: int, dim_v: int,
               multi: tuple[int, ...]) -> list[Fraction]:
+    """The dim_v coordinates that flatten_map stores for the multi-index."""
     base = flat_offset(dim_a, multi) * dim_v
     return list(coords[base : base + dim_v])
 
@@ -181,7 +182,7 @@ class ComplexBuilder:
     def rno_basis(self, n: int) -> Matrix:
         """Canonical basis of the constrained subspace, one vector per column."""
         if n not in self._rno:
-            self._rno[n] = basis_matrix(kernel_basis(self.rno_constraint(n)), self.amb(n))
+            self._rno[n] = kernel_basis(self.rno_constraint(n))
         return self._rno[n]
 
     def d_ambient(self, n: int) -> Matrix:

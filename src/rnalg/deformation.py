@@ -206,50 +206,35 @@ def _compat_residuals(d: TruncatedDeformation, n: int, a: int, b: int):
     return twisted, averaged
 
 
-def check_order(d: TruncatedDeformation, n: int) -> OrderReport:
-    """Collect the coefficient-of-t^n residuals of all three identities."""
-    if not 0 <= n <= d.order:
-        raise InputError("order out of range")
-    violations = []
-    dim = d.dim
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                res = _assoc_residual(d, n, a, b, c)
-                if any(res):
-                    violations.append(EqViolation(EQ_ASSOCIATIVITY, n, (a, b, c), tuple(res)))
-    for a in range(dim):
-        for b in range(dim):
-            twisted, averaged = _compat_residuals(d, n, a, b)
-            if any(twisted):
-                violations.append(EqViolation(EQ_TWISTED, n, (a, b), tuple(twisted)))
-            if any(averaged):
-                violations.append(EqViolation(EQ_AVERAGED, n, (a, b), tuple(averaged)))
-    return OrderReport(n, tuple(violations))
-
-
-def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
-    """Every order-n residual coordinate as one flat vector.
+def _order_terms(d: TruncatedDeformation, n: int):
+    """(equation, basis indices, residual) for every order-n identity.
 
     Associativity triples come first in lexicographic (a, b, c) order, then
-    per pair (a, b) the twisted followed by the averaged residual.  At n = 1
-    the vector is a linear function of (nu_1, P_1), which is what makes the
-    order-1 solution space computable by exact linear algebra.
+    per pair (a, b) the twisted followed by the averaged residual.
     """
     if not 0 <= n <= d.order:
         raise InputError("order out of range")
-    dim = d.dim
-    out: list[Fraction] = []
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
-                out.extend(_assoc_residual(d, n, a, b, c))
-    for a in range(dim):
-        for b in range(dim):
-            twisted, averaged = _compat_residuals(d, n, a, b)
-            out.extend(twisted)
-            out.extend(averaged)
-    return out
+    for a, b, c in itertools.product(range(d.dim), repeat=3):
+        yield EQ_ASSOCIATIVITY, (a, b, c), _assoc_residual(d, n, a, b, c)
+    for a, b in itertools.product(range(d.dim), repeat=2):
+        twisted, averaged = _compat_residuals(d, n, a, b)
+        yield EQ_TWISTED, (a, b), twisted
+        yield EQ_AVERAGED, (a, b), averaged
+
+
+def check_order(d: TruncatedDeformation, n: int) -> OrderReport:
+    """Collect the coefficient-of-t^n residuals of all three identities."""
+    return OrderReport(n, tuple(EqViolation(eq, n, args, tuple(res))
+                                for eq, args, res in _order_terms(d, n) if any(res)))
+
+
+def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
+    """Every order-n residual coordinate as one flat vector, in _order_terms order.
+
+    At n = 1 the vector is a linear function of (nu_1, P_1), which is what
+    makes the order-1 solution space computable by exact linear algebra.
+    """
+    return [x for _, _, res in _order_terms(d, n) for x in res]
 
 
 def check_deformation(d: TruncatedDeformation) -> DeformationReport:

@@ -6,9 +6,10 @@ and col_list are the dense boundary.  One sparse row echelon serves rank,
 rref, kernel_basis and solve: it pivots each row on its leftmost nonzero
 column and keeps every pivot row fully reduced, so its rows are the
 unique reduced row echelon form.  Kernel bases and solutions read those
-rows and are canonical: each kernel vector carries a 1 in "its" free
-coordinate and 0 in the other free coordinates.  kron_sum adds Kronecker
-products built from the nonzeros of their factors only.
+rows and are canonical: the kernel is a sparse matrix with one column per
+free coordinate, carrying a 1 there and 0 in the other free coordinates.
+kron_sum adds Kronecker products built from the nonzeros of their factors
+only.
 """
 
 from __future__ import annotations
@@ -271,20 +272,22 @@ def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return rows, order
 
 
-def kernel_basis(m: Matrix) -> list[list[Fraction]]:
-    """Canonical null-space basis from the RREF, one vector per free column."""
+def kernel_basis(m: Matrix) -> Matrix:
+    """Canonical null-space basis from the RREF, one column per free column of m.
+
+    The column of free column f has a 1 in row f, 0 in the other free rows
+    and minus the reduced rows' f-entries in the pivot rows.
+    """
     pivots = _echelon(m)
-    basis = {}
-    for f in range(m.cols):
-        if f not in pivots:
-            basis[f] = [_ZERO] * m.cols
-            basis[f][f] = _ONE
+    free = [f for f in range(m.cols) if f not in pivots]
+    col_of = {f: k for k, f in enumerate(free)}
+    entries = {(f, k): _ONE for f, k in col_of.items()}
     # off its pivot, a reduced row is nonzero only in free columns
     for p, row in pivots.items():
         for f, x in row.items():
             if f != p:
-                basis[f][p] = -x
-    return list(basis.values())
+                entries[p, col_of[f]] = -x
+    return Matrix(m.cols, len(free), entries)
 
 
 def solve(m: Matrix, b: list[Fraction]) -> list[Fraction] | None:

@@ -181,10 +181,6 @@ class MPoly:
         return f"MPoly({self.nvars}, {dict(self.terms)!r})"
 
 
-def poly_sort_key(p: MPoly):
-    return p.key()
-
-
 def entry_variables(dim: int) -> list[str]:
     return [f"P_{r}_{c}" for r in range(dim) for c in range(dim)]
 
@@ -209,10 +205,6 @@ class PolySystem:
 
     def polynomials(self) -> list[MPoly]:
         return [e.poly for e in self.entries]
-
-    def residuals_at(self, m: Matrix) -> list[Fraction]:
-        point = _point(m)
-        return [e.poly.evaluate(point) for e in self.entries]
 
     def holds_at(self, m: Matrix) -> bool:
         point = _point(m)
@@ -599,7 +591,7 @@ def linear_reduce(polys: list[MPoly]) -> LinearReduction:
         linear = [q for q in work.values() if q.total_degree() == 1]
         if not linear:
             break
-        target = min(linear, key=poly_sort_key)
+        target = min(linear, key=MPoly.key)
         lm = target.leading_monomial()
         var = next(i for i, e in enumerate(lm) if e)
         lc = target.terms[lm]
@@ -616,6 +608,6 @@ def linear_reduce(polys: list[MPoly]) -> LinearReduction:
             if not s.is_zero():
                 new_work[s.key()] = s
         work = new_work
-    residual = sorted(work.values(), key=poly_sort_key)
+    residual = sorted(work.values(), key=MPoly.key)
     inconsistent = any(r.total_degree() == 0 for r in residual)
     return LinearReduction(sorted(constraints.items()), residual, inconsistent)

@@ -45,17 +45,16 @@ class Bimodule:
 
     def left_of(self, vec: list[Fraction]) -> Matrix:
         """Linear extension of the left action to a coordinate vector."""
-        out = Matrix.zeros(self.dim_v, self.dim_v)
-        for i, x in enumerate(vec):
-            if x:
-                out = out.add(self.left[i].scale(x))
-        return out
+        return self._extend(self.left, vec)
 
     def right_of(self, vec: list[Fraction]) -> Matrix:
+        return self._extend(self.right, vec)
+
+    def _extend(self, actions: list[Matrix], vec: list[Fraction]) -> Matrix:
         out = Matrix.zeros(self.dim_v, self.dim_v)
         for i, x in enumerate(vec):
             if x:
-                out = out.add(self.right[i].scale(x))
+                out = out.add(actions[i].scale(x))
         return out
 
 
@@ -84,34 +83,31 @@ class BimoduleReport:
     def passed_standard(self) -> bool:
         return self.standard.passed
 
-    @property
-    def passed_with_rho(self) -> bool:
-        return self.with_rho.passed
+
+def _violations(checks) -> tuple[ConditionViolation, ...]:
+    """The (condition, indices, difference) checks whose difference is nonzero."""
+    return tuple(ConditionViolation(cond, idx, tuple(tuple(r) for r in diff.to_rows()))
+                 for cond, idx, diff in checks if not diff.is_zero())
 
 
 def _check_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> ProfileReport:
-    violations = []
-
-    def note(cond, idx, diff):
-        if not diff.is_zero():
-            violations.append(ConditionViolation(cond, idx, tuple(tuple(r) for r in diff.to_rows())))
-
+    checks = []
     for i in range(a.dim):
-        note("rho-left-commute", (i,), rho.mul(m.left[i]).sub(m.left[i].mul(rho)))
-        note("rho-right-commute", (i,), rho.mul(m.right[i]).sub(m.right[i].mul(rho)))
+        checks.append(("rho-left-commute", (i,), rho.mul(m.left[i]).sub(m.left[i].mul(rho))))
+        checks.append(("rho-right-commute", (i,), rho.mul(m.right[i]).sub(m.right[i].mul(rho))))
     basis = [a.basis_vector(i) for i in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.multiply(basis[i], basis[j])
             lp = m.left_of(prod)
             rp = m.right_of(prod)
-            note("left-action-multiplicative", (i, j),
-                 lp.mul(rho).sub(m.left[i].mul(m.left[j])))
-            note("right-action-antimultiplicative", (i, j),
-                 rp.mul(rho).sub(m.right[j].mul(m.right[i])))
-            note("left-right-commute", (i, j),
-                 m.left[i].mul(m.right[j]).sub(m.right[j].mul(m.left[i])))
-    return ProfileReport(tuple(violations))
+            checks.append(("left-action-multiplicative", (i, j),
+                           lp.mul(rho).sub(m.left[i].mul(m.left[j]))))
+            checks.append(("right-action-antimultiplicative", (i, j),
+                           rp.mul(rho).sub(m.right[j].mul(m.right[i]))))
+            checks.append(("left-right-commute", (i, j),
+                           m.left[i].mul(m.right[j]).sub(m.right[j].mul(m.left[i]))))
+    return ProfileReport(_violations(checks))
 
 
 def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
@@ -140,24 +136,19 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
     if m.xi is None:
         raise InputError("bimodule carries no xi")
     xi = m.xi
-    violations = []
-
-    def note(cond, idx, diff):
-        if not diff.is_zero():
-            violations.append(ConditionViolation(cond, idx, tuple(tuple(r) for r in diff.to_rows())))
-
     lp = [m.left_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
     rp = [m.right_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
+    checks = []
     for i in range(a.dim):
-        note("xi-left-intertwine", (i,), xi.mul(m.left[i]).sub(lp[i].mul(xi)))
-        note("xi-right-intertwine", (i,), xi.mul(m.right[i]).sub(rp[i].mul(xi)))
+        checks.append(("xi-left-intertwine", (i,), xi.mul(m.left[i]).sub(lp[i].mul(xi))))
+        checks.append(("xi-right-intertwine", (i,), xi.mul(m.right[i]).sub(rp[i].mul(xi))))
     for i in range(a.dim):
         for j in range(a.dim):
-            note("left-operator-exchange", (i, j),
-                 lp[i].mul(m.left[j]).sub(m.left[i].mul(lp[j])))
-            note("right-operator-exchange", (i, j),
-                 rp[i].mul(m.right[j]).sub(m.right[j].mul(rp[i])))
-    return RNRepresentationReport(tuple(violations))
+            checks.append(("left-operator-exchange", (i, j),
+                           lp[i].mul(m.left[j]).sub(m.left[i].mul(lp[j]))))
+            checks.append(("right-operator-exchange", (i, j),
+                           rp[i].mul(m.right[j]).sub(m.right[j].mul(rp[i]))))
+    return RNRepresentationReport(_violations(checks))
 
 
 def regular_representation(a: Algebra, p: Matrix) -> Bimodule:

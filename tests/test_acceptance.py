@@ -332,9 +332,9 @@ def _coboundary_shift(a, p, z):
     image = b.d(1).apply(z)
     split = b.amb(2)
     dim = a.dim
-    nu1 = [[unflatten(image[:split], dim, dim, 2, (i, j)) for j in range(dim)]
+    nu1 = [[unflatten(image[:split], dim, dim, (i, j)) for j in range(dim)]
            for i in range(dim)]
-    cols = [unflatten(image[split:], dim, dim, 1, (i,)) for i in range(dim)]
+    cols = [unflatten(image[split:], dim, dim, (i,)) for i in range(dim)]
     p1 = Matrix.from_rows([[cols[i][k] for i in range(dim)] for k in range(dim)])
     return b, nu1, p1, image
 

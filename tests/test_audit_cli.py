@@ -100,6 +100,17 @@ def test_markdown_rendering_lists_every_claim(report):
     for claim_id in EXPECTED_VERDICTS:
         assert f"## {claim_id}" in text
     assert "17 claims" in text
+    # rows render in dict order, so each row shape pins its key order
+    for line in (
+        "- algebra=leftunit2, operator=e0-to-e1, passed=False",
+        "- algebra=leftunit2, operator=proj-e1, is_rn=False, other_holds=True, agree=False",
+        "- algebra=leftunit2, operator=zero, degree=0, zero=False",
+        "- algebra=leftunit2, operator=id, premise_holds=False",
+        "- algebra=pair3, operator=e0-only, premise_holds=True, induced_valid=True",
+        "- algebra=pair3, operator=e0-only, equivalent=True, transported_valid=True, "
+        "difference_in_domain=False, same_class=False",
+    ):
+        assert line + "\n" in text, line
 
 
 def test_summary_tallies_verdicts(report):

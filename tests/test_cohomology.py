@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,20 @@ def test_psi_storage_is_linear_in_the_cochain_dimension():
     psi = b.psi(6)
     assert psi.rows == psi.cols == b.amb(6) == 16384
     assert len(psi.entries) <= (6 + 2) * b.amb(6)
+
+
+def test_rno_basis_is_built_sparse_from_the_echelon():
+    # with P = Id the constraint is zero, so the constrained basis is the
+    # 4096-column identity; a dense kernel passes through 4096^2 list entries
+    b = _builder("mat2", [[int(i == j) for j in range(4)] for i in range(4)])
+    tracemalloc.start()
+    try:
+        basis = b.rno_basis(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis == Matrix.identity(4096)
+    assert peak < 30 * 2 ** 20
 
 
 def test_image_closed_is_column_space_containment():

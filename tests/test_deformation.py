@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from rnalg.audit import order1_system
 from rnalg.catalog import catalog, operator
 from rnalg.deformation import (
     FormalIso,
     TruncatedDeformation,
+    _pair_vector,
     check_deformation,
     check_equivalence,
     infinitesimal_cocycle,
@@ -101,6 +103,21 @@ def test_order_one_residuals_are_linear_in_the_coefficients():
     t2x = [[[2 * v for v in vec] for vec in row] for row in tx]
     f2x = order_residuals(base.with_coefficient(1, nu_k=t2x, p_k=px.scale(2)), 1)
     assert f2x == [2 * u for u in fx]
+
+
+def test_order1_system_columns_follow_the_pair_vector_layout():
+    # the audit solves order1_system for (nu_1, P_1) and reads its kernel
+    # back through unflatten; both must agree with _pair_vector's layout
+    a = CAT["pair3"]
+    p = operator([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    nu1 = _zero_table(3)
+    nu1[0][1] = [Q(1), Q(-2), Q(0)]
+    nu1[2][0] = [Q(0), Q(3), Q(1, 2)]
+    p1 = operator([[0, 1, 0], [0, 0, 0], [5, 0, 7]])
+    d = TruncatedDeformation.constant(a, p, 1).with_coefficient(1, nu1, p1)
+    residuals = order_residuals(d, 1)
+    assert any(residuals)
+    assert order1_system(a, p).apply(_pair_vector(d, 1)) == residuals
 
 
 def test_formal_iso_requires_identity_leading_term():

@@ -74,9 +74,20 @@ def test_rref_equals_naive_gauss_jordan(rows):
 def test_kernel_vectors_annihilate_and_count_nullity(rows):
     m = Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
     kernel = kernel_basis(m)
-    for v in kernel:
-        assert all(x == 0 for x in m.apply(v))
-    assert rank(m) + len(kernel) == m.cols
+    assert kernel.rows == m.cols
+    for j in range(kernel.cols):
+        assert all(x == 0 for x in m.apply(kernel.col_list(j)))
+    assert rank(m) + kernel.cols == m.cols
+    # canonical: column k is e_f minus the f-entries of the reduced rows,
+    # f the k-th free column of the naive RREF
+    reduced, pivots = _naive_rref(m.to_rows())
+    expected = []
+    for f in (f for f in range(m.cols) if f not in pivots):
+        vec = [Fraction(f == j) for j in range(m.cols)]
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced[r][f]
+        expected.append(vec)
+    assert kernel == basis_matrix(expected, m.cols)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +109,7 @@ def test_solve_reports_none_outside_column_space():
 
 def test_kernel_canonical_form_for_rank_one_matrix():
     m = Matrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    assert kernel_basis(m) == [[Fraction(-2), Fraction(1)]]
+    assert kernel_basis(m) == from_cols([[Fraction(-2), Fraction(1)]])
 
 
 def test_rref_is_idempotent_on_seeded_matrices():
