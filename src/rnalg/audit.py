@@ -392,18 +392,22 @@ def _rep_ok(rec: dict) -> bool:
     return rec["standard_ok"] and rec["rn_ok"]
 
 
-def _kind_cases(fx: dict, op_kind, **extra):
-    """(row, inputs) for every fixture operator of the given kind."""
-    for aname, a in fx["algebras"].items():
-        for label, p in fx["operators"][aname]:
-            if check_operator(a, p, op_kind).passed:
-                yield {"algebra": aname, "operator": label}, _alg_op_inputs(a, p, **extra)
+def _of_kind(fx: dict, op_kind) -> list:
+    """(algebra name, algebra, label, operator) for every fixture operator of the kind."""
+    return [(aname, a, label, p) for aname, a in fx["algebras"].items()
+            for label, p in fx["operators"][aname] if check_operator(a, p, op_kind).passed]
 
 
-def _claim_on_kind(fx: dict, op: str, op_kind, extra: dict, claim_id: str,
+def _kind_cases(of_kind: list, **extra):
+    """(row, inputs) for every fixture operator in an _of_kind list."""
+    return (({"algebra": aname, "operator": label}, _alg_op_inputs(a, p, **extra))
+            for aname, a, label, p in of_kind)
+
+
+def _claim_on_kind(of_kind: list, op: str, extra: dict, claim_id: str,
                    statement: str) -> ClaimVerdict:
     """A claim that op passes on every fixture operator of the given kind."""
-    return _Evidence().run(op, _kind_cases(fx, op_kind, **extra)).verdict(claim_id, statement)
+    return _Evidence().run(op, _kind_cases(of_kind, **extra)).verdict(claim_id, statement)
 
 
 def _claim_family_completeness(fx: dict) -> ClaimVerdict:
@@ -459,8 +463,8 @@ def _claim_square_condition(fx: dict, condition: str, claim_id: str,
                            ("is_rn", "other_holds", "agree")).verdict(claim_id, statement)
 
 
-def _claim_regular_representation(fx: dict) -> ClaimVerdict:
-    return _Evidence().run("regular_representation", _kind_cases(fx, KIND_RN), _rep_ok,
+def _claim_regular_representation(rn: list) -> ClaimVerdict:
+    return _Evidence().run("regular_representation", _kind_cases(rn), _rep_ok,
                            (), "passed").verdict(
         "regular-action-compatibility",
         "Assumed by the cohomology construction: the algebra acting on "
@@ -471,9 +475,9 @@ def _claim_regular_representation(fx: dict) -> ClaimVerdict:
          "from an unverified premise"])
 
 
-def _claim_induced_representation(fx: dict) -> ClaimVerdict:
+def _claim_induced_representation(rn: list) -> ClaimVerdict:
     ev = _Evidence()
-    for row, inputs in _kind_cases(fx, KIND_RN):
+    for row, inputs in _kind_cases(rn):
         if not _rep_ok(_run_regular_representation(inputs)):
             ev.rows.append(dict(row, premise_holds=False))
             continue
@@ -625,24 +629,25 @@ def run_audit(fixtures: dict | None = None) -> AuditReport:
                              for label, p in ops]
                       for name, ops in fx["operators"].items()},
     }
+    nijenhuis, rn = _of_kind(fx, KIND_NIJENHUIS), _of_kind(fx, KIND_RN)
     claims = [
         _claim_on_kind(
-            fx, "check_associative", KIND_NIJENHUIS, {"star": True},
+            nijenhuis, "check_associative", {"star": True},
             "star-product-associativity",
             "For P satisfying the twisted identity, the product "
             "a*b = a.P(b) + P(a).b - P(a.b) is associative."),
         _claim_on_kind(
-            fx, "check_operator", KIND_RN, {"star": True, "kind": "rn"},
+            rn, "check_operator", {"star": True, "kind": "rn"},
             "star-preserves-operator",
             "An operator satisfying both identities still satisfies them on the "
             "algebra deformed by its own star product."),
         _claim_on_kind(
-            fx, "star_morphism", KIND_RN, {"direction": "into-deformed"},
+            rn, "star_morphism", {"direction": "into-deformed"},
             "star-morphism-into-deformed",
             "Claimed: P is an algebra morphism from the original product "
             "to its star deformation, P(a.b) = P(a)*P(b)."),
         _claim_on_kind(
-            fx, "star_morphism", KIND_NIJENHUIS, {"direction": "from-deformed"},
+            nijenhuis, "star_morphism", {"direction": "from-deformed"},
             "star-morphism-from-deformed",
             "P is an algebra morphism from the star deformation back to "
             "the original product, P(a*b) = P(a).P(b); this restates the "
@@ -664,8 +669,8 @@ def run_audit(fixtures: dict | None = None) -> AuditReport:
             fx, "anti_involutive", "anti-involutive-modified-weight",
             "Claimed: for P with P.P = -Id, the combined identities hold "
             "exactly when the modified identity of weight +1 holds."),
-        _claim_regular_representation(fx),
-        _claim_induced_representation(fx),
+        _claim_regular_representation(rn),
+        _claim_induced_representation(rn),
         _claim_residual_grid(
             fx, "psi_delta_residual", (1, 2), "psi-delta-commutation",
             "Claimed: the correction maps intertwine the two rows of "

@@ -19,7 +19,7 @@ from .audit import audit_report_dict, build_fixtures, render_markdown, run_audit
 from .cohomology import cohomology_dims
 from .deformation import (check_deformation, check_equivalence,
                           rigidity_report)
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, qstr
 from .polysys import (build_identity_system, enumerate_mod_p, groebner_basis,
                       linear_reduce)
@@ -134,6 +134,9 @@ def _cmd_solve(args) -> int:
         doc = fileio.enumeration_result_dict(result)
     elif args.groebner:
         result = groebner_basis(system.polynomials(), args.budget)
+        if not result.complete:
+            raise BudgetError(f"groebner stage: {result.pairs_processed} S-pairs reduced, "
+                              f"cap {resolve_budget(args.budget)}")
         doc = fileio.groebner_result_dict(result, system.variables)
     elif args.linear:
         result = linear_reduce(system.polynomials())

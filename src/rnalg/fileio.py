@@ -316,6 +316,7 @@ def groebner_result_dict(r: GroebnerResult, variables: list[str]) -> dict:
         "check": "groebner",
         "complete": r.complete,
         "pairs_processed": r.pairs_processed,
+        "pairs_skipped": r.pairs_skipped,
         "basis": None if r.basis is None else [p.format(variables) for p in r.basis],
     }
 

@@ -11,10 +11,12 @@ byte-reproducible.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, le, sub
 
 from .algebra import (Algebra, OperatorKind, _component_identities,
                       identity_residual)
@@ -30,13 +32,14 @@ def grevlex_key(mono: tuple[int, ...]):
 
 
 class MPoly:
-    """Sparse polynomial over Q: dict from exponent tuple to coefficient."""
+    """Sparse polynomial over Q: dict from exponent tuple to coefficient, never changed."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_lm")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._lm = None
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
@@ -94,9 +97,11 @@ class MPoly:
         return max((sum(m) for m in self.terms), default=0)
 
     def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise InputError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lm is None:
+            if not self.terms:
+                raise InputError("zero polynomial has no leading monomial")
+            self._lm = max(self.terms, key=grevlex_key)
+        return self._lm
 
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_monomial()]
@@ -371,37 +376,48 @@ def verify_family(system: PolySystem, family: SymbolicMatrix) -> FamilyReport:
 class GroebnerResult:
     complete: bool
     basis: list[MPoly] | None
-    pairs_processed: int
+    pairs_processed: int  # S-pairs reduced; the budget counts these
+    pairs_skipped: int  # S-pairs the coprime and chain criteria settled unreduced
 
 
 def _divides(m1: tuple[int, ...], m2: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _mono_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def reduce_poly(f: MPoly, basis: list[MPoly]) -> MPoly:
     """Full normal form of f modulo basis (leading terms and tails)."""
     lead = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if not g.is_zero()]
-    remainder = MPoly.zero(f.nvars)
-    work = f
-    while not work.is_zero():
-        lm = work.leading_monomial()
-        lc = work.terms[lm]
+    work = dict(f.terms)
+    # a heap of (-degree, reversed monomial): its least entry is the grevlex-largest
+    order = [(-sum(m), m[::-1]) for m in work]
+    heapq.heapify(order)
+    remainder = {}
+    while order:
+        lm = heapq.heappop(order)[1][::-1]
+        lc = work.pop(lm, 0)
+        if not lc:
+            continue
         hit = next(((gm, gc, g) for gm, gc, g in lead if _divides(gm, lm)), None)
         if hit is None:
-            remainder = remainder + MPoly(f.nvars, {lm: lc})
-            work = work - MPoly(f.nvars, {lm: lc})
-        else:
-            gm, gc, g = hit
-            work = work - g.mul_term(_mono_div(lm, gm), lc / gc)
-    return remainder
+            remainder[lm] = lc
+            continue
+        gm, gc, g = hit
+        q, c = _mono_div(lm, gm), lc / gc
+        for m, v in g.terms.items():
+            if m != gm:
+                m = tuple(map(add, m, q))
+                if m not in work:
+                    heapq.heappush(order, (-sum(m), m[::-1]))
+                work[m] = work.get(m, 0) - c * v
+    return MPoly(f.nvars, remainder)
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
@@ -415,45 +431,49 @@ def groebner_basis(polys: list[MPoly], budget: int | None = None) -> GroebnerRes
     """Reduced grevlex Groebner basis via Buchberger.
 
     Pair selection is the normal strategy: least lcm total degree first,
-    ties broken lexicographically on the pair of leading monomials.  When
-    the S-pair budget runs out the result is marked incomplete and carries
-    no basis; a partial basis is never returned as if it were one.
+    ties broken lexicographically on the pair of leading monomials.  Pairs
+    with coprime leading monomials, and pairs Buchberger's chain criterion
+    settles (Cox-Little-O'Shea, ch. 2 par. 10), are skipped unreduced.  The
+    budget caps the S-pairs reduced; when it runs out the result is marked
+    incomplete and carries no basis, never a partial one.
     """
     cap = resolve_budget(budget)
-    work = []
-    seen = set()
-    for p in polys:
-        q = p.monic()
-        if not q.is_zero() and q.key() not in seen:
-            seen.add(q.key())
-            work.append(q)
-    if not work:
-        return GroebnerResult(True, [], 0)
-    basis = list(work)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    processed = 0
+    basis: list[MPoly] = []
+    lead: list[tuple[int, ...]] = []  # leading monomial of each member
+    heap: list = []  # (deg lcm, lm_i, lm_j, i, j, lcm) for each pair i < j
+    pending: set[tuple[int, int]] = set()
+    processed = skipped = 0
 
-    def pair_rank(ij):
-        i, j = ij
-        l = _mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-        return (sum(l), basis[i].leading_monomial(), basis[j].leading_monomial(), i, j)
+    def insert(g: MPoly) -> None:
+        k, gm = len(basis), g.leading_monomial()
+        for i, m in enumerate(lead):
+            l = _mono_lcm(m, gm)
+            heapq.heappush(heap, (sum(l), m, gm, i, k, l))
+            pending.add((i, k))
+        basis.append(g)
+        lead.append(gm)
 
-    while pairs:
+    def chained(i: int, j: int, l: tuple[int, ...]) -> bool:
+        return any(k != i and k != j and _divides(m, l)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, m in enumerate(lead))
+
+    for q in {q.key(): q for q in map(MPoly.monic, polys) if not q.is_zero()}.values():
+        insert(q)
+    while heap:
+        _, lmi, lmj, i, j, l = heapq.heappop(heap)
+        pending.discard((i, j))
+        if l == tuple(map(add, lmi, lmj)) or chained(i, j, l):
+            skipped += 1
+            continue
         if processed >= cap:
-            return GroebnerResult(False, None, processed)
-        i, j = min(pairs, key=pair_rank)
-        pairs.discard((i, j))
+            return GroebnerResult(False, None, processed, skipped)
         processed += 1
-        fi, fj = basis[i], basis[j]
-        lmi, lmj = fi.leading_monomial(), fj.leading_monomial()
-        if _mono_lcm(lmi, lmj) == tuple(a + b for a, b in zip(lmi, lmj)):
-            continue  # coprime leading terms
-        rem = reduce_poly(s_polynomial(fi, fj), basis)
+        rem = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if not rem.is_zero():
-            basis.append(rem.monic())
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
-    return GroebnerResult(True, _reduce_basis(basis), processed)
+            insert(rem.monic())
+    return GroebnerResult(True, _reduce_basis(basis), processed, skipped)
 
 
 def _reduce_basis(basis: list[MPoly]) -> list[MPoly]:
@@ -468,12 +488,8 @@ def _reduce_basis(basis: list[MPoly]) -> list[MPoly]:
         )
         if not redundant:
             kept.append(g)
-    reduced = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        r = reduce_poly(g, others).monic()
-        if not r.is_zero():
-            reduced.append(r)
+    # each kept member is monic and its leading term is irreducible by the others
+    reduced = [reduce_poly(g, kept[:idx] + kept[idx + 1:]) for idx, g in enumerate(kept)]
     reduced.sort(key=lambda p: grevlex_key(p.leading_monomial()))
     return reduced
 

@@ -412,6 +412,18 @@ def test_cli_budget_exhaustion_exits_three(files, capsys):
     assert "budget exhausted" in err
 
 
+def test_cli_groebner_budget_exhaustion_exits_three(files, capsys):
+    code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--groebner"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["complete"] is True and len(doc["basis"]) == 26
+    assert doc["pairs_processed"] > 0 and doc["pairs_skipped"] > 0
+    code, out, err = _run(capsys, ["--budget", "1", "solve", files["pair3"], "--kind", "rn",
+                                   "--groebner"])
+    assert code == 3 and out == ""
+    assert "budget exhausted: groebner stage: 1 S-pairs reduced, cap 1" in err
+
+
 def test_cli_budget_env_variable(files, capsys, monkeypatch):
     monkeypatch.setenv("RN_BUDGET", "1")
     code, _, _ = _run(capsys, ["cohomology", files["leftunit2"], files["zero2"],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnalg.algebra import KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, rota_baxter
+from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, parse_kind,
+                           rota_baxter)
 from rnalg.catalog import catalog, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix
@@ -121,7 +124,149 @@ def test_groebner_textbook_circle_and_line():
 def test_groebner_of_rn_system_terminates():
     result = groebner_basis(build_identity_system(CAT["pair3"], KIND_RN).polynomials())
     assert result.complete
-    assert len(result.basis) > 0
+    assert len(result.basis) == 26
+
+
+def test_groebner_of_trunc3_rn_completes_under_the_default_budget():
+    result = groebner_basis(build_identity_system(CAT["trunc3"], KIND_RN).polynomials())
+    assert result.complete
+    assert len(result.basis) == 53
+
+
+def test_groebner_budget_counts_reduced_pairs():
+    polys = build_identity_system(CAT["pair3"], KIND_RN).polynomials()
+    full = groebner_basis(polys)
+    assert full.pairs_processed > 0 and full.pairs_skipped > 0
+    exact = groebner_basis(polys, full.pairs_processed)
+    assert exact.complete and exact.basis == full.basis
+    short = groebner_basis(polys, full.pairs_processed - 1)
+    assert not short.complete and short.basis is None
+    assert short.pairs_processed == full.pairs_processed - 1
+
+
+# Catalog systems whose basis groebner_basis finishes in under 5 s (trunc3
+# reynolds, mat2 rn, reynolds and rb:+-1 do not).
+SYMPY_CASES = ([(name, kind) for name in ("zero1", "leftunit2", "pair3", "trunc3")
+                for kind in ("rn", "reynolds", "nijenhuis", "rb:1", "rb:-1", "mrb:1", "mrb:-1")
+                if (name, kind) != ("trunc3", "reynolds")]
+               + [("mat2", kind) for kind in ("mrb:1", "mrb:-1")])
+# sympy.groebner takes about 10 s on mat2 nijenhuis, a third of the suite's
+# time, so that case is compared with the sha256 of sympy's monic basis
+# (_digest(_sympy_basis(system))), which equals ours when run live.
+SYMPY_DIGESTS = {
+    ("mat2", "nijenhuis"): "0ef0a1fae744a64f153cd50672cb967a3d119596a86cdad0b1f5914aef5bf327"}
+
+
+def _grevlex(m: tuple[int, ...]):
+    """Sort key of the graded reverse lexicographic order, written out independently."""
+    return (sum(m), [-e for e in reversed(m)])
+
+
+def _monic(terms: dict) -> tuple:
+    """The (monomial, coefficient) pairs, sorted, divided by the grevlex leading coefficient."""
+    lc = terms[max(terms, key=_grevlex)]
+    return tuple(sorted((m, c / lc) for m, c in terms.items()))
+
+
+def _sympy_basis(system) -> set:
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(system.variables)
+    polys = [sympy.Poly.from_dict({m: sympy.Rational(c.numerator, c.denominator)
+                                   for m, c in p.terms.items()}, *gens)
+             for p in system.polynomials()]
+    basis = sympy.groebner(polys, *gens, order="grevlex").polys if polys else []
+    return {_monic({m: Fraction(int(c.p), int(c.q)) for m, c in g.terms()}) for g in basis}
+
+
+def _digest(basis: set) -> str:
+    return hashlib.sha256(repr(sorted(basis)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,kind", SYMPY_CASES, ids=lambda v: str(v))
+def test_groebner_basis_equals_sympy(name, kind):
+    system = build_identity_system(CAT[name], parse_kind(kind))
+    expected = _sympy_basis(system)
+    result = groebner_basis(system.polynomials())
+    assert result.complete
+    assert len(result.basis) == len(expected)
+    assert {_monic(g.terms) for g in result.basis} == expected
+
+
+@pytest.mark.parametrize("name,kind", list(SYMPY_DIGESTS), ids=lambda v: str(v))
+def test_groebner_basis_equals_frozen_sympy_basis(name, kind):
+    result = groebner_basis(build_identity_system(CAT[name], parse_kind(kind)).polynomials())
+    assert result.complete
+    assert _digest({_monic(g.terms) for g in result.basis}) == SYMPY_DIGESTS[name, kind]
+
+
+def _naive_lm(p: MPoly) -> tuple[int, ...]:
+    return max(p.terms, key=_grevlex)
+
+
+def _naive_normal_form(f: MPoly, basis: list[MPoly]) -> MPoly:
+    """Textbook division: cancel the leading term by the first divisor, else move it out."""
+    work, rest = dict(f.terms), {}
+    while work:
+        lm = _naive_lm(MPoly(f.nvars, work))
+        for g in basis:
+            gm = _naive_lm(g)
+            if all(a <= b for a, b in zip(gm, lm)):
+                q = [b - a for a, b in zip(gm, lm)]
+                c = work[lm] / g.terms[gm]
+                for m, v in g.terms.items():
+                    m = tuple(a + b for a, b in zip(m, q))
+                    work[m] = work.get(m, 0) - c * v
+                    if not work[m]:
+                        del work[m]
+                break
+        else:
+            rest[lm] = work.pop(lm)
+    return MPoly(f.nvars, rest)
+
+
+def _naive_groebner(polys: list[MPoly]) -> list[MPoly]:
+    """Buchberger over the full pair set with no criteria, then the reduced basis."""
+    basis = [p for p in polys if not p.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        # oldest pair first: newest-first lets the basis grow for minutes on some inputs
+        i, j = pairs.pop(0)
+        f, g = basis[i], basis[j]
+        fm, gm = _naive_lm(f), _naive_lm(g)
+        l = tuple(max(a, b) for a, b in zip(fm, gm))
+        s = (f.mul_term(tuple(a - b for a, b in zip(l, fm)), 1 / f.terms[fm])
+             - g.mul_term(tuple(a - b for a, b in zip(l, gm)), 1 / g.terms[gm]))
+        r = _naive_normal_form(s, basis)
+        if not r.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    minimal = []
+    for g in basis:
+        gm = _naive_lm(g)
+        if not any(all(a <= b for a, b in zip(_naive_lm(h), gm)) for h in minimal):
+            minimal = [h for h in minimal if not all(a <= b for a, b in zip(gm, _naive_lm(h)))]
+            minimal.append(g)
+    reduced = [_naive_normal_form(g, [h for h in minimal if h is not g]) for g in minimal]
+    return sorted((g.scale(1 / g.terms[_naive_lm(g)]) for g in reduced),
+                  key=lambda g: _grevlex(_naive_lm(g)))
+
+
+@st.composite
+def _small_systems(draw):
+    nvars = draw(st.integers(2, 3))
+    monos = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
+    coeffs = st.integers(-3, 3).filter(bool)
+    polys = draw(st.lists(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1,
+                                          max_size=4), min_size=2, max_size=4))
+    return [MPoly(nvars, {m: Fraction(c) for m, c in p.items()}) for p in polys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_systems())
+def test_groebner_basis_equals_naive_buchberger(polys):
+    result = groebner_basis(polys)
+    assert result.complete
+    assert result.basis == _naive_groebner(polys)
 
 
 def test_enumeration_mod_2_on_pair3():
