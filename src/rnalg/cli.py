@@ -128,21 +128,22 @@ def _cmd_check_op(args) -> int:
 def _cmd_solve(args) -> int:
     a = _load_algebra(args.algebra)
     kind = parse_kind(args.kind)
-    system = build_identity_system(a, kind)
     if args.mod is not None:
-        result = enumerate_mod_p(a, kind, args.mod)
-        doc = fileio.enumeration_result_dict(result)
-    elif args.groebner:
-        result = groebner_basis(system.polynomials(), args.budget)
-        if not result.complete:
-            raise BudgetError(f"groebner stage: {result.pairs_processed} S-pairs reduced, "
-                              f"cap {resolve_budget(args.budget)}")
-        doc = fileio.groebner_result_dict(result, system.variables)
-    elif args.linear:
-        result = linear_reduce(system.polynomials())
-        doc = fileio.linear_reduction_dict(result, system.variables)
+        # the enumeration reduces the raw residuals mod p; the system over Q is not needed
+        doc = fileio.enumeration_result_dict(enumerate_mod_p(a, kind, args.mod))
     else:
-        doc = fileio.poly_system_dict(system)
+        system = build_identity_system(a, kind)
+        if args.groebner:
+            result = groebner_basis(system.polynomials(), args.budget)
+            if not result.complete:
+                raise BudgetError(f"groebner stage: {result.pairs_processed} S-pairs reduced, "
+                                  f"cap {resolve_budget(args.budget)}")
+            doc = fileio.groebner_result_dict(result, system.variables)
+        elif args.linear:
+            doc = fileio.linear_reduction_dict(linear_reduce(system.polynomials()),
+                                               system.variables)
+        else:
+            doc = fileio.poly_system_dict(system)
     _emit(doc, args.out_format)
     return EXIT_OK
 

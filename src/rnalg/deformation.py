@@ -5,23 +5,22 @@ A deformation of order N is a pair of polynomial families
   nu_t = nu_0 + nu_1 t + ... + nu_N t^N     (bilinear maps A x A -> A)
   P_t  = P_0  + P_1 t + ... + P_N t^N       (linear maps A -> A)
 
-with nu_0 the base multiplication and P_0 the base operator.  Checking a
-deformation means expanding three identities in t and collecting the
-coefficient of t^n for every n <= N on all basis pairs/triples:
-
-  associativity          sum_{i+j=n} nu_i(nu_j(a,b),c) - nu_i(a,nu_j(b,c)) = 0
-  twisted compatibility  sum_{i+j+k=n} nu_i(P_j a, P_k b)
-                           = sum P_i(nu_j(P_k a, b)) + sum P_i(nu_j(a, P_k b))
-                             - sum_{i+j+k=n} P_i(P_j(nu_k(a,b)))
-  averaged compatibility same left side and first two sums, with the
-                         subtracted tail sum_{i+j+k+l=n} P_i(nu_j(P_k a, P_l b))
-
-The tail of the averaged equation is quartic in the families and its index
-set is not forced by the lower-order terms; here it runs over all four-way
-splits i+j+k+l = n, and every order report records that choice.
+with nu_0 the base multiplication and P_0 the base operator.  Together they
+are one algebra with one operator over Q[t]/(t^(N+1)): nu_t multiplies
+A[t]/(t^(N+1)), whose basis vector e_i t^k sits at index k dim + i, and P_t
+acts on it.  The three equations are associativity of nu_t and the
+Nijenhuis ("twisted compatibility") and Reynolds ("averaged
+compatibility") identities of P_t, evaluated on the basis of A; the
+coefficient of t^n of each residual is the order-n equation.  Coefficients
+whose indices sum to n land in t^n, so truncating at N is exact for every
+reported order.  Over Q[t] the Reynolds term P_t(nu_t(P_t a, P_t b)) is the
+quartic sum over all splits i+j+k+l = n, the reading every order report
+records.
 
 Order 0 of the three equations is exactly the base structure check, so a
-valid deformation certifies its own base.
+valid deformation certifies its own base.  A formal isomorphism
+Id + phi_1 t + ... is an operator on the same space; equivalence,
+transport, inverse and composition read t^n slices too.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, _vadd, _vsub
+from .algebra import NIJENHUIS, REYNOLDS, Algebra, _vsub, identity_residual
 from .cohomology import ComplexBuilder, flatten_map
 from .errors import InputError
-from .exactlin import Matrix, solve
+from .exactlin import Matrix, kron_sum, solve
 from .representation import regular_representation
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
@@ -44,19 +43,32 @@ EQ_TWISTED = "twisted-compatibility"
 EQ_AVERAGED = "averaged-compatibility"
 
 
-def _vzero(dim: int) -> list[Fraction]:
-    return [Fraction(0)] * dim
+def _series(coefficients, order: int) -> Matrix:
+    """sum_k t^k (x) c_k on A[t]/(t^(order+1)); coefficients past order drop out."""
+    # t^k on Q[t]/(t^(order+1)) sends t^r to t^(r+k)
+    return kron_sum([(1, [Matrix(order + 1, order + 1,
+                                 {(r + k, r): Fraction(1) for r in range(order + 1 - k)}), c])
+                     for k, c in enumerate(coefficients[:order + 1])])
 
 
-def _splits(n: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for head in itertools.product(range(n + 1), repeat=parts - 1):
-        rest = n - sum(head)
-        if rest >= 0:
-            yield head + (rest,)
+def _coefficient(series: Matrix, k: int, dim: int) -> Matrix:
+    """The t^k coefficient of a Q[t]-linear series: its block at row t^k, column t^0."""
+    return Matrix(dim, dim, {(i - k * dim, j): x for (i, j), x in series.entries.items()
+                             if j < dim and k * dim <= i < (k + 1) * dim})
+
+
+def _series_algebra(nu, order: int) -> Algebra:
+    """A[t]/(t^(order+1)) with e_i t^k . e_j t^l = sum_m nu_m(e_i, e_j) t^(k+l+m)."""
+    dim = len(nu[0])
+    size = dim * (order + 1)
+    c = [[[Fraction(0)] * size for _ in range(size)] for _ in range(size)]
+    for m, table in enumerate(nu[:order + 1]):
+        for k in range(order + 1 - m):
+            for l in range(order + 1 - m - k):
+                out = (k + l + m) * dim
+                for i, j in itertools.product(range(dim), repeat=2):
+                    c[k * dim + i][l * dim + j][out:out + dim] = table[i][j]
+    return Algebra(size, c)
 
 
 class TruncatedDeformation:
@@ -68,6 +80,8 @@ class TruncatedDeformation:
         if len(nu) != order + 1 or len(p) != order + 1:
             raise InputError("need order+1 coefficient entries for nu and p")
         dim = len(nu[0])
+        if dim < 1:
+            raise InputError("dimension must be >= 1")
         for table in nu:
             if len(table) != dim or any(len(row) != dim for row in table):
                 raise InputError("nu coefficient tables must be dim x dim")
@@ -88,7 +102,7 @@ class TruncatedDeformation:
     def constant(cls, a: Algebra, p: Matrix, order: int) -> "TruncatedDeformation":
         """The deformation with all higher coefficients zero."""
         base = [[list(a.c[i][j]) for j in range(a.dim)] for i in range(a.dim)]
-        zero_table = [[_vzero(a.dim) for _ in range(a.dim)] for _ in range(a.dim)]
+        zero_table = [[[Fraction(0)] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
         nu = [base] + [zero_table for _ in range(order)]
         ps = [p] + [Matrix.zeros(a.dim, a.dim) for _ in range(order)]
         return cls(order, nu, ps)
@@ -101,25 +115,6 @@ class TruncatedDeformation:
                     if x:
                         triples.append((i, j, k, x))
         return Algebra.from_sparse(self.dim, triples, name=name)
-
-    def nu_bilinear(self, k: int, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        out = _vzero(self.dim)
-        table = self.nu[k]
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                vec = table[i][j]
-                coef = xi * yj
-                for t in range(self.dim):
-                    if vec[t]:
-                        out[t] += coef * vec[t]
-        return out
-
-    def p_apply(self, k: int, x: list[Fraction]) -> list[Fraction]:
-        return self.p[k].apply(x)
 
     def with_coefficient(self, k: int, nu_k=None, p_k: Matrix | None = None) -> "TruncatedDeformation":
         """Copy with the order-k coefficient replaced."""
@@ -168,78 +163,55 @@ class DeformationReport:
         return None
 
 
-def _assoc_residual(d: TruncatedDeformation, n: int, a: int, b: int, c: int) -> list[Fraction]:
-    dim = d.dim
-    ea = [Fraction(i == a) for i in range(dim)]
-    ec = [Fraction(i == c) for i in range(dim)]
-    out = _vzero(dim)
-    for i, j in _splits(n, 2):
-        inner_ab = d.nu[j][a][b]
-        inner_bc = d.nu[j][b][c]
-        out = _vadd(out, d.nu_bilinear(i, list(inner_ab), ec))
-        out = _vsub(out, d.nu_bilinear(i, ea, list(inner_bc)))
-    return out
+def _at_order(terms, n: int, dim: int) -> tuple[EqViolation, ...]:
+    """The nonzero t^n slices of (equation, basis indices, residual series) terms."""
+    out = []
+    for eq, args, series in terms:
+        res = tuple(series[n * dim:(n + 1) * dim])
+        if any(res):
+            out.append(EqViolation(eq, n, args, res))
+    return tuple(out)
 
 
-def _compat_residuals(d: TruncatedDeformation, n: int, a: int, b: int):
-    """(twisted residual, averaged residual) at order n on basis pair (a, b)."""
-    dim = d.dim
-    ea = [Fraction(i == a) for i in range(dim)]
-    eb = [Fraction(i == b) for i in range(dim)]
-    pa = {k: d.p_apply(k, ea) for k in range(n + 1)}
-    pb = {k: d.p_apply(k, eb) for k in range(n + 1)}
-    lhs = _vzero(dim)
-    for i, j, k in _splits(n, 3):
-        lhs = _vadd(lhs, d.nu_bilinear(i, pa[j], pb[k]))
-    common = _vzero(dim)
-    for i, j, k in _splits(n, 3):
-        common = _vadd(common, d.p_apply(i, d.nu_bilinear(j, pa[k], eb)))
-        common = _vadd(common, d.p_apply(i, d.nu_bilinear(j, ea, pb[k])))
-    twisted_tail = _vzero(dim)
-    for i, j, k in _splits(n, 3):
-        twisted_tail = _vadd(twisted_tail, d.p_apply(i, d.p_apply(j, list(d.nu[k][a][b]))))
-    averaged_tail = _vzero(dim)
-    for i, j, k, l in _splits(n, 4):
-        averaged_tail = _vadd(averaged_tail, d.p_apply(i, d.nu_bilinear(j, pa[k], pb[l])))
-    twisted = _vsub(lhs, _vsub(common, twisted_tail))
-    averaged = _vsub(lhs, _vsub(common, averaged_tail))
-    return twisted, averaged
-
-
-def _order_terms(d: TruncatedDeformation, n: int):
-    """(equation, basis indices, residual) for every order-n identity.
+def _residual_series(d: TruncatedDeformation):
+    """(equation, basis indices, residual series) for the three identities over Q[t].
 
     Associativity triples come first in lexicographic (a, b, c) order, then
     per pair (a, b) the twisted followed by the averaged residual.
     """
-    if not 0 <= n <= d.order:
-        raise InputError("order out of range")
-    for a, b, c in itertools.product(range(d.dim), repeat=3):
-        yield EQ_ASSOCIATIVITY, (a, b, c), _assoc_residual(d, n, a, b, c)
-    for a, b in itertools.product(range(d.dim), repeat=2):
-        twisted, averaged = _compat_residuals(d, n, a, b)
-        yield EQ_TWISTED, (a, b), twisted
-        yield EQ_AVERAGED, (a, b), averaged
-
-
-def check_order(d: TruncatedDeformation, n: int) -> OrderReport:
-    """Collect the coefficient-of-t^n residuals of all three identities."""
-    return OrderReport(n, tuple(EqViolation(eq, n, args, tuple(res))
-                                for eq, args, res in _order_terms(d, n) if any(res)))
+    at = _series_algebra(d.nu, d.order)
+    pt = _series(d.p, d.order)
+    basis = [at.basis_vector(i) for i in range(d.dim)]
+    images = [pt.apply(x) for x in basis]
+    pairs = list(itertools.product(range(d.dim), repeat=2))
+    products = {(a, b): at.multiply(basis[a], basis[b]) for a, b in pairs}
+    terms = [(EQ_ASSOCIATIVITY, (a, b, c), _vsub(at.multiply(products[a, b], basis[c]),
+                                                 at.multiply(basis[a], products[b, c])))
+             for a, b, c in itertools.product(range(d.dim), repeat=3)]
+    for a, b in pairs:
+        for eq, identity in ((EQ_TWISTED, NIJENHUIS), (EQ_AVERAGED, REYNOLDS)):
+            terms.append((eq, (a, b), identity_residual(identity, None, at.multiply, pt.apply,
+                                                        basis[a], basis[b],
+                                                        images[a], images[b])))
+    return terms
 
 
 def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
-    """Every order-n residual coordinate as one flat vector, in _order_terms order.
+    """Every order-n residual coordinate as one flat vector, in report order.
 
     At n = 1 the vector is a linear function of (nu_1, P_1), which is what
     makes the order-1 solution space computable by exact linear algebra.
     """
-    return [x for _, _, res in _order_terms(d, n) for x in res]
+    if not 0 <= n <= d.order:
+        raise InputError("order out of range")
+    return [x for _, _, series in _residual_series(d) for x in series[n * d.dim:(n + 1) * d.dim]]
 
 
 def check_deformation(d: TruncatedDeformation) -> DeformationReport:
     """Order-by-order residual report; order 0 is the base structure check."""
-    return DeformationReport(d.order, tuple(check_order(d, n) for n in range(d.order + 1)))
+    terms = _residual_series(d)
+    return DeformationReport(d.order, tuple(OrderReport(n, _at_order(terms, n, d.dim))
+                                            for n in range(d.order + 1)))
 
 
 class FormalIso:
@@ -251,6 +223,8 @@ class FormalIso:
         if len(phi) != order + 1:
             raise InputError("need order+1 coefficient matrices")
         dim = phi[0].rows
+        if dim < 1:
+            raise InputError("dimension must be >= 1")
         for m in phi:
             if m.rows != dim or m.cols != dim:
                 raise InputError("phi coefficients must be square of one size")
@@ -271,13 +245,14 @@ class FormalIso:
 
     def inverse_coefficients(self) -> list[Matrix]:
         """chi_k with (sum phi_i t^i)(sum chi_j t^j) = Id up to t^order."""
-        chi = [Matrix.identity(self.dim)]
-        for n in range(1, self.order + 1):
-            acc = Matrix.zeros(self.dim, self.dim)
-            for i in range(1, n + 1):
-                acc = acc.add(self.phi[i].mul(chi[n - i]))
-            chi.append(acc.scale(-1))
-        return chi
+        ident = Matrix.identity(self.dim * (self.order + 1))
+        # Id - Phi_t has no t^0 term, so its (order+1)-th power vanishes and
+        # Phi_t^-1 = sum_k (Id - Phi_t)^k, summed here in Horner form
+        nilpotent = ident.sub(_series(self.phi, self.order))
+        inv = ident
+        for _ in range(self.order):
+            inv = ident.add(nilpotent.mul(inv))
+        return [_coefficient(inv, k, self.dim) for k in range(self.order + 1)]
 
     def inverse(self) -> "FormalIso":
         return FormalIso(self.order, self.inverse_coefficients())
@@ -285,13 +260,8 @@ class FormalIso:
     def compose(self, other: "FormalIso") -> "FormalIso":
         """self after other, truncated at min order."""
         order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = Matrix.zeros(self.dim, self.dim)
-            for i, j in _splits(n, 2):
-                acc = acc.add(self.coefficient(i).mul(other.coefficient(j)))
-            out.append(acc)
-        return FormalIso(order, out)
+        product = _series(self.phi, order).mul(_series(other.phi, order))
+        return FormalIso(order, [_coefficient(product, k, self.dim) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
@@ -314,7 +284,7 @@ def check_equivalence(src: TruncatedDeformation, dst: TruncatedDeformation,
 
     With (nu, P) = src and (nu', P') = dst, checks the coefficient of t^n of
     Phi(nu'_t(a,b)) = nu_t(Phi a, Phi b)  and of  Phi . P'_t = P_t . Phi
-    on all basis pairs.
+    on all basis pairs, through the lower of the deformation and iso orders.
     """
     if src.dim != dst.dim or src.dim != iso.dim:
         raise InputError("dimension mismatch")
@@ -322,66 +292,39 @@ def check_equivalence(src: TruncatedDeformation, dst: TruncatedDeformation,
         raise InputError("deformation orders differ")
     order = min(src.order, iso.order)
     dim = src.dim
-    violations = []
-    basis = [[Fraction(i == t) for i in range(dim)] for t in range(dim)]
-    for n in range(order + 1):
-        for a in range(dim):
-            for b in range(dim):
-                lhs = _vzero(dim)
-                for i, j in _splits(n, 2):
-                    lhs = _vadd(lhs, iso.coefficient(i).apply(list(dst.nu[j][a][b])))
-                rhs = _vzero(dim)
-                for i, j, k in _splits(n, 3):
-                    rhs = _vadd(rhs, src.nu_bilinear(
-                        i, iso.coefficient(j).apply(basis[a]), iso.coefficient(k).apply(basis[b])))
-                res = _vsub(lhs, rhs)
-                if any(res):
-                    violations.append(EqViolation(EQ_PRODUCT_TRANSPORT, n, (a, b), tuple(res)))
-        for a in range(dim):
-            lhs = _vzero(dim)
-            rhs = _vzero(dim)
-            for i, j in _splits(n, 2):
-                lhs = _vadd(lhs, iso.coefficient(i).apply(dst.p_apply(j, basis[a])))
-                rhs = _vadd(rhs, src.p_apply(i, iso.coefficient(j).apply(basis[a])))
-            res = _vsub(lhs, rhs)
-            if any(res):
-                violations.append(EqViolation(EQ_OPERATOR_TRANSPORT, n, (a,), tuple(res)))
-    return EquivalenceReport(order, tuple(violations))
+    at, at_dst = _series_algebra(src.nu, order), _series_algebra(dst.nu, order)
+    phi = _series(iso.phi, order)
+    basis = [at.basis_vector(i) for i in range(dim)]
+    images = [phi.apply(x) for x in basis]
+    operator = phi.mul(_series(dst.p, order)).sub(_series(src.p, order).mul(phi))
+    terms = [(EQ_PRODUCT_TRANSPORT, (a, b), _vsub(phi.apply(at_dst.multiply(basis[a], basis[b])),
+                                                  at.multiply(images[a], images[b])))
+             for a, b in itertools.product(range(dim), repeat=2)]
+    terms += [(EQ_OPERATOR_TRANSPORT, (a,), operator.col_list(a)) for a in range(dim)]
+    return EquivalenceReport(order, tuple(v for n in range(order + 1)
+                                          for v in _at_order(terms, n, dim)))
 
 
 def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     """Carry d along iso: nu' = Phi^-1 nu (Phi x Phi), P' = Phi^-1 P Phi.
 
     The result d' is the unique deformation with check_equivalence(d, d', iso)
-    passing at every shared order.
+    passing at every shared order.  Phi^-1 is taken through iso's order and
+    is zero past it.
     """
     if iso.dim != d.dim:
         raise InputError("dimension mismatch")
-    chi = iso.inverse_coefficients()
-
-    def chi_at(k: int) -> Matrix:
-        return chi[k] if k < len(chi) else Matrix.zeros(d.dim, d.dim)
-
-    dim = d.dim
-    basis = [[Fraction(i == t) for i in range(dim)] for t in range(dim)]
-    nu_out = []
-    p_out = []
-    for n in range(d.order + 1):
-        table = [[_vzero(dim) for _ in range(dim)] for _ in range(dim)]
-        for a in range(dim):
-            for b in range(dim):
-                acc = _vzero(dim)
-                for i, j, k, l in _splits(n, 4):
-                    inner = d.nu_bilinear(j, iso.coefficient(k).apply(basis[a]),
-                                          iso.coefficient(l).apply(basis[b]))
-                    acc = _vadd(acc, chi_at(i).apply(inner))
-                table[a][b] = acc
-        nu_out.append(table)
-        mat = Matrix.zeros(dim, dim)
-        for i, j, k in _splits(n, 3):
-            mat = mat.add(chi_at(i).mul(d.p[j]).mul(iso.coefficient(k)))
-        p_out.append(mat)
-    return TruncatedDeformation(d.order, nu_out, p_out)
+    order, dim = d.order, d.dim
+    at = _series_algebra(d.nu, order)
+    phi = _series(iso.phi, order)
+    chi = _series(iso.inverse_coefficients(), order)
+    images = [phi.apply(at.basis_vector(i)) for i in range(dim)]
+    nu = [[chi.apply(at.multiply(images[a], images[b])) for b in range(dim)] for a in range(dim)]
+    p = chi.mul(_series(d.p, order)).mul(phi)
+    return TruncatedDeformation(
+        order, [[[vec[k * dim:(k + 1) * dim] for vec in row] for row in nu]
+                for k in range(order + 1)],
+        [_coefficient(p, k, dim) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)

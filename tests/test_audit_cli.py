@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnalg import fileio
 from rnalg.audit import (
@@ -297,6 +302,17 @@ def test_cli_solve_modes(files, capsys):
     assert "inconsistent" in json.loads(out)
 
 
+def test_cli_solve_mod_does_not_build_the_rational_system(files, capsys, monkeypatch):
+    # the enumeration reduces the raw residuals itself; the system over Q is unused there
+    def refuse(*args):
+        raise AssertionError("build_identity_system called")
+
+    monkeypatch.setattr("rnalg.cli.build_identity_system", refuse)
+    code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--mod", "2"])
+    assert code == 0
+    assert json.loads(out)["count"] == 56
+
+
 def test_cli_star_writes_algebra(files, capsys, tmp_path):
     target = str(tmp_path / "star_out.json")
     code, out, _ = _run(capsys, ["star", files["leftunit2"], files["id2"],
@@ -440,3 +456,82 @@ def test_cli_markdown_output(files, capsys):
                                  files["leftunit2"]])
     assert code == 0
     assert out.lstrip().startswith("#")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed deformation and iso files: the outcome is an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_FUZZ_ALGEBRA = fileio.dump_algebra(CAT["leftunit2"])
+_FUZZ_DEFORMATION = fileio.dump_deformation(
+    TruncatedDeformation.constant(CAT["leftunit2"], Matrix.zeros(2, 2), 1).with_coefficient(
+        1, p_k=operator([[0, 1], [0, 0]])))
+_FUZZ_ISO = fileio.dump_iso(FormalIso(1, [Matrix.identity(2), operator([[0, 1], [2, 0]])]))
+# dimension 0, empty tables, mismatched orders and missing keys, written out
+_FUZZ_EDGES = [
+    [], 5, {}, {"nu": _FUZZ_DEFORMATION["nu"], "p": _FUZZ_DEFORMATION["p"]},
+    {"phi": _FUZZ_ISO["phi"]},
+    {"order": 0, "nu": [[]], "p": [[[]]]},
+    {"order": 1, "nu": [[], []], "p": [[[]], [[]]]},
+    {"order": 0, "nu": [], "p": []},
+    {"order": 2, "nu": _FUZZ_DEFORMATION["nu"], "p": _FUZZ_DEFORMATION["p"]},
+    {"order": 0, "phi": [[[]]]},
+    {"order": 0, "phi": []},
+    {"order": 2, "phi": _FUZZ_ISO["phi"]},
+]
+_FUZZ_SCALARS = st.one_of(st.integers(-1, 3), st.booleans(), st.none(),
+                          st.sampled_from(["0", "1", "-1/2", "x", "", "1/0"]))
+_FUZZ_JSON = st.recursive(
+    _FUZZ_SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.sampled_from(["order", "nu", "p", "phi"]),
+                                           kids, max_size=3)),
+    max_leaves=8)
+
+
+_FUZZ_ORDERS = st.sampled_from([1, 1, 1, 0, 2, -1, True, "1"])
+
+
+@st.composite
+def _mutated(draw, value):
+    """value, a nonempty nested list, with one node replaced, dropped or duplicated."""
+    value = copy.deepcopy(value)
+    parent, key = value, draw(st.integers(0, len(value) - 1))
+    # descend mostly to the leaves, where a replaced entry can still be valid
+    while isinstance(parent[key], list) and parent[key] and draw(st.integers(0, 3)):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    action = draw(st.sampled_from(["replace", "drop", "duplicate"]))
+    if action == "replace":
+        parent[key] = draw(st.one_of(st.sampled_from(["0", "1", "-1/2"]), _FUZZ_JSON))
+    elif action == "drop":
+        del parent[key]
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+    return value
+
+
+def _fuzzed(doc):
+    """doc with each field kept, mutated or replaced, or a written-out edge case."""
+    fields = {k: _FUZZ_ORDERS if k == "order" else st.one_of(st.just(v), _mutated(v), _FUZZ_JSON)
+              for k, v in doc.items()}
+    return st.one_of(st.fixed_dictionaries(fields), st.sampled_from(_FUZZ_EDGES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.just("check"), _fuzzed(_FUZZ_DEFORMATION), st.just(_FUZZ_ISO)),
+    st.tuples(st.just("equiv"), _fuzzed(_FUZZ_DEFORMATION), st.just(_FUZZ_ISO)),
+    st.tuples(st.just("equiv"), st.just(_FUZZ_DEFORMATION), _fuzzed(_FUZZ_ISO))))
+def test_cli_deform_survives_malformed_files(case):
+    command, deformation, iso = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("a", _FUZZ_ALGEBRA), ("d", deformation),
+                          ("good", _FUZZ_DEFORMATION), ("iso", iso)):
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        if command == "check":
+            argv = ["deform", "check", paths["a"], paths["d"]]
+        else:
+            argv = ["deform", "equiv", paths["a"], paths["good"], paths["d"], paths["iso"]]
+        assert main(argv) in (0, 1, 2, 3)

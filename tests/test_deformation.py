@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,15 @@ def test_order1_system_columns_follow_the_pair_vector_layout():
     residuals = order_residuals(d, 1)
     assert any(residuals)
     assert order1_system(a, p).apply(_pair_vector(d, 1)) == residuals
+
+
+def test_zero_dimensional_data_is_refused():
+    # Algebra refuses dim < 1; a deformation or iso over no basis would
+    # otherwise pass every check vacuously
+    with pytest.raises(InputError):
+        TruncatedDeformation(1, [[], []], [Matrix(0, 0, {})] * 2)
+    with pytest.raises(InputError):
+        FormalIso(1, [Matrix(0, 0, {})] * 2)
 
 
 def test_formal_iso_requires_identity_leading_term():
@@ -239,3 +250,189 @@ def test_rigidity_never_claims_flexible_when_complex_breaks():
     assert rep.dim_h2 is None
     assert rep.residuals_zero == {"d2d1": False, "d3d2": False}
     assert len(rep.reasons) == 3
+
+
+# ---------------------------------------------------------------------------
+# Naive reference: the order-n equations as hand-expanded sums over index
+# splits, written without the series algebra A[t]/(t^(N+1)) the module uses
+# ---------------------------------------------------------------------------
+
+
+def _splits(n, parts):
+    """All tuples of `parts` nonnegative ints summing to n."""
+    return [s for s in itertools.product(range(n + 1), repeat=parts) if sum(s) == n]
+
+
+def _vsum(vectors, dim):
+    out = [Q(0)] * dim
+    for v in vectors:
+        out = [x + y for x, y in zip(out, v)]
+    return out
+
+
+def _vdiff(x, y):
+    return [u - v for u, v in zip(x, y)]
+
+
+def _unit(dim, i):
+    return [Q(i == t) for t in range(dim)]
+
+
+def _nu(d, k, x, y):
+    """nu_k(x, y) from the coefficient table of d."""
+    out = [Q(0)] * d.dim
+    for (i, xi), (j, yj) in itertools.product(enumerate(x), enumerate(y)):
+        if xi and yj:
+            for t, v in enumerate(d.nu[k][i][j]):
+                if v:
+                    out[t] += xi * yj * v
+    return out
+
+
+def _coef(mats, k, dim):
+    """Coefficient k of a list of matrices, zero past its end."""
+    return mats[k] if k < len(mats) else Matrix.zeros(dim, dim)
+
+
+def _naive_terms(d, n):
+    """(equation, basis indices, order-n residual) in report order."""
+    dim = d.dim
+    e = [_unit(dim, i) for i in range(dim)]
+
+    def p(k, x):
+        return d.p[k].apply(x)
+
+    terms = []
+    for a, b, c in itertools.product(range(dim), repeat=3):
+        res = _vsum([_vdiff(_nu(d, i, _nu(d, j, e[a], e[b]), e[c]),
+                            _nu(d, i, e[a], _nu(d, j, e[b], e[c])))
+                     for i, j in _splits(n, 2)], dim)
+        terms.append(("associativity", (a, b, c), res))
+    for a, b in itertools.product(range(dim), repeat=2):
+        lhs = _vsum([_nu(d, i, p(j, e[a]), p(k, e[b])) for i, j, k in _splits(n, 3)], dim)
+        common = _vsum([p(i, _nu(d, j, p(k, e[a]), e[b])) for i, j, k in _splits(n, 3)]
+                       + [p(i, _nu(d, j, e[a], p(k, e[b]))) for i, j, k in _splits(n, 3)], dim)
+        twisted_tail = _vsum([p(i, p(j, list(d.nu[k][a][b]))) for i, j, k in _splits(n, 3)], dim)
+        averaged_tail = _vsum([p(i, _nu(d, j, p(k, e[a]), p(l, e[b])))
+                               for i, j, k, l in _splits(n, 4)], dim)
+        for eq, tail in (("twisted-compatibility", twisted_tail),
+                         ("averaged-compatibility", averaged_tail)):
+            terms.append((eq, (a, b), _vdiff(lhs, _vdiff(common, tail))))
+    return terms
+
+
+def _violation_rows(terms):
+    return [(eq, args, tuple(res)) for eq, args, res in terms if any(res)]
+
+
+def _naive_equivalence(src, dst, iso):
+    order, dim = min(src.order, iso.order), src.dim
+    e = [_unit(dim, i) for i in range(dim)]
+
+    def phi(k, x):
+        return _coef(iso.phi, k, dim).apply(x)
+
+    out = []
+    for n in range(order + 1):
+        for a, b in itertools.product(range(dim), repeat=2):
+            lhs = _vsum([phi(i, list(dst.nu[j][a][b])) for i, j in _splits(n, 2)], dim)
+            rhs = _vsum([_nu(src, i, phi(j, e[a]), phi(k, e[b]))
+                         for i, j, k in _splits(n, 3)], dim)
+            out.append(("product-transport", n, (a, b), tuple(_vdiff(lhs, rhs))))
+        for a in range(dim):
+            lhs = _vsum([phi(i, dst.p[j].apply(e[a])) for i, j in _splits(n, 2)], dim)
+            rhs = _vsum([src.p[i].apply(phi(j, e[a])) for i, j in _splits(n, 2)], dim)
+            out.append(("operator-transport", n, (a,), tuple(_vdiff(lhs, rhs))))
+    return order, [v for v in out if any(v[3])]
+
+
+def _naive_inverse(iso):
+    chi = [Matrix.identity(iso.dim)]
+    for n in range(1, iso.order + 1):
+        acc = Matrix.zeros(iso.dim, iso.dim)
+        for i in range(1, n + 1):
+            acc = acc.add(iso.phi[i].mul(chi[n - i]))
+        chi.append(acc.scale(-1))
+    return chi
+
+
+def _naive_transport(d, iso):
+    dim = d.dim
+    e = [_unit(dim, i) for i in range(dim)]
+    chi = _naive_inverse(iso)
+    nu, p = [], []
+    for n in range(d.order + 1):
+        nu.append([[_vsum([_coef(chi, i, dim).apply(_nu(d, j, _coef(iso.phi, k, dim).apply(e[a]),
+                                                        _coef(iso.phi, l, dim).apply(e[b])))
+                           for i, j, k, l in _splits(n, 4)], dim)
+                    for b in range(dim)] for a in range(dim)])
+        acc = Matrix.zeros(dim, dim)
+        for i, j, k in _splits(n, 3):
+            acc = acc.add(_coef(chi, i, dim).mul(d.p[j]).mul(_coef(iso.phi, k, dim)))
+        p.append(acc)
+    return TruncatedDeformation(d.order, nu, p)
+
+
+def _naive_compose(f, g):
+    order = min(f.order, g.order)
+    out = []
+    for n in range(order + 1):
+        acc = Matrix.zeros(f.dim, f.dim)
+        for i, j in _splits(n, 2):
+            acc = acc.add(f.phi[i].mul(g.phi[j]))
+        out.append(acc)
+    return out
+
+
+_SMALL = [0, 0, 0, 0, 1, -1, 2, Q(1, 2)]
+
+
+def _random_cases(dim, order):
+    """(src, dst, iso, other iso, related) per iso order below, at and above order.
+
+    dst is src transported along iso (by the naive transport) when related
+    and an unrelated random deformation otherwise; both kinds occur.
+    """
+    rng = random.Random(100 * dim + order)
+
+    def matrix():
+        return Matrix.from_rows([[rng.choice(_SMALL) for _ in range(dim)] for _ in range(dim)])
+
+    def deformation():
+        nu = [[[[rng.choice(_SMALL) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+              for _ in range(order + 1)]
+        return TruncatedDeformation(order, nu, [matrix() for _ in range(order + 1)])
+
+    def iso(k):
+        return FormalIso(k, [Matrix.identity(dim)] + [matrix() for _ in range(k)])
+
+    for shift, related in zip((-1, 0, 1), itertools.cycle((order % 2 == 0, order % 2 == 1))):
+        src, f = deformation(), iso(max(order + shift, 0))
+        dst = _naive_transport(src, f) if related else deformation()
+        yield src, dst, f, iso(rng.randint(0, 4)), related
+
+
+def _report_rows(rep):
+    return [(r.order, [(v.equation, v.args, v.residual) for v in r.violations])
+            for r in rep.orders]
+
+
+@pytest.mark.parametrize("dim,order", list(itertools.product([1, 2, 3], [0, 1, 2, 3])))
+def test_series_checks_equal_the_naive_split_sums(dim, order):
+    for src, dst, iso, other, related in _random_cases(dim, order):
+        naive = [_naive_terms(src, k) for k in range(order + 1)]
+        assert _report_rows(check_deformation(src)) == [(k, _violation_rows(terms))
+                                                        for k, terms in enumerate(naive)]
+        for k in range(order + 1):
+            assert order_residuals(src, k) == [x for _, _, res in naive[k] for x in res]
+        eq = check_equivalence(src, dst, iso)
+        assert (eq.order, [(v.equation, v.order, v.args, v.residual) for v in eq.violations]) \
+            == _naive_equivalence(src, dst, iso)
+        assert eq.ok or not related
+        moved = transport(src, iso)
+        expected = _naive_transport(src, iso)
+        assert moved.nu == expected.nu and list(moved.p) == list(expected.p)
+        assert iso.inverse_coefficients() == _naive_inverse(iso)
+        composed = iso.compose(other)
+        assert composed.order == min(iso.order, other.order)
+        assert list(composed.phi) == _naive_compose(iso, other)
