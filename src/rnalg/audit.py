@@ -14,6 +14,8 @@ find out which claims survive contact with exact arithmetic.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -153,12 +155,20 @@ class AuditReport:
 
 
 def _load(inputs: dict) -> tuple[Algebra, Matrix]:
-    """The algebra and operator of an input record, star-deformed on request."""
-    a = fileio.load_algebra(inputs["algebra"])
-    p = fileio.matrix_from_json(inputs["operator"])
-    if inputs.get("star"):
-        a = star_product(a, p)
-    return a, p
+    """The algebra and operator of an input record, star-deformed on request.
+
+    Memoized on their canonical JSON, so cases share an Algebra and its caches.
+    """
+    return _load_json(json.dumps([inputs["algebra"], inputs["operator"],
+                                  bool(inputs.get("star"))], sort_keys=True))
+
+
+@functools.lru_cache(maxsize=256)
+def _load_json(text: str) -> tuple[Algebra, Matrix]:
+    algebra, matrix, star = json.loads(text)
+    a = fileio.load_algebra(algebra)
+    p = fileio.matrix_from_json(matrix)
+    return (star_product(a, p) if star else a), p
 
 
 def _builder(inputs: dict) -> ComplexBuilder:
@@ -622,6 +632,7 @@ def _claim_rigidity(fx: dict) -> ClaimVerdict:
 
 def run_audit(fixtures: dict | None = None) -> AuditReport:
     """Evaluate every audited claim on the fixture set."""
+    _load_json.cache_clear()  # each run loads its fixtures afresh, then once
     fx = fixtures or build_fixtures()
     fixtures_doc = {
         "algebras": {name: fileio.dump_algebra(a) for name, a in fx["algebras"].items()},

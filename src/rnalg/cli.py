@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", required=True)
     mode = c.add_mutually_exclusive_group()
     mode.add_argument("--mod", type=int, metavar="P",
-                      help="enumerate all solutions over the field with P elements")
+                      help="enumerate all solutions over the field with P elements "
+                           "(search nodes capped by RN_BUDGET; --budget not read)")
     mode.add_argument("--groebner", action="store_true",
                       help="run Buchberger completion on the system")
     mode.add_argument("--linear", action="store_true",

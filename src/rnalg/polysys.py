@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,7 +23,6 @@ from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix
 
 ENUM_PRIMES = (2, 3, 5)
-ENUM_CAP = 10 ** 8
 
 
 def grevlex_key(mono: tuple[int, ...]):
@@ -511,18 +509,98 @@ class EnumerationResult:
         return len(self.solutions)
 
 
-def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    # every denominator is prime to p, so each coefficient has an image in F_p
+def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    # every denominator is prime to p, so each coefficient has an image in F_p;
+    # a monomial becomes its variable indices, each repeated by its exponent
     compiled = []
     for poly in polys:
         terms = []
         for m, c in poly.sorted_terms():
             cm = c.numerator * pow(c.denominator, -1, p) % p
             if cm:
-                terms.append((cm, tuple((i, ex) for i, ex in enumerate(m) if ex)))
+                terms.append((cm, tuple(i for i, ex in enumerate(m) for _ in range(ex))))
         if terms:
             compiled.append(terms)
     return compiled
+
+
+def _search_mod_p(compiled: list, n: int, p: int, cap: int) -> list[tuple[int, ...]]:
+    """Sorted points of F_p^n where every compiled residual vanishes, by depth-first search.
+
+    A residual is tested once its last variable is set; one of degree 1 in its
+    only free variable x forces x = -b/a for a unit a, and needs b = 0 when a = 0
+    (forward checking, Knuth TAOCP 4B, 7.2.2).  Nodes are consistent partial
+    assignments, and BudgetError stops the search once they exceed the cap.
+    """
+    vars_of = [{i for _, f in terms for i in f} for terms in compiled]
+    linear = [{i for i in vs if all(f.count(i) < 2 for _, f in terms)}
+              for vs, terms in zip(vars_of, compiled)]
+    occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
+    left, order = [set(vs) for vs in vars_of], []
+    while len(order) < n:  # the variable completing the most residuals, then the most frequent
+        x = max(set(range(n)) - set(order),
+                key=lambda x: (sum(left[r] == {x} for r in occ[x]), len(occ[x]), -x))
+        order.append(x)
+        for r in occ[x]:
+            left[r].discard(x)
+    val, free, trail, solutions, nodes = [None] * n, [len(vs) for vs in vars_of], [], [], 0
+
+    def examine(r: int, forced: list) -> bool:
+        # residual r has at most one free variable x; if it is linear in x, it is a*x + b
+        x = next((i for i in vars_of[r] if val[i] is None), None)
+        if x is not None and x not in linear[r]:
+            return True  # tested once x is set
+        a = b = 0
+        for c, f in compiled[r]:
+            for i in f:
+                if i != x:
+                    c *= val[i]
+            if x in f:
+                a += c
+            else:
+                b += c
+        if a % p:
+            forced.append((x, -b * pow(a, -1, p) % p))
+        return a % p != 0 or b % p == 0
+
+    def propagate(forced: list) -> bool:
+        # set each forced value and test the residuals it leaves with one free variable or
+        # none; a value forced twice is checked by the residual that forced it, now complete
+        while forced:
+            x, v = forced.pop()
+            if val[x] is None:
+                val[x] = v
+                trail.append(x)
+                for r in occ[x]:
+                    free[r] -= 1
+                if not all(examine(r, forced) for r in occ[x] if free[r] < 2):
+                    return False
+        return True
+
+    def visit(k: int) -> list:
+        # count a node; its branches on the next free variable in order, or none at a solution
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(f"mod-p enumeration stage: {nodes} nodes visited, cap {cap}")
+        k = next((j for j in range(k, n) if val[order[j]] is None), n)
+        if k == n:
+            solutions.append(tuple(val))
+        return [(k, v, len(trail)) for v in range(p)] if k < n else []
+
+    forced: list = []
+    root = all(examine(r, forced) for r in range(len(compiled)) if free[r] < 2)
+    stack = visit(0) if root and propagate(forced) else []
+    while stack:  # depth first, without recursion: a branch is (level, value, trail length)
+        k, v, mark = stack.pop()
+        while len(trail) > mark:
+            x = trail.pop()
+            val[x] = None
+            for r in occ[x]:
+                free[r] += 1
+        if propagate([(order[k], v)]):
+            stack += visit(k + 1)
+    return sorted(solutions)
 
 
 def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult:
@@ -532,41 +610,18 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
     so they are the identity system of the algebra whose structure
     constants and weight are reduced mod p; a p that divides one of their
     denominators is refused.  Solutions are exact members of the mod-p
-    variety; they are evidence about characteristic p only and are not
-    lifted to Q.
+    variety in lexicographic order, found within resolve_budget() search
+    nodes; they are evidence about characteristic p only, not lifted to Q.
     """
     if p not in ENUM_PRIMES:
         raise InputError(f"prime must be one of {ENUM_PRIMES}, got {p}")
-    n = a.dim * a.dim
-    if p ** n > ENUM_CAP:
-        raise BudgetError(f"{p}^{n} matrices exceeds the enumeration cap {ENUM_CAP}")
     if kind.weight is not None and kind.weight.denominator % p == 0:
         raise InputError(f"weight {kind.weight} is not defined mod {p}")
     undefined = [c for plane in a.c for row in plane for c in row if c.denominator % p == 0]
     if undefined:
         raise InputError(f"structure constant {undefined[0]} is not defined mod {p}")
     compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
-    solutions = []
-    for point in itertools.product(range(p), repeat=n):
-        ok = True
-        for terms in compiled:
-            acc = 0
-            for c, factors in terms:
-                v = c
-                for i, ex in factors:
-                    base = point[i]
-                    if base == 0:
-                        v = 0
-                        break
-                    for _ in range(ex):
-                        v *= base
-                if v:
-                    acc += v
-            if acc % p:
-                ok = False
-                break
-        if ok:
-            solutions.append(point)
+    solutions = _search_mod_p(compiled, a.dim * a.dim, p, resolve_budget())
     return EnumerationResult(p, a.dim, kind.label(), solutions)
 
 

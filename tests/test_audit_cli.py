@@ -440,6 +440,16 @@ def test_cli_groebner_budget_exhaustion_exits_three(files, capsys):
     assert "budget exhausted: groebner stage: 1 S-pairs reduced, cap 1" in err
 
 
+def test_cli_mod_budget_caps_the_nodes_visited(files, capsys, monkeypatch):
+    # the zero algebra has no residuals: all 5^9 matrices solve, far past the default cap
+    monkeypatch.delenv("RN_BUDGET", raising=False)
+    zero3 = str(files["dir"] / "zero3.json")
+    fileio.write_json(zero3, {"dim": 3, "c": []})
+    code, out, err = _run(capsys, ["solve", zero3, "--kind", "rn", "--mod", "5"])
+    assert code == 3 and out == ""
+    assert "budget exhausted: mod-p enumeration stage: 50001 nodes visited, cap 50000" in err
+
+
 def test_cli_budget_env_variable(files, capsys, monkeypatch):
     monkeypatch.setenv("RN_BUDGET", "1")
     code, _, _ = _run(capsys, ["cohomology", files["leftunit2"], files["zero2"],
@@ -510,11 +520,19 @@ def _mutated(draw, value):
     return value
 
 
-def _fuzzed(doc):
+# integer headers: bools, strings, floats and signs; algebra dims stay <= 3, since
+# an algebra allocates dim^3 structure constants before any check
+_FUZZ_HEADERS = {"order": _FUZZ_ORDERS,
+                 "dim": st.sampled_from([2, 2, 2, 3, 1, 0, -1, True, False, "2", 2.0, None])}
+
+
+def _fuzzed(doc, edges=_FUZZ_EDGES, headers=_FUZZ_HEADERS):
     """doc with each field kept, mutated or replaced, or a written-out edge case."""
-    fields = {k: _FUZZ_ORDERS if k == "order" else st.one_of(st.just(v), _mutated(v), _FUZZ_JSON)
+    fields = {k: headers[k] if k in headers
+              else st.one_of(st.just(v), _mutated(v), _FUZZ_JSON) if isinstance(v, list) and v
+              else st.one_of(st.just(v), _FUZZ_JSON)
               for k, v in doc.items()}
-    return st.one_of(st.fixed_dictionaries(fields), st.sampled_from(_FUZZ_EDGES))
+    return st.one_of(st.fixed_dictionaries(fields), st.sampled_from(edges))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -534,4 +552,41 @@ def test_cli_deform_survives_malformed_files(case):
             argv = ["deform", "check", paths["a"], paths["d"]]
         else:
             argv = ["deform", "equiv", paths["a"], paths["good"], paths["d"], paths["iso"]]
+        assert main(argv) in (0, 1, 2, 3)
+
+
+_FUZZ_OPERATOR = fileio.dump_linop(operator([[0, 1], [0, 0]]))
+# wrong shapes, bad entries and contradicted headers, written out
+_FUZZ_ALGEBRA_EDGES = [
+    [], 5, {}, {"dim": 2}, {"c": []}, {"dim": 3, "c": []}, {"dim": 1, "c": [[0, 0, 0, "1"]]},
+    {"dim": 2, "c": [[0, 0, 0]]}, {"dim": 2, "c": [[0, 0, 2, "1"]]},
+    {"dim": 2, "c": [[0, 0, 0, "1/0"]]}, {"dim": 2, "c": [], "basis": ["a"]},
+]
+_FUZZ_OPERATOR_EDGES = [
+    [], 5, {}, [[0, 1], [0, 0]], [[0, 1], [0]], [[0, 1]], [[]], {"dim": 10 ** 9, "matrix": [[0]]},
+    {"dim": 2, "matrix": [[0, 1], [0]]}, {"dim": 2, "matrix": [["x", 0], [0, 0]]},
+    {"dim": 2, "matrix": [[0, 1], [0, 0]], "convention": "row"},
+]
+# an operator header may claim a huge dim: its matrix, read first, contradicts it
+_FUZZ_OPERATOR_HEADERS = {"dim": st.sampled_from([2, 2, 3, 0, -1, True, "2", 2.0, 10 ** 9])}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.just("solve"), _fuzzed(_FUZZ_ALGEBRA, _FUZZ_ALGEBRA_EDGES),
+              st.just(_FUZZ_OPERATOR)),
+    st.tuples(st.just("check-op"), _fuzzed(_FUZZ_ALGEBRA, _FUZZ_ALGEBRA_EDGES),
+              st.just(_FUZZ_OPERATOR)),
+    st.tuples(st.just("check-op"), st.just(_FUZZ_ALGEBRA),
+              _fuzzed(_FUZZ_OPERATOR, _FUZZ_OPERATOR_EDGES, _FUZZ_OPERATOR_HEADERS))))
+def test_cli_survives_malformed_algebra_and_operator_files(case):
+    command, algebra, op = case
+    with tempfile.TemporaryDirectory() as tmp:
+        a, o = str(Path(tmp) / "a.json"), str(Path(tmp) / "o.json")
+        Path(a).write_text(json.dumps(algebra), encoding="utf-8")
+        Path(o).write_text(json.dumps(op), encoding="utf-8")
+        if command == "solve":
+            argv = ["solve", a, "--kind", "rn", "--mod", "2"]
+        else:
+            argv = ["check-op", a, o, "--kind", "rn"]
         assert main(argv) in (0, 1, 2, 3)

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, parse_kind,
                            rota_baxter)
 from rnalg.catalog import catalog, operator
-from rnalg.errors import InputError
+from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
-from rnalg.polysys import (MPoly, SymbolicMatrix, build_identity_system,
-                           entry_variables, enumerate_mod_p, groebner_basis,
-                           linear_reduce, solution_matrix, verify_family)
+from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals,
+                           _search_mod_p, build_identity_system, entry_variables,
+                           enumerate_mod_p, groebner_basis, linear_reduce, solution_matrix,
+                           verify_family)
 
 CAT = catalog()
 
@@ -279,6 +280,105 @@ def test_enumeration_mod_2_on_pair3():
     assert (1, 0, 0, 0, 1, 0, 0, 0, 1) in sols
     assert (1, 0, 0, 0, 0, 0, 0, 0, 0) in sols
     assert (0, 0, 0, 0, 0, 0, 0, 0, 1) in sols
+
+
+def _naive_mod_p(a, kind, p) -> list[tuple[int, ...]]:
+    """The full scan: test every compiled residual at every point of F_p^(dim^2)."""
+    compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
+    solutions = []
+    for point in itertools.product(range(p), repeat=a.dim * a.dim):
+        ok = True
+        for terms in compiled:
+            acc = 0
+            for c, factors in terms:
+                v = c
+                for i in factors:
+                    v *= point[i]
+                acc += v
+            if acc % p:
+                ok = False
+                break
+        if ok:
+            solutions.append(point)
+    return solutions
+
+
+def _unimodular(dim: int, rng: random.Random):
+    """T = (I + E_{0,dim-1}) D for random signs D, and its exact inverse."""
+    d = [rng.choice((1, -1)) for _ in range(dim)]
+    corner = [[int(dim > 1 and (i, j) == (0, dim - 1)) for j in range(dim)] for i in range(dim)]
+    t = [[(int(i == j) + corner[i][j]) * d[j] for j in range(dim)] for i in range(dim)]
+    tinv = [[d[i] * (int(i == j) - corner[i][j]) for j in range(dim)] for i in range(dim)]
+    return t, tinv
+
+
+def _change_basis(a: Algebra, t, tinv) -> Algebra:
+    """The algebra in the basis f_i = sum_r t[r][i] e_r."""
+    n = range(a.dim)
+    return Algebra(a.dim, [[[sum(t[r][i] * t[s][j] * a.c[r][s][u] * tinv[k][u]
+                                 for r in n for s in n for u in n)
+                             for k in n] for j in n] for i in n])
+
+
+def _conjugate_mod_p(point, t, tinv, p) -> tuple[int, ...]:
+    """The entries of tinv P t mod p, for P the row-major point."""
+    n = range(len(t))
+    return tuple(sum(tinv[r][x] * point[x * len(t) + y] * t[y][c] for x in n for y in n) % p
+                 for r in n for c in n)
+
+
+KINDS = ("rn", "reynolds", "nijenhuis", "rb:1", "rb:-1", "mrb:1", "mrb:-1")
+SCAN_CASES = [(name, p) for name in CAT for p in (2, 3, 5) if p ** (CAT[name].dim ** 2) <= 65536]
+
+
+@pytest.mark.parametrize("name,p", SCAN_CASES, ids=lambda v: str(v))
+def test_enumeration_equals_the_full_scan(name, p):
+    a = CAT[name]
+    t, tinv = _unimodular(a.dim, random.Random(f"{name}:{p}"))
+    copy = _change_basis(a, t, tinv)
+    for kind in map(parse_kind, KINDS):
+        expected = _naive_mod_p(a, kind, p)
+        assert enumerate_mod_p(a, kind, p).solutions == expected
+        # the copy's solutions are the scan's, conjugated by the change of basis
+        moved = sorted(_conjugate_mod_p(s, t, tinv, p) for s in expected)
+        assert enumerate_mod_p(copy, kind, p).solutions == moved
+
+
+def test_enumeration_on_a_copy_equals_the_scan_of_the_copy():
+    a = CAT["trunc3"]
+    t, tinv = _unimodular(a.dim, random.Random(5))
+    copy = _change_basis(a, t, tinv)
+    assert copy.is_associative()
+    for kind in map(parse_kind, KINDS):
+        assert enumerate_mod_p(copy, kind, 3).solutions == _naive_mod_p(copy, kind, 3)
+
+
+def test_enumeration_budget_caps_the_nodes_visited(monkeypatch):
+    # mat2 RN at p=3 (3^16 matrices) takes 2,899 nodes, far below the default 50,000
+    monkeypatch.setenv("RN_BUDGET", "2899")
+    solutions = enumerate_mod_p(CAT["mat2"], KIND_RN, 3).solutions
+    # the list perfbench/oracle.py's solutions_mod_p gives by brute force (a run of over an hour)
+    assert len(solutions) == 74
+    assert hashlib.sha256(repr(solutions).encode()).hexdigest() == (
+        "25b8e86addbcd41da5481e3f663b1f29de2e65c9451cb378797d2d73ba34f87f")
+    monkeypatch.setenv("RN_BUDGET", "2898")
+    with pytest.raises(BudgetError,
+                       match=r"^mod-p enumeration stage: 2899 nodes visited, cap 2898$"):
+        enumerate_mod_p(CAT["mat2"], KIND_RN, 3)
+    monkeypatch.setenv("RN_BUDGET", "100")
+    with pytest.raises(BudgetError,
+                       match=r"^mod-p enumeration stage: 101 nodes visited, cap 100$"):
+        enumerate_mod_p(CAT["mat2"], KIND_RN, 3)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # x_(i+1) - x_i over F_3 for 1100 variables: one branch forces the whole chain
+    n = 1100
+    chain = [[(1, (i + 1,)), (2, (i,))] for i in range(n - 1)]
+    assert _search_mod_p(chain, n, 3, 4) == [(v,) * n for v in range(3)]
+    # no residuals: the first path down is n + 1 nodes deep
+    with pytest.raises(BudgetError, match="1201 nodes visited, cap 1200"):
+        _search_mod_p([], n, 2, 1200)
 
 
 def test_enumeration_rejects_non_prime_modulus():
