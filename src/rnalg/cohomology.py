@@ -18,8 +18,15 @@ The combined differential on C^n_A (+) C^(n-1)_RNO is
 
   d_n(f, g) = (delta_n f, -partial_(n-1) g - psi_n f),      d_0 f = (delta_0 f, -f).
 
-psi_n and the constraint are each one sum of Kronecker products, and with
-R_n the constrained basis (one vector per column) the combined complex is
+delta_n, psi_n and the constraint are each one sum of Kronecker products.
+With mu the (dimA)^2 x dimA structure-constant matrix (row (p, q), column
+t holds c[p][q][t]), e_i the i-th dimA x 1 basis column and Id^k the
+identity on k tensor factors of A,
+
+  delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu (x) Id^(n-s) (x) Id_V
+            + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
+
+With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
 
   d_n = [[delta_n, 0], [-psi_n, -partial_(n-1) R_(n-1)]],     d_0 = [[delta_0], [-psi_0]],
@@ -35,6 +42,7 @@ vanish.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,39 +125,13 @@ class ComplexBuilder:
             raise InputError("degree must be >= 0")
         self._guard(n + 1)
         da, dv = self.a.dim, self.m.dim_v
-        rows, cols = self.amb(n + 1), self.amb(n)
-        out: dict[tuple[int, int], Fraction] = {}
-        sign_last = Fraction(-1 if (n + 1) % 2 else 1)
-        for multi in itertools.product(range(da), repeat=n):
-            base_col = flat_offset(da, multi) * dv
-            for w in range(dv):
-                col = base_col + w
-                for i1 in range(da):
-                    rbase = flat_offset(da, (i1,) + multi) * dv
-                    lm = self.m.left[i1]
-                    for v in range(dv):
-                        val = lm.at(v, w)
-                        if val:
-                            out[rbase + v, col] = out.get((rbase + v, col), 0) + val
-                for slot in range(1, n + 1):
-                    sign = Fraction(-1 if slot % 2 else 1)
-                    target = multi[slot - 1]
-                    for pi in range(da):
-                        crow = self.a.c[pi]
-                        for qi in range(da):
-                            cv = crow[qi][target]
-                            if cv:
-                                out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
-                                row = flat_offset(da, out_multi) * dv + w
-                                out[row, col] = out.get((row, col), 0) + sign * cv
-                for t in range(da):
-                    rbase = flat_offset(da, multi + (t,)) * dv
-                    rm = self.m.right[t]
-                    for v in range(dv):
-                        val = rm.at(v, w)
-                        if val:
-                            out[rbase + v, col] = out.get((rbase + v, col), 0) + sign_last * val
-        self._delta[n] = Matrix(rows, cols, out)
+        ida, idv = Matrix.identity(da), Matrix.identity(dv)
+        mu = Matrix.from_rows([row for plane in self.a.c for row in plane])
+        right = functools.reduce(Matrix.vstack, self.m.right)
+        self._delta[n] = kron_sum(
+            [(1, [Matrix(da, 1, {(i, 0): 1}), *[ida] * n, lm]) for i, lm in enumerate(self.m.left)]
+            + [((-1) ** s, [*[ida] * (s - 1), mu, *[ida] * (n - s), idv]) for s in range(1, n + 1)]
+            + [((-1) ** (n + 1), [*[ida] * n, right])])
         return self._delta[n]
 
     def partial(self, n: int) -> Matrix:

@@ -1,15 +1,18 @@
 """Exact rational linear algebra over fractions.Fraction.
 
 A Matrix stores only its nonzero entries, in a dict from (row, col) to
-Fraction, and is immutable by convention; from_rows, to_rows, row_list
-and col_list are the dense boundary.  One sparse row echelon serves rank,
-rref, kernel_basis and solve: it pivots each row on its leftmost nonzero
-column and keeps every pivot row fully reduced, so its rows are the
-unique reduced row echelon form.  Kernel bases and solutions read those
-rows and are canonical: the kernel is a sparse matrix with one column per
-free coordinate, carrying a 1 there and 0 in the other free coordinates.
-kron_sum adds Kronecker products built from the nonzeros of their factors
-only.
+an int if the entry is integral and else a Fraction, so products,
+Kronecker sums and eliminations of integral matrices run on ints.
+Fraction is the public boundary: at, row_list, col_list, to_rows, apply,
+rref and solve return Fractions.  A Matrix is immutable by convention;
+from_rows, to_rows, row_list and col_list are the dense boundary.  One
+sparse row echelon serves rank, rref, kernel_basis and solve: it pivots
+each row on its leftmost nonzero column and keeps every pivot row fully
+reduced, so its rows are the unique reduced row echelon form.  Kernel
+bases and solutions read those rows and are canonical: the kernel is a
+sparse matrix with one column per free coordinate, carrying a 1 there
+and 0 in the other free coordinates.  kron_sum adds Kronecker products
+built from the nonzeros of their factors only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,18 @@ from math import prod
 from .errors import InputError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+Entry = int | Fraction  # a stored value: an int, or a Fraction with denominator > 1
+
+
+def _q(x) -> Fraction:
+    """A stored value (or any rational) as a Fraction."""
+    return x if x.__class__ is Fraction else Fraction(x)
+
+
+def _canon(x) -> Entry:
+    """x in stored form: an int if it is integral, else a Fraction."""
+    x = x if x.__class__ is int else _q(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def qstr(x: Fraction) -> str:
@@ -43,20 +57,22 @@ def parse_q(text) -> Fraction:
 
 
 class Matrix:
-    """Sparse rational matrix: entries maps (i, j) to a nonzero Fraction."""
+    """Sparse rational matrix: entries maps (i, j) to a nonzero Entry, one form per value."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction]):
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Entry]):
         if rows < 0 or cols < 0:
             raise InputError(f"negative shape {rows}x{cols}")
-        if any(not (0 <= i < rows and 0 <= j < cols) for i, j in entries):
-            raise InputError(f"entry index outside {rows}x{cols}")
-        if not all(entries.values()):
-            entries = {ij: x for ij, x in entries.items() if x}
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        canon = {}
+        for ij, x in entries.items():
+            i, j = ij
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"entry index outside {rows}x{cols}")
+            x = x if x.__class__ is int else _canon(x)
+            if x:
+                canon[ij] = x
+        self.rows, self.cols, self.entries = rows, cols, canon
 
     @classmethod
     def from_rows(cls, data) -> "Matrix":
@@ -67,34 +83,32 @@ class Matrix:
         for i, r in enumerate(data):
             if len(r) != cols:
                 raise InputError("ragged rows")
-            for j, x in enumerate(r):
-                if x:
-                    entries[i, j] = Fraction(x)
+            entries.update(((i, j), x) for j, x in enumerate(r) if x)
         return cls(rows, cols, entries)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, {})
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), _ZERO)
+        return _q(self.entries.get((i, j), _ZERO))
 
     def row_list(self, i: int) -> list[Fraction]:
-        return [self.entries.get((i, j), _ZERO) for j in range(self.cols)]
+        return [_q(self.entries.get((i, j), _ZERO)) for j in range(self.cols)]
 
     def col_list(self, j: int) -> list[Fraction]:
-        return [self.entries.get((i, j), _ZERO) for i in range(self.rows)]
+        return [_q(self.entries.get((i, j), _ZERO)) for i in range(self.rows)]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row_list(i) for i in range(self.rows)]
 
-    def _row_dicts(self) -> dict[int, dict[int, Fraction]]:
-        """Row index -> {col: value} for the rows that have a nonzero."""
-        out: dict[int, dict[int, Fraction]] = {}
+    def _row_dicts(self) -> dict[int, dict[int, Entry]]:
+        """Row index -> {col: stored value} for the rows that have a nonzero."""
+        out: dict[int, dict[int, Entry]] = {}
         for (i, j), x in self.entries.items():
             out.setdefault(i, {})[j] = x
         return out
@@ -116,9 +130,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, out)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        if not c:
-            return Matrix.zeros(self.rows, self.cols)
+        c = _canon(c)
         return Matrix(self.rows, self.cols, {ij: c * x for ij, x in self.entries.items()})
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -127,7 +139,7 @@ class Matrix:
         right = other._row_dicts()
         out = {}
         for i, row in self._row_dicts().items():
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Entry] = {}
             for k, a in row.items():
                 for j, b in right.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + a * b
@@ -186,9 +198,7 @@ def from_cols(cols: list[list[Fraction]]) -> Matrix:
     for j, c in enumerate(cols):
         if len(c) != n:
             raise InputError("ragged columns")
-        for i, x in enumerate(c):
-            if x:
-                entries[i, j] = Fraction(x)
+        entries.update(((i, j), x) for i, x in enumerate(c) if x)
     return Matrix(n, len(cols), entries)
 
 
@@ -209,7 +219,7 @@ def kron_sum(terms) -> Matrix:
     rows, cols = shapes.pop()
     out = {}
     for c, mats in terms:
-        products = [(0, 0, Fraction(c))]
+        products = [(0, 0, _canon(c))]
         for m in mats:
             products = [(i * m.rows + k, j * m.cols + l, a * b)
                         for i, j, a in products for (k, l), b in m.entries.items()]
@@ -218,7 +228,7 @@ def kron_sum(terms) -> Matrix:
     return Matrix(rows, cols, out)
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fraction]) -> None:
+def _subtract(row: dict[int, Entry], f: Entry, pivot_row: dict[int, Entry]) -> None:
     """row -= f * pivot_row, in place, storing no zero."""
     for j, x in pivot_row.items():
         y = row.get(j, 0) - f * x
@@ -228,7 +238,7 @@ def _subtract(row: dict[int, Fraction], f: Fraction, pivot_row: dict[int, Fracti
             del row[j]
 
 
-def _echelon(m: Matrix) -> dict[int, dict[int, Fraction]]:
+def _echelon(m: Matrix) -> dict[int, dict[int, Entry]]:
     """Reduced row echelon form of m as {pivot column: reduced row}.
 
     Each row of m is reduced by the pivot rows found so far; if anything
@@ -237,7 +247,7 @@ def _echelon(m: Matrix) -> dict[int, dict[int, Fraction]]:
     therefore zero in every other pivot column, and the pivot rows are
     the nonzero rows of the unique RREF.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, Entry]] = {}
     for _, row in sorted(m._row_dicts().items()):
         # a pivot row is zero in the other pivot columns, so subtracting it
         # leaves the other pivot entries of row as they were
@@ -246,8 +256,8 @@ def _echelon(m: Matrix) -> dict[int, dict[int, Fraction]]:
         if not row:
             continue
         lead = min(row)
-        inv = 1 / row[lead]
-        row = {j: inv * x for j, x in row.items()}
+        inv = _canon(Fraction(1, row[lead]))
+        row = {j: _canon(inv * x) for j, x in row.items()}
         for other in pivots.values():
             f = other.get(lead)
             if f:
@@ -267,7 +277,7 @@ def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     pivots = _echelon(m)
     order = sorted(pivots)
-    rows = [[pivots[p].get(j, _ZERO) for j in range(m.cols)] for p in order]
+    rows = [[_q(pivots[p].get(j, _ZERO)) for j in range(m.cols)] for p in order]
     rows += [[_ZERO] * m.cols for _ in range(m.rows - len(order))]
     return rows, order
 
@@ -281,7 +291,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     pivots = _echelon(m)
     free = [f for f in range(m.cols) if f not in pivots]
     col_of = {f: k for k, f in enumerate(free)}
-    entries = {(f, k): _ONE for f, k in col_of.items()}
+    entries = {(f, k): 1 for f, k in col_of.items()}
     # off its pivot, a reduced row is nonzero only in free columns
     for p, row in pivots.items():
         for f, x in row.items():
@@ -299,7 +309,7 @@ def solve(m: Matrix, b: list[Fraction]) -> list[Fraction] | None:
         return None
     x = [_ZERO] * m.cols
     for p, row in pivots.items():
-        x[p] = row.get(m.cols, _ZERO)
+        x[p] = _q(row.get(m.cols, _ZERO))
     return x
 
 

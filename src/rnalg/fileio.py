@@ -17,7 +17,7 @@ from .algebra import Algebra, AssociativityReport, IdentityReport
 from .cohomology import CohomologyResult
 from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
                           TruncatedDeformation)
-from .errors import InputError
+from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exactlin import Matrix, parse_q, qstr
 from .polysys import (EnumerationResult, GroebnerResult, LinearReduction,
                       MPoly, PolySystem)
@@ -120,6 +120,9 @@ def load_algebra(data) -> Algebra:
     dim = _require(data, "dim", "algebra")
     if not _is_int(dim) or dim < 0:
         raise InputError("algebra: dim must be a nonnegative integer")
+    if dim ** 3 > DEFAULT_BUDGET:  # a fixed cap: from_sparse allocates all of them
+        raise BudgetError(f"algebra load stage: dim {dim} needs {dim ** 3} structure constants, "
+                          f"cap {DEFAULT_BUDGET}")
     triples = []
     for entry in _require_list(data, "c", "algebra"):
         if not isinstance(entry, list) or len(entry) != 4:

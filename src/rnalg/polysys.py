@@ -19,7 +19,7 @@ from operator import add, le, sub
 
 from .algebra import (Algebra, OperatorKind, _component_identities,
                       identity_residual)
-from .errors import BudgetError, InputError, resolve_budget
+from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
 from .exactlin import Matrix
 
 ENUM_PRIMES = (2, 3, 5)
@@ -280,10 +280,13 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
     coordinate.  Coefficients are those the structure constants and the
     weight give, neither normalized nor pruned.
     """
-    if not a.is_associative():
-        raise InputError("algebra is not associative")
     dim = a.dim
     n = dim * dim
+    if dim ** 5 > DEFAULT_BUDGET:  # a fixed cap: the budget bounds the later stages
+        raise BudgetError(f"identity system stage: dim {dim} needs {dim ** 5} coefficients "
+                          f"(dim^3 residuals x dim^2 unknowns), cap {DEFAULT_BUDGET}")
+    if not a.is_associative():
+        raise InputError("algebra is not associative")
     cols = _sym_columns(dim)
     basis = [[MPoly.const(n, 1 if r == i else 0) for r in range(dim)] for i in range(dim)]
     mul = functools.partial(_sym_mult, a)

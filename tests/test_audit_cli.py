@@ -28,7 +28,7 @@ from rnalg.errors import InputError
 from rnalg.exactlin import Matrix
 from rnalg.algebra import parse_kind
 from rnalg.polysys import build_identity_system
-from rnalg.representation import regular_representation
+from rnalg.representation import Bimodule, regular_representation
 
 Q = Fraction
 CAT = catalog()
@@ -450,6 +450,29 @@ def test_cli_mod_budget_caps_the_nodes_visited(files, capsys, monkeypatch):
     assert "budget exhausted: mod-p enumeration stage: 50001 nodes visited, cap 50000" in err
 
 
+def test_cli_refuses_oversized_algebras_before_building(files, capsys, monkeypatch):
+    # fixed caps that the budget does not move: dim^3 structure constants when
+    # the file is loaded, dim^5 residual coefficients before the identity system
+    monkeypatch.setenv("RN_BUDGET", str(10 ** 12))
+    huge, zero32 = str(files["dir"] / "huge.json"), str(files["dir"] / "zero32.json")
+    fileio.write_json(huge, {"dim": 100000, "c": []})
+    fileio.write_json(zero32, {"dim": 32, "c": []})
+    for argv in (["check-assoc", huge], ["--budget", str(10 ** 12), "check-assoc", huge]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert ("budget exhausted: algebra load stage: dim 100000 needs "
+                "1000000000000000 structure constants, cap 50000") in err
+    for argv in (["solve", zero32, "--kind", "rn", "--mod", "2"],
+                 ["--budget", str(10 ** 12), "solve", zero32, "--kind", "rn"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert ("budget exhausted: identity system stage: dim 32 needs 33554432 "
+                "coefficients (dim^3 residuals x dim^2 unknowns), cap 50000") in err
+    # every catalog algebra is admitted by both
+    for name, a in CAT.items():
+        assert build_identity_system(fileio.load_algebra(fileio.dump_algebra(a)), parse_kind("rn"))
+
+
 def test_cli_budget_env_variable(files, capsys, monkeypatch):
     monkeypatch.setenv("RN_BUDGET", "1")
     code, _, _ = _run(capsys, ["cohomology", files["leftunit2"], files["zero2"],
@@ -520,10 +543,10 @@ def _mutated(draw, value):
     return value
 
 
-# integer headers: bools, strings, floats and signs; algebra dims stay <= 3, since
-# an algebra allocates dim^3 structure constants before any check
+# integer headers: bools, strings, floats, signs and dims past the load cap
 _FUZZ_HEADERS = {"order": _FUZZ_ORDERS,
-                 "dim": st.sampled_from([2, 2, 2, 3, 1, 0, -1, True, False, "2", 2.0, None])}
+                 "dim": st.sampled_from([2, 2, 2, 3, 1, 0, -1, True, False, "2", 2.0, None,
+                                         10 ** 5, 10 ** 9])}
 
 
 def _fuzzed(doc, edges=_FUZZ_EDGES, headers=_FUZZ_HEADERS):
@@ -561,6 +584,7 @@ _FUZZ_ALGEBRA_EDGES = [
     [], 5, {}, {"dim": 2}, {"c": []}, {"dim": 3, "c": []}, {"dim": 1, "c": [[0, 0, 0, "1"]]},
     {"dim": 2, "c": [[0, 0, 0]]}, {"dim": 2, "c": [[0, 0, 2, "1"]]},
     {"dim": 2, "c": [[0, 0, 0, "1/0"]]}, {"dim": 2, "c": [], "basis": ["a"]},
+    {"dim": 10 ** 5, "c": []}, {"dim": 10 ** 9, "c": [[0, 0, 0, "1"]]}, {"dim": 32, "c": []},
 ]
 _FUZZ_OPERATOR_EDGES = [
     [], 5, {}, [[0, 1], [0, 0]], [[0, 1], [0]], [[0, 1]], [[]], {"dim": 10 ** 9, "matrix": [[0]]},
@@ -589,4 +613,44 @@ def test_cli_survives_malformed_algebra_and_operator_files(case):
             argv = ["solve", a, "--kind", "rn", "--mod", "2"]
         else:
             argv = ["check-op", a, o, "--kind", "rn"]
+        assert main(argv) in (0, 1, 2, 3)
+
+
+_FUZZ_BIMODULE = fileio.dump_bimodule(Bimodule(
+    2, [operator([[1, 0], [0, 1]]), operator([[0, 0], [0, 0]])],
+    [operator([[1, 0], [0, 0]]), operator([[0, 0], [1, 0]])], xi=operator([[0, 0], [1, 0]])))
+_FUZZ_BIMODULE_EDGES = [
+    [], 5, {}, {"dimV": 2}, {"l": [], "r": []}, {"dimV": 0, "l": [], "r": []},
+    {"dimV": 0, "l": [[[]], [[]]], "r": [[[]], [[]]], "xi": [[]]},
+    {"dimV": 1, "l": [[["1"]]], "r": [[["1"]]], "xi": [["1"]]},
+    {**_FUZZ_BIMODULE, "xi": None}, {**_FUZZ_BIMODULE, "xi": [["1", "0"]]},
+    {**_FUZZ_BIMODULE, "rho": [["0", "0"], ["0", "1/0"]]},
+    {**_FUZZ_BIMODULE, "dimV": 10 ** 9},
+    {**_FUZZ_BIMODULE, "l": _FUZZ_BIMODULE["l"][:1]},
+    {**_FUZZ_BIMODULE, "r": _FUZZ_BIMODULE["r"] + _FUZZ_BIMODULE["r"][:1]},
+]
+# mostly the right dimV, so that mutated actions reach the checks and the complex
+_FUZZ_BIMODULE_HEADERS = {"dimV": st.sampled_from([2] * 8 + [1, 3, 0, -1, True, "2", 2.0,
+                                                             None, 10 ** 9])}
+
+
+def _one_field_fuzzed(doc, headers):
+    """doc with one field fuzzed as _fuzzed fuzzes it and the others kept."""
+    return st.sampled_from(sorted(doc)).flatmap(
+        lambda k: _fuzzed({k: doc[k]}, [{}], headers).map(lambda part: {**doc, **part}))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["check-rep", "cohomology"]),
+       st.one_of(_fuzzed(_FUZZ_BIMODULE, _FUZZ_BIMODULE_EDGES, _FUZZ_BIMODULE_HEADERS),
+                 _one_field_fuzzed(_FUZZ_BIMODULE, _FUZZ_BIMODULE_HEADERS)))
+def test_cli_survives_malformed_bimodule_files(command, bimodule):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("a", _FUZZ_ALGEBRA), ("o", _FUZZ_OPERATOR), ("m", bimodule)):
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, paths["a"], paths["o"], "--rep", paths["m"]]
+        if command == "cohomology":
+            argv += ["--max-degree", "2"]
         assert main(argv) in (0, 1, 2, 3)

@@ -8,11 +8,12 @@ from fractions import Fraction
 
 import pytest
 
+from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten_map
+from rnalg.cohomology import ComplexBuilder, cohomology_dims, flat_offset, flatten_map
 from rnalg.errors import BudgetError
 from rnalg.exactlin import Matrix, rank
-from rnalg.representation import regular_representation
+from rnalg.representation import Bimodule, check_bimodule, regular_representation
 
 CAT = catalog()
 
@@ -62,6 +63,77 @@ def test_delta_anchor_degree_zero_on_leftunit2():
             expect = [x - y for x, y in zip(a.multiply(a.basis_vector(i), v),
                                             a.multiply(v, a.basis_vector(i)))]
             assert image[i * 2:(i + 1) * 2] == expect
+
+
+def _naive_delta(b, n):
+    """delta_n by its index formula, one ambient column at a time.
+
+    Column (multi, w) gets l_i[v][w] at row ((i,) + multi, v), (-1)^s c[p][q][t]
+    at row (multi with its s-th index t replaced by p, q; w), and
+    (-1)^(n+1) r_t[v][w] at row (multi + (t,), v).
+    """
+    da, dv = b.a.dim, b.m.dim_v
+    out = {}
+    sign_last = Fraction(-1 if (n + 1) % 2 else 1)
+    for multi in itertools.product(range(da), repeat=n):
+        base_col = flat_offset(da, multi) * dv
+        for w in range(dv):
+            col = base_col + w
+            for i1 in range(da):
+                rbase = flat_offset(da, (i1,) + multi) * dv
+                lm = b.m.left[i1]
+                for v in range(dv):
+                    val = lm.at(v, w)
+                    if val:
+                        out[rbase + v, col] = out.get((rbase + v, col), 0) + val
+            for slot in range(1, n + 1):
+                sign = Fraction(-1 if slot % 2 else 1)
+                target = multi[slot - 1]
+                for pi in range(da):
+                    crow = b.a.c[pi]
+                    for qi in range(da):
+                        cv = crow[qi][target]
+                        if cv:
+                            out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
+                            row = flat_offset(da, out_multi) * dv + w
+                            out[row, col] = out.get((row, col), 0) + sign * cv
+            for t in range(da):
+                rbase = flat_offset(da, multi + (t,)) * dv
+                rm = b.m.right[t]
+                for v in range(dv):
+                    val = rm.at(v, w)
+                    if val:
+                        out[rbase + v, col] = out.get((rbase + v, col), 0) + sign_last * val
+    return Matrix(b.amb(n + 1), b.amb(n), out)
+
+
+def test_kronecker_delta_equals_index_formula_on_fixtures():
+    for name, ops in operator_fixtures().items():
+        a = CAT[name]
+        for label, p in ops:
+            b = ComplexBuilder(a, p, regular_representation(a, p))
+            for n in range(6 if name == "mat2" else 5):
+                assert b.delta(n).entries == _naive_delta(b, n).entries, (name, label, n)
+
+
+def test_kronecker_delta_equals_index_formula_on_non_integral_actions():
+    # the regular bimodule of leftunit2 in the basis T e_j: actions T^-1 l T
+    a = CAT["leftunit2"]
+    p = operator([[1, 0], [1, -1]])
+    t = operator([[1, 0], [1, 2]])
+    t_inv = Matrix.from_rows([[1, 0], [Fraction(-1, 2), Fraction(1, 2)]])
+    assert t_inv.mul(t) == Matrix.identity(2)
+    reg = regular_representation(a, p)
+    conj = [t_inv.mul(x).mul(t) for x in reg.left + reg.right + [p]]
+    m = Bimodule(2, conj[:2], conj[2:4], xi=conj[4])
+    assert check_bimodule(a, m).standard.passed
+    assert any(isinstance(x, Fraction) for y in m.left + m.right for x in y.entries.values())
+    b = ComplexBuilder(a, p, m)
+    for n in range(5):
+        want = _naive_delta(b, n)
+        assert b.delta(n).entries == want.entries, n
+        assert any(isinstance(x, Fraction) for x in want.entries.values()), n
+        assert b.delta(n + 1).mul(b.delta(n)).is_zero(), n
 
 
 def test_psi_is_identity_then_zero_at_identity_operator():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnalg.errors import InputError
-from rnalg.exactlin import (Matrix, basis_matrix, from_cols, kernel_basis,
+from rnalg.exactlin import (Matrix, _echelon, basis_matrix, from_cols, kernel_basis,
                             kron, kron_sum, parse_q, qstr, rank, rref, solve)
 
 
@@ -133,8 +133,13 @@ def _d_kron(a, b):
             for i in range(len(a)) for k in range(len(b))]
 
 
+def _canonical(x) -> bool:
+    """The one stored form: a nonzero int (not a bool), or a Fraction that is not integral."""
+    return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+
 def _assert_sparse(m: Matrix) -> None:
-    assert all(isinstance(x, Fraction) and x != 0 for x in m.entries.values())
+    assert all(_canonical(x) for x in m.entries.values())
     assert all(0 <= i < m.rows and 0 <= j < m.cols for i, j in m.entries)
 
 
@@ -176,6 +181,54 @@ def test_sparse_operations_equal_dense_oracle(data):
     again = Matrix(a.rows, a.cols, dict(reversed(list(a.entries.items()))))
     assert again.eq(a) and again == a and hash(again) == hash(a)
     assert a.transpose().transpose() == a and hash(a.transpose().transpose()) == hash(a)
+
+
+# non-unit pivots: 1 / lead on an int lead would be a float
+_pivot_q = st.sampled_from([Fraction(0), Fraction(0), Fraction(2), Fraction(-3),
+                            Fraction(1, 2), Fraction(1), Fraction(-1)])
+
+
+def _all_fractions(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrix_strategy(5, max_rows=6, entries=_pivot_q), st.randoms(use_true_random=False))
+def test_integral_storage_keeps_fraction_boundary_and_no_float(rows, rng):
+    m = Matrix.from_rows(rows)
+    _assert_sparse(m)
+    assert m.to_rows() == rows
+    x = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(m.cols)]
+    b = m.apply(x)
+    reduced, pivots = rref(m)
+    got = solve(m, b)
+    kernel = kernel_basis(m)
+    _assert_sparse(kernel)
+    # the echelon rows are the private working storage of every solver
+    assert not any(isinstance(v, float) for row in _echelon(m).values() for v in row.values())
+    assert rank(m) == len(pivots)
+    assert (reduced, pivots) == _naive_rref(rows)
+    assert got is not None and m.apply(got) == b
+    for values in (b, got, [m.at(i, j) for i in range(m.rows) for j in range(m.cols)],
+                   *m.to_rows(), *reduced, *(m.row_list(i) for i in range(m.rows)),
+                   *(m.col_list(j) for j in range(m.cols)),
+                   *(kernel.col_list(j) for j in range(kernel.cols))):
+        assert _all_fractions(values)
+
+
+def test_constructor_stores_each_value_in_one_form():
+    m = Matrix(2, 3, {(0, 0): Fraction(4, 2), (0, 1): True, (0, 2): Fraction(1, 3),
+                      (1, 0): 0.5, (1, 1): "-6/3", (1, 2): Fraction(0)})
+    assert m.entries == {(0, 0): 2, (0, 1): 1, (0, 2): Fraction(1, 3),
+                         (1, 0): Fraction(1, 2), (1, 1): -2}
+    _assert_sparse(m)
+    assert m == Matrix.from_rows([[2, 1, Fraction(1, 3)], [Fraction(1, 2), -2, 0]])
+    assert _all_fractions(m.row_list(0)) and type(m.at(0, 0)) is Fraction
+    # a product of non-integral entries that is integral is stored as an int
+    half = Matrix.from_rows([[Fraction(1, 2)]])
+    assert half.scale(2).entries == {(0, 0): 1} and half.mul(half.scale(4)).entries == {(0, 0): 1}
+    _assert_sparse(kron_sum([(Fraction(2, 3), [half, Matrix.identity(2)]),
+                             (Fraction(2, 3), [half, Matrix.identity(2)])]))
 
 
 def test_constructor_refuses_bad_shapes_and_keys():
