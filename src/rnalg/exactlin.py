@@ -32,8 +32,13 @@ def _q(x) -> Fraction:
 
 
 def _canon(x) -> Entry:
-    """x in stored form: an int if it is integral, else a Fraction."""
-    x = x if x.__class__ is int else _q(x)
+    """x in stored form: an int if it is integral, else a Fraction.  Refuses floats and bools."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        if isinstance(x, (float, bool)):
+            raise InputError(f"not an exact rational: {x!r}")
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 

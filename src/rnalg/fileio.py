@@ -225,7 +225,11 @@ def load_polynomials(data) -> tuple[list[str], list[MPoly]]:
             exps, coef = entry
             if len(_list(exps, "polynomial system exponents")) != nv:
                 raise InputError("polynomial system: exponent tuple length != variable count")
-            terms[tuple(int(e) for e in exps)] = parse_q(coef)
+            if not all(_is_int(e) and e >= 0 for e in exps):
+                raise InputError(f"polynomial system: exponents {exps} are not all ints >= 0")
+            if tuple(exps) in terms:
+                raise InputError(f"polynomial system: exponent tuple {exps} repeated")
+            terms[tuple(exps)] = parse_q(coef)
         polys.append(MPoly(nv, terms))
     return list(variables), polys
 

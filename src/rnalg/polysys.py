@@ -6,6 +6,11 @@ lexicographic order (grevlex) unless stated otherwise.  Every emitted
 polynomial is normalized: integer coefficients with content 1 and a
 positive leading coefficient, so zero sets are unchanged and fixtures are
 byte-reproducible.
+
+Coefficients are stored as exactlin stores matrix entries: an int if the
+value is integral and a Fraction only if it is not, so systems with
+integral coefficients run on ints.  Every true division goes through
+_quo, which divides exactly, so no float is ever made.
 """
 
 from __future__ import annotations
@@ -15,28 +20,39 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .algebra import (Algebra, OperatorKind, _component_identities,
                       identity_residual)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
-from .exactlin import Matrix
+from .exactlin import Entry, Matrix, _canon
 
 ENUM_PRIMES = (2, 3, 5)
 
 
+def _quo(a: Entry, b: Entry) -> Entry:
+    """a / b in stored form, exactly."""
+    return _canon(Fraction(a, b))
+
+
 def grevlex_key(mono: tuple[int, ...]):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, mono[::-1])))
 
 
 class MPoly:
-    """Sparse polynomial over Q: dict from exponent tuple to coefficient, never changed."""
+    """Sparse polynomial over Q, never changed.
+
+    terms maps each exponent tuple to a nonzero coefficient in stored form
+    (an int, or a Fraction with denominator > 1); the constructor puts every
+    value in that form and refuses floats and bools.
+    """
 
     __slots__ = ("nvars", "terms", "_lm")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self.terms = {m: v for m, c in (terms or {}).items()
+                      if (v := c if c.__class__ is int else _canon(c))}
         self._lm = None
 
     @classmethod
@@ -45,13 +61,12 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
-        c = Fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, i: int, power: int = 1) -> "MPoly":
         mono = tuple(power if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
+        return cls(nvars, {mono: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -59,13 +74,13 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return MPoly(self.nvars, out)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
+            out[m] = out.get(m, 0) - c
         return MPoly(self.nvars, out)
 
     def __neg__(self) -> "MPoly":
@@ -75,20 +90,20 @@ class MPoly:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                out[m] = out.get(m, 0) + c1 * c2
         return MPoly(self.nvars, out)
 
     def scale(self, c) -> "MPoly":
-        c = Fraction(c)
+        c = _canon(c)
         if not c:
             return MPoly(self.nvars)
         return MPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
 
-    def mul_term(self, mono: tuple[int, ...], coeff: Fraction) -> "MPoly":
+    def mul_term(self, mono: tuple[int, ...], coeff: Entry) -> "MPoly":
         if not coeff:
             return MPoly(self.nvars)
-        return MPoly(self.nvars, {tuple(a + b for a, b in zip(m, mono)): c * coeff
+        return MPoly(self.nvars, {tuple(map(add, m, mono)): c * coeff
                                   for m, c in self.terms.items()})
 
     def total_degree(self) -> int:
@@ -101,13 +116,13 @@ class MPoly:
             self._lm = max(self.terms, key=grevlex_key)
         return self._lm
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Entry:
         return self.terms[self.leading_monomial()]
 
     def monic(self) -> "MPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.leading_coeff())
+        return self.scale(_quo(1, self.leading_coeff()))
 
     def normalized(self) -> "MPoly":
         """Integer coefficients, content 1, positive leading coefficient."""
@@ -115,10 +130,8 @@ class MPoly:
             return self
         den = lcm(*(c.denominator for c in self.terms.values()))
         num = gcd(*(c.numerator for c in self.terms.values()))
-        factor = Fraction(den, num)
-        if self.leading_coeff() < 0:
-            factor = -factor
-        return self.scale(factor)
+        factor = _quo(den if self.leading_coeff() > 0 else -den, num)
+        return self if factor == 1 else self.scale(factor)
 
     def evaluate(self, point: list[Fraction]) -> Fraction:
         if len(point) != self.nvars:
@@ -150,7 +163,7 @@ class MPoly:
                              for m, c in self.terms.items()),
                             key=lambda t: grevlex_key(t[0]), reverse=True))
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Entry]]:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def __eq__(self, other):
@@ -411,7 +424,7 @@ def reduce_poly(f: MPoly, basis: list[MPoly]) -> MPoly:
             remainder[lm] = lc
             continue
         gm, gc, g = hit
-        q, c = _mono_div(lm, gm), lc / gc
+        q, c = _mono_div(lm, gm), _quo(lc, gc)
         for m, v in g.terms.items():
             if m != gm:
                 m = tuple(map(add, m, q))
@@ -424,8 +437,8 @@ def reduce_poly(f: MPoly, basis: list[MPoly]) -> MPoly:
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     fm, gm = f.leading_monomial(), g.leading_monomial()
     l = _mono_lcm(fm, gm)
-    return (f.mul_term(_mono_div(l, fm), 1 / f.leading_coeff())
-            - g.mul_term(_mono_div(l, gm), 1 / g.leading_coeff()))
+    return (f.mul_term(_mono_div(l, fm), _quo(1, f.leading_coeff()))
+            - g.mul_term(_mono_div(l, gm), _quo(1, g.leading_coeff())))
 
 
 def groebner_basis(polys: list[MPoly], budget: int | None = None) -> GroebnerResult:
@@ -518,7 +531,7 @@ def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int
     compiled = []
     for poly in polys:
         terms = []
-        for m, c in poly.sorted_terms():
+        for m, c in poly.terms.items():
             cm = c.numerator * pow(c.denominator, -1, p) % p
             if cm:
                 terms.append((cm, tuple(i for i, ex in enumerate(m) for _ in range(ex))))
@@ -669,7 +682,7 @@ def linear_reduce(polys: list[MPoly]) -> LinearReduction:
         lm = target.leading_monomial()
         var = next(i for i, e in enumerate(lm) if e)
         lc = target.terms[lm]
-        rhs = (MPoly(nv, {lm: lc}) - target).scale(1 / lc)
+        rhs = (MPoly(nv, {lm: lc}) - target).scale(_quo(1, lc))
         images = [MPoly.var(nv, i) for i in range(nv)]
         images[var] = rhs
         constraints = {v: r.compose(images, nv) for v, r in constraints.items()}

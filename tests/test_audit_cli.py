@@ -211,6 +211,17 @@ def test_polynomial_round_trip():
             fileio.load_polynomials(bad)
 
 
+@pytest.mark.parametrize("terms", [
+    [[["a"], "1"]], [[[1.5], "1"]], [[[-2], "1"]], [[[True], "1"]], [[[None], "1"]],
+    [[[2], "1"], [[2], "3"]],  # a repeated exponent tuple would overwrite the first term
+], ids=["string", "float", "negative", "bool", "null", "repeated"])
+def test_load_polynomials_refuses_bad_exponents(terms):
+    with pytest.raises(InputError):
+        fileio.load_polynomials({"variables": ["x"], "polynomials": [terms]})
+    good = {"variables": ["x"], "polynomials": [[[[2], "1"], [[0], "-3/2"]]]}
+    assert fileio.load_polynomials(good)[1][0].terms == {(2,): 1, (0,): Fraction(-3, 2)}
+
+
 def test_read_json_wraps_parse_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

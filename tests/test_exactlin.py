@@ -217,8 +217,8 @@ def test_integral_storage_keeps_fraction_boundary_and_no_float(rows, rng):
 
 
 def test_constructor_stores_each_value_in_one_form():
-    m = Matrix(2, 3, {(0, 0): Fraction(4, 2), (0, 1): True, (0, 2): Fraction(1, 3),
-                      (1, 0): 0.5, (1, 1): "-6/3", (1, 2): Fraction(0)})
+    m = Matrix(2, 3, {(0, 0): Fraction(4, 2), (0, 1): Fraction(3, 3), (0, 2): Fraction(1, 3),
+                      (1, 0): Fraction(2, 4), (1, 1): "-6/3", (1, 2): Fraction(0)})
     assert m.entries == {(0, 0): 2, (0, 1): 1, (0, 2): Fraction(1, 3),
                          (1, 0): Fraction(1, 2), (1, 1): -2}
     _assert_sparse(m)
@@ -229,6 +229,15 @@ def test_constructor_stores_each_value_in_one_form():
     assert half.scale(2).entries == {(0, 0): 1} and half.mul(half.scale(4)).entries == {(0, 0): 1}
     _assert_sparse(kron_sum([(Fraction(2, 3), [half, Matrix.identity(2)]),
                              (Fraction(2, 3), [half, Matrix.identity(2)])]))
+
+
+def test_constructor_refuses_floats_and_bools():
+    # a float is not an exact value, and 0.1 would be stored as 3602879701896397/36028797018963968
+    for x in (0.1, 0.5, 2.0, 0.0, True, False):
+        with pytest.raises(InputError, match="not an exact rational"):
+            Matrix(1, 1, {(0, 0): x})
+    with pytest.raises(InputError):
+        Matrix.identity(2).scale(0.5)
 
 
 def test_constructor_refuses_bad_shapes_and_keys():

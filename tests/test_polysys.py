@@ -24,6 +24,13 @@ from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals
 CAT = catalog()
 
 
+def _assert_stored_form(polys) -> None:
+    """Every coefficient is an int or a Fraction with denominator > 1: no float, no n/1."""
+    for p in polys:
+        for c in p.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c)
+
+
 def test_mpoly_binomial_square():
     x = MPoly.var(2, 0)
     y = MPoly.var(2, 1)
@@ -31,6 +38,21 @@ def test_mpoly_binomial_square():
     rhs = x * x + x * y * MPoly.const(2, 2) + y * y
     assert lhs == rhs
     assert lhs.format(["x", "y"]) == "x^2 + 2*x*y + y^2"
+
+
+def test_mpoly_stores_each_coefficient_in_one_form():
+    p = MPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): Fraction(0), (2, 0): 5})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3), (2, 0): 5}
+    _assert_stored_form([p, p.monic(), p.scale(3), p * p, MPoly.const(2, Fraction(6, 3))])
+
+
+def test_mpoly_refuses_floats_and_bools():
+    # a float is not an exact value: 0.5 would be stored as the float 0.5
+    for c in (0.5, 2.0, 0.0, True, False):
+        with pytest.raises(InputError, match="not an exact rational"):
+            MPoly(1, {(1,): c})
+    with pytest.raises(InputError):
+        MPoly.var(1, 0).scale(0.5)
 
 
 def test_mpoly_normalized_strips_content_and_sign():
@@ -166,7 +188,7 @@ def _grevlex(m: tuple[int, ...]):
 def _monic(terms: dict) -> tuple:
     """The (monomial, coefficient) pairs, sorted, divided by the grevlex leading coefficient."""
     lc = terms[max(terms, key=_grevlex)]
-    return tuple(sorted((m, c / lc) for m, c in terms.items()))
+    return tuple(sorted((m, Fraction(c) / lc) for m, c in terms.items()))
 
 
 def _sympy_basis(system) -> set:
@@ -213,7 +235,7 @@ def _naive_normal_form(f: MPoly, basis: list[MPoly]) -> MPoly:
             gm = _naive_lm(g)
             if all(a <= b for a, b in zip(gm, lm)):
                 q = [b - a for a, b in zip(gm, lm)]
-                c = work[lm] / g.terms[gm]
+                c = Fraction(work[lm]) / g.terms[gm]
                 for m, v in g.terms.items():
                     m = tuple(a + b for a, b in zip(m, q))
                     work[m] = work.get(m, 0) - c * v
@@ -235,8 +257,8 @@ def _naive_groebner(polys: list[MPoly]) -> list[MPoly]:
         f, g = basis[i], basis[j]
         fm, gm = _naive_lm(f), _naive_lm(g)
         l = tuple(max(a, b) for a, b in zip(fm, gm))
-        s = (f.mul_term(tuple(a - b for a, b in zip(l, fm)), 1 / f.terms[fm])
-             - g.mul_term(tuple(a - b for a, b in zip(l, gm)), 1 / g.terms[gm]))
+        s = (f.mul_term(tuple(a - b for a, b in zip(l, fm)), Fraction(1) / f.terms[fm])
+             - g.mul_term(tuple(a - b for a, b in zip(l, gm)), Fraction(1) / g.terms[gm]))
         r = _naive_normal_form(s, basis)
         if not r.is_zero():
             pairs.extend((k, len(basis)) for k in range(len(basis)))
@@ -248,15 +270,14 @@ def _naive_groebner(polys: list[MPoly]) -> list[MPoly]:
             minimal = [h for h in minimal if not all(a <= b for a, b in zip(gm, _naive_lm(h)))]
             minimal.append(g)
     reduced = [_naive_normal_form(g, [h for h in minimal if h is not g]) for g in minimal]
-    return sorted((g.scale(1 / g.terms[_naive_lm(g)]) for g in reduced),
+    return sorted((g.scale(Fraction(1) / g.terms[_naive_lm(g)]) for g in reduced),
                   key=lambda g: _grevlex(_naive_lm(g)))
 
 
 @st.composite
-def _small_systems(draw):
+def _small_systems(draw, coeffs=st.integers(-3, 3).filter(bool)):
     nvars = draw(st.integers(2, 3))
     monos = [m for m in itertools.product(range(3), repeat=nvars) if sum(m) <= 2]
-    coeffs = st.integers(-3, 3).filter(bool)
     polys = draw(st.lists(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1,
                                           max_size=4), min_size=2, max_size=4))
     return [MPoly(nvars, {m: Fraction(c) for m, c in p.items()}) for p in polys]
@@ -268,6 +289,18 @@ def test_groebner_basis_equals_naive_buchberger(polys):
     result = groebner_basis(polys)
     assert result.complete
     assert result.basis == _naive_groebner(polys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_systems(st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+                      .filter(bool)))
+def test_groebner_basis_with_halves_and_thirds_equals_naive_buchberger(polys):
+    result = groebner_basis(polys)
+    assert result.complete
+    assert result.basis == _naive_groebner(polys)
+    reduction = linear_reduce(polys)
+    _assert_stored_form(polys + result.basis + reduction.residual
+                        + [r for _, r in reduction.constraints])
 
 
 def test_enumeration_mod_2_on_pair3():
@@ -379,6 +412,38 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # no residuals: the first path down is n + 1 nodes deep
     with pytest.raises(BudgetError, match="1201 nodes visited, cap 1200"):
         _search_mod_p([], n, 2, 1200)
+
+
+def _halved(a: Algebra) -> Algebra:
+    """The algebra in the basis f_i = e_i / 2, where f_i f_j = sum_k c_ij^k f_k / 2."""
+    half = [[Fraction(int(i == j), 2) for j in range(a.dim)] for i in range(a.dim)]
+    return _change_basis(a, half, [[2 * int(i == j) for j in range(a.dim)] for i in range(a.dim)])
+
+
+LEFTUNIT2_HALVED = _halved(CAT["leftunit2"])
+
+
+def test_enumeration_with_non_integral_structure_constants_equals_the_full_scan():
+    a = LEFTUNIT2_HALVED
+    assert a.is_associative() and a.c[0][0][0] == Fraction(1, 2)
+    for kind in map(parse_kind, KINDS):
+        for p in (3, 5):
+            assert enumerate_mod_p(a, kind, p).solutions == _naive_mod_p(a, kind, p)
+        with pytest.raises(InputError, match="not defined mod 2"):
+            enumerate_mod_p(a, kind, 2)
+
+
+@pytest.mark.parametrize("name", [*CAT, "leftunit2-halved"])
+def test_systems_and_linear_reductions_keep_the_stored_form(name):
+    a = LEFTUNIT2_HALVED if name == "leftunit2-halved" else CAT[name]
+    for kind in map(parse_kind, KINDS):
+        raw = [e.poly for e in _raw_residuals(a, kind)]
+        system = build_identity_system(a, kind)
+        reduction = linear_reduce(system.polynomials())
+        _assert_stored_form(raw + system.polynomials() + reduction.residual
+                            + [r for _, r in reduction.constraints])
+        if a is LEFTUNIT2_HALVED:  # each structure constant is 0 or 1/2
+            assert all(type(c) is Fraction for p in raw for c in p.terms.values())
 
 
 def test_enumeration_rejects_non_prime_modulus():
