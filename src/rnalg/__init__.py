@@ -22,8 +22,8 @@ from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           order_residuals, rigidity_report,
                           same_cohomology_class, transport)
 from .errors import BudgetError, InputError
-from .exactlin import (Matrix, basis_matrix, from_cols, kernel_basis, kron,
-                       parse_q, qstr, rank, rref, solve)
+from .exactlin import (Matrix, from_cols, kernel_basis, kron, parse_q, qstr,
+                       rank, rref, solve)
 from .polysys import (MPoly, PolySystem, SymbolicMatrix, build_identity_system,
                       enumerate_mod_p, groebner_basis, linear_reduce,
                       verify_family)
@@ -39,7 +39,7 @@ __all__ = [
     "IdentityViolation", "InputError", "KIND_NIJENHUIS", "KIND_REYNOLDS",
     "KIND_RN", "MPoly", "Matrix", "OperatorKind", "PolySystem",
     "SymbolicMatrix", "TruncatedDeformation", "audit_report_dict",
-    "basis_matrix", "build_fixtures", "build_identity_system", "catalog",
+    "build_fixtures", "build_identity_system", "catalog",
     "check_associative", "check_bimodule", "check_deformation",
     "check_equivalence", "check_morphism", "check_operator",
     "check_rn_representation", "classify_square", "cohomology_dims",

@@ -1,9 +1,12 @@
 """Structure-constant algebras and operator identity checks.
 
-An algebra of dimension n is given by rational structure constants c with
-e_i * e_j = sum_k c[i][j][k] e_k.  Linear operators use the column
-convention P(e_j) = sum_i M[i][j] e_i, so applying the matrix to a
-coordinate vector is the ordinary matrix-vector product.
+An algebra of dimension n is given by its product mu: A (x) A -> A, stored
+once as the sparse n x n^2 Matrix whose column i n + j holds the
+coordinates of e_i * e_j, so e_i * e_j = sum_k mu[k][i n + j] e_k.  The
+dense cube c[i][j][k] = mu[k][i n + j] is a read-only view built on first
+use.  Linear operators use the column convention P(e_j) = sum_i M[i][j] e_i,
+so applying the matrix to a coordinate vector is the ordinary
+matrix-vector product.
 
 Identity checks evaluate on every ordered basis pair and report exact
 residual vectors; bilinearity makes basis pairs sufficient.
@@ -11,11 +14,12 @@ residual vectors; bilinearity makes basis pairs sufficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .exactlin import Matrix, basis_matrix, parse_q
+from .exactlin import Entry, Matrix, from_cols, kron_sum, parse_q
 
 REYNOLDS = "reynolds"
 NIJENHUIS = "nijenhuis"
@@ -81,47 +85,56 @@ def parse_kind(text: str) -> OperatorKind:
 
 
 class Algebra:
-    """Finite-dimensional algebra over Q given by structure constants."""
+    """Finite-dimensional algebra over Q given by its product matrix mu."""
 
-    def __init__(self, dim: int, c, basis: list[str] | None = None, name: str | None = None):
+    def __init__(self, dim: int, mu: Matrix, basis: list[str] | None = None,
+                 name: str | None = None):
         if dim < 1:
             raise InputError("dimension must be >= 1")
-        c = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in c)
-        if len(c) != dim or any(len(p) != dim or any(len(r) != dim for r in p) for p in c):
-            raise InputError("structure constants must be dim x dim x dim")
+        if not isinstance(mu, Matrix) or (mu.rows, mu.cols) != (dim, dim * dim):
+            raise InputError("product matrix must be dim x dim^2")
         if basis is not None and len(basis) != dim:
             raise InputError("basis label count != dim")
         self.dim = dim
-        self.c = c
+        self.mu = mu
         self.basis = list(basis) if basis else [f"e{i}" for i in range(dim)]
         self.name = name
         self._assoc: bool | None = None
 
     @classmethod
     def from_sparse(cls, dim: int, triples, basis=None, name=None) -> "Algebra":
-        """triples: iterable of (i, j, k, coeff) with e_i*e_j having coeff on e_k."""
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        """triples: iterable of (i, j, k, coeff) with e_i*e_j having coeff on e_k.
+
+        A repeated (i, j, k) keeps its last coefficient.
+        """
+        entries = {}
         for i, j, k, v in triples:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise InputError(f"index out of range in ({i},{j},{k})")
-            c[i][j][k] = parse_q(v)
-        return cls(dim, c, basis=basis, name=name)
+            entries[k, i * dim + j] = parse_q(v)
+        return cls(dim, Matrix(dim, dim * dim, entries), basis=basis, name=name)
+
+    @functools.cached_property
+    def c(self) -> tuple:
+        """Dense read-only view: c[i][j][k] is the e_k coordinate of e_i*e_j."""
+        d = self.dim
+        return tuple(tuple(tuple(self.mu.at(k, i * d + j) for k in range(d))
+                           for j in range(d)) for i in range(d))
+
+    def triples(self) -> list[tuple[int, int, int, Entry]]:
+        """The nonzero structure constants as (i, j, k, value) in (i, j, k) order."""
+        return [(*divmod(ij, self.dim), k, v)
+                for (k, ij), v in sorted(self.mu.entries.items(), key=lambda e: e[0][::-1])]
 
     def multiply(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length != algebra dimension")
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ci = self.c[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                f = xi * yj
-                for k, cv in enumerate(ci[j]):
-                    if cv:
-                        out[k] += f * cv
+        d = self.dim
+        out = [Fraction(0)] * d
+        for (k, ij), cv in self.mu.entries.items():
+            xi, yj = x[ij // d], y[ij % d]
+            if xi and yj:
+                out[k] += xi * yj * cv
         return out
 
     def basis_vector(self, i: int) -> list[Fraction]:
@@ -130,12 +143,16 @@ class Algebra:
         return v
 
     def left_mult_matrix(self, i: int) -> Matrix:
-        # column j holds the coordinates of e_i * e_j
-        return basis_matrix([self.c[i][j] for j in range(self.dim)], self.dim)
+        # column j holds the coordinates of e_i * e_j: columns i*dim .. i*dim + dim - 1 of mu
+        lo = i * self.dim
+        return Matrix(self.dim, self.dim, {(k, ij - lo): v for (k, ij), v in self.mu.entries.items()
+                                           if lo <= ij < lo + self.dim})
 
     def right_mult_matrix(self, i: int) -> Matrix:
-        # column j holds the coordinates of e_j * e_i
-        return basis_matrix([self.c[j][i] for j in range(self.dim)], self.dim)
+        # column j holds the coordinates of e_j * e_i: column j*dim + i of mu
+        return Matrix(self.dim, self.dim, {(k, ij // self.dim): v
+                                           for (k, ij), v in self.mu.entries.items()
+                                           if ij % self.dim == i})
 
     def is_associative(self) -> bool:
         if self._assoc is None:
@@ -166,18 +183,18 @@ class AssociativityReport:
 
 
 def check_associative(a: Algebra) -> AssociativityReport:
-    """Evaluate (e_i e_j) e_k - e_i (e_j e_k) on all ordered basis triples."""
+    """Evaluate (e_i e_j) e_k - e_i (e_j e_k) on all ordered basis triples.
+
+    The associator is mu (mu (x) Id - Id (x) mu), whose column (i dim + j) dim + k
+    is the residual at (i, j, k).
+    """
+    ident = Matrix.identity(a.dim)
+    assoc = a.mu.mul(kron_sum([(1, [a.mu, ident]), (-1, [ident, a.mu])]))
     violations = []
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ij = a.multiply(basis[i], basis[j])
-            for k in range(a.dim):
-                left = a.multiply(ij, basis[k])
-                right = a.multiply(basis[i], a.multiply(basis[j], basis[k]))
-                res = tuple(l - r for l, r in zip(left, right))
-                if any(res):
-                    violations.append(AssociativityViolation(i, j, k, res))
+    for col in sorted({col for _, col in assoc.entries}):
+        ij, k = divmod(col, a.dim)
+        violations.append(AssociativityViolation(*divmod(ij, a.dim), k,
+                                                 tuple(assoc.col_list(col))))
     return AssociativityReport(a.dim, tuple(violations))
 
 
@@ -283,9 +300,9 @@ def star_product(a: Algebra, p: Matrix) -> Algebra:
     _require_associative(a)
     basis = [a.basis_vector(i) for i in range(a.dim)]
     images = [p.apply(x) for x in basis]
-    c = [[star(a.multiply, p.apply, basis[i], basis[j], images[i], images[j])
-          for j in range(a.dim)] for i in range(a.dim)]
-    return Algebra(a.dim, c, basis=a.basis,
+    cols = [star(a.multiply, p.apply, basis[i], basis[j], images[i], images[j])
+            for i in range(a.dim) for j in range(a.dim)]
+    return Algebra(a.dim, from_cols(cols), basis=a.basis,
                    name=f"star({a.name})" if a.name else None)
 
 

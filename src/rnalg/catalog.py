@@ -10,7 +10,7 @@ from .exactlin import Matrix
 
 def zero1() -> Algebra:
     """Dimension 1, identically zero product."""
-    return Algebra(1, [[[0]]], name="zero1")
+    return Algebra.from_sparse(1, [], name="zero1")
 
 
 def leftunit2() -> Algebra:

@@ -19,11 +19,11 @@ The combined differential on C^n_A (+) C^(n-1)_RNO is
   d_n(f, g) = (delta_n f, -partial_(n-1) g - psi_n f),      d_0 f = (delta_0 f, -f).
 
 delta_n, psi_n and the constraint are each one sum of Kronecker products.
-With mu the (dimA)^2 x dimA structure-constant matrix (row (p, q), column
-t holds c[p][q][t]), e_i the i-th dimA x 1 basis column and Id^k the
-identity on k tensor factors of A,
+With mu^T the algebra's product matrix a.mu transposed, (dimA)^2 x dimA
+with row (p, q), column t holding the e_t coordinate of e_p e_q, e_i the
+i-th dimA x 1 basis column and Id^k the identity on k tensor factors of A,
 
-  delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu (x) Id^(n-s) (x) Id_V
+  delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu^T (x) Id^(n-s) (x) Id_V
             + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
 
 With R_n the constrained basis (one vector per column) the combined complex is
@@ -126,17 +126,14 @@ class ComplexBuilder:
         self._guard(n + 1)
         da, dv = self.a.dim, self.m.dim_v
         ida, idv = Matrix.identity(da), Matrix.identity(dv)
-        mu = Matrix.from_rows([row for plane in self.a.c for row in plane])
+        mu_t = self.a.mu.transpose()
         right = functools.reduce(Matrix.vstack, self.m.right)
         self._delta[n] = kron_sum(
             [(1, [Matrix(da, 1, {(i, 0): 1}), *[ida] * n, lm]) for i, lm in enumerate(self.m.left)]
-            + [((-1) ** s, [*[ida] * (s - 1), mu, *[ida] * (n - s), idv]) for s in range(1, n + 1)]
+            + [((-1) ** s, [*[ida] * (s - 1), mu_t, *[ida] * (n - s), idv])
+               for s in range(1, n + 1)]
             + [((-1) ** (n + 1), [*[ida] * n, right])])
         return self._delta[n]
-
-    def partial(self, n: int) -> Matrix:
-        """Restricted differential; same formula as delta on ambient coordinates."""
-        return self.delta(n)
 
     def psi(self, n: int) -> Matrix:
         if n not in self._psi:
@@ -170,7 +167,7 @@ class ComplexBuilder:
     def d_ambient(self, n: int) -> Matrix:
         """Combined differential on ambient (+) ambient coordinates."""
         return _blocks(self.delta(n), self.psi(n).scale(-1),
-                       self.partial(n - 1).scale(-1) if n else None)
+                       self.delta(n - 1).scale(-1) if n else None)
 
     def d(self, n: int) -> Matrix:
         """Combined differential restricted to its stated domain.
@@ -182,7 +179,7 @@ class ComplexBuilder:
         if n not in self._d:
             self._d[n] = _blocks(
                 self.delta(n), self.psi(n).scale(-1),
-                self.partial(n - 1).mul(self.rno_basis(n - 1)).scale(-1) if n else None)
+                self.delta(n - 1).mul(self.rno_basis(n - 1)).scale(-1) if n else None)
         return self._d[n]
 
     def domain_dim(self, n: int) -> int:
@@ -198,7 +195,7 @@ class ComplexBuilder:
         """psi_(n+1) delta_n - partial_n psi_n on ambient C^n."""
         if n not in self._psi_delta:
             self._psi_delta[n] = self.psi(n + 1).mul(self.delta(n)).sub(
-                self.partial(n).mul(self.psi(n)))
+                self.delta(n).mul(self.psi(n)))
         return self._psi_delta[n]
 
     def d_square_residual(self, n: int) -> Matrix:

@@ -61,14 +61,16 @@ def _series_algebra(nu, order: int) -> Algebra:
     """A[t]/(t^(order+1)) with e_i t^k . e_j t^l = sum_m nu_m(e_i, e_j) t^(k+l+m)."""
     dim = len(nu[0])
     size = dim * (order + 1)
-    c = [[[Fraction(0)] * size for _ in range(size)] for _ in range(size)]
+    entries = {}
     for m, table in enumerate(nu[:order + 1]):
+        nonzero = [(i, j, r, x) for i, j in itertools.product(range(dim), repeat=2)
+                   for r, x in enumerate(table[i][j]) if x]
         for k in range(order + 1 - m):
             for l in range(order + 1 - m - k):
                 out = (k + l + m) * dim
-                for i, j in itertools.product(range(dim), repeat=2):
-                    c[k * dim + i][l * dim + j][out:out + dim] = table[i][j]
-    return Algebra(size, c)
+                for i, j, r, x in nonzero:
+                    entries[out + r, (k * dim + i) * size + l * dim + j] = x
+    return Algebra(size, Matrix(size, size * size, entries))
 
 
 class TruncatedDeformation:
@@ -101,7 +103,7 @@ class TruncatedDeformation:
     @classmethod
     def constant(cls, a: Algebra, p: Matrix, order: int) -> "TruncatedDeformation":
         """The deformation with all higher coefficients zero."""
-        base = [[list(a.c[i][j]) for j in range(a.dim)] for i in range(a.dim)]
+        base = [[a.mu.col_list(i * a.dim + j) for j in range(a.dim)] for i in range(a.dim)]
         zero_table = [[[Fraction(0)] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
         nu = [base] + [zero_table for _ in range(order)]
         ps = [p] + [Matrix.zeros(a.dim, a.dim) for _ in range(order)]

@@ -317,9 +317,3 @@ def solve(m: Matrix, b: list[Fraction]) -> list[Fraction] | None:
         x[p] = _q(row.get(m.cols, _ZERO))
     return x
 
-
-def basis_matrix(vectors: list[list[Fraction]], length: int) -> Matrix:
-    """Matrix whose columns are the given vectors (identity-free if empty)."""
-    if not vectors:
-        return Matrix.zeros(length, 0)
-    return from_cols(vectors)

@@ -19,8 +19,7 @@ from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
                           TruncatedDeformation)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exactlin import Matrix, parse_q, qstr
-from .polysys import (EnumerationResult, GroebnerResult, LinearReduction,
-                      MPoly, PolySystem)
+from .polysys import EnumerationResult, GroebnerResult, LinearReduction, PolySystem
 from .representation import Bimodule
 
 LINOP_CONVENTION = "P(e_j) = sum_i M[i][j] e_i"
@@ -101,14 +100,7 @@ def vector_from_json(data, where: str = "vector") -> list[Fraction]:
 
 
 def dump_algebra(a: Algebra) -> dict:
-    triples = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                v = a.c[i][j][k]
-                if v:
-                    triples.append([i, j, k, qstr(v)])
-    out = {"dim": a.dim, "c": triples}
+    out = {"dim": a.dim, "c": [[i, j, k, qstr(v)] for i, j, k, v in a.triples()]}
     if a.basis:
         out["basis"] = list(a.basis)
     if a.name:
@@ -120,7 +112,9 @@ def load_algebra(data) -> Algebra:
     dim = _require(data, "dim", "algebra")
     if not _is_int(dim) or dim < 0:
         raise InputError("algebra: dim must be a nonnegative integer")
-    if dim ** 3 > DEFAULT_BUDGET:  # a fixed cap: from_sparse allocates all of them
+    # a fixed cap on dim^3: the dense view Algebra.c has that many entries, and the
+    # checks do dense work of that size, such as a dim-vector for each of the dim^2 basis pairs
+    if dim ** 3 > DEFAULT_BUDGET:
         raise BudgetError(f"algebra load stage: dim {dim} needs {dim ** 3} structure constants, "
                           f"cap {DEFAULT_BUDGET}")
     triples = []
@@ -204,34 +198,6 @@ def load_iso(data) -> FormalIso:
     order = _require_int(data, "order", "iso")
     phi = [matrix_from_json(m, "iso phi") for m in _require_list(data, "phi", "iso")]
     return FormalIso(order, phi)
-
-
-def dump_polynomials(variables: list[str], polys: list[MPoly]) -> dict:
-    return {
-        "variables": list(variables),
-        "polynomials": [[[list(m), qstr(c)] for m, c in p.sorted_terms()] for p in polys],
-    }
-
-
-def load_polynomials(data) -> tuple[list[str], list[MPoly]]:
-    variables = _require_list(data, "variables", "polynomial system")
-    nv = len(variables)
-    polys = []
-    for raw in _require_list(data, "polynomials", "polynomial system"):
-        terms = {}
-        for entry in _list(raw, "polynomial system polynomials"):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise InputError("polynomial system: each term must be [exponents, coeff]")
-            exps, coef = entry
-            if len(_list(exps, "polynomial system exponents")) != nv:
-                raise InputError("polynomial system: exponent tuple length != variable count")
-            if not all(_is_int(e) and e >= 0 for e in exps):
-                raise InputError(f"polynomial system: exponents {exps} are not all ints >= 0")
-            if tuple(exps) in terms:
-                raise InputError(f"polynomial system: exponent tuple {exps} repeated")
-            terms[tuple(exps)] = parse_q(coef)
-        polys.append(MPoly(nv, terms))
-    return list(variables), polys
 
 
 # ---------------------------------------------------------------------------

@@ -270,19 +270,10 @@ def _sym_apply(cols: list[list[MPoly]], vec: list[MPoly]) -> list[MPoly]:
 
 
 def _sym_mult(a: Algebra, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
-    n = x[0].nvars
-    out = [MPoly.zero(n) for _ in range(a.dim)]
-    for i, xi in enumerate(x):
-        if xi.is_zero():
-            continue
-        for j, yj in enumerate(y):
-            if yj.is_zero():
-                continue
-            prod = xi * yj
-            for k in range(a.dim):
-                cv = a.c[i][j][k]
-                if cv:
-                    out[k] = out[k] + prod.scale(cv)
+    out = [MPoly.zero(x[0].nvars) for _ in range(a.dim)]
+    for i, j, k, cv in a.triples():
+        if not (x[i].is_zero() or y[j].is_zero()):
+            out[k] = out[k] + (x[i] * y[j]).scale(cv)
     return out
 
 
@@ -633,17 +624,12 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
         raise InputError(f"prime must be one of {ENUM_PRIMES}, got {p}")
     if kind.weight is not None and kind.weight.denominator % p == 0:
         raise InputError(f"weight {kind.weight} is not defined mod {p}")
-    undefined = [c for plane in a.c for row in plane for c in row if c.denominator % p == 0]
+    undefined = [v for *_, v in a.triples() if v.denominator % p == 0]
     if undefined:
         raise InputError(f"structure constant {undefined[0]} is not defined mod {p}")
     compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
     solutions = _search_mod_p(compiled, a.dim * a.dim, p, resolve_budget())
     return EnumerationResult(p, a.dim, kind.label(), solutions)
-
-
-def solution_matrix(solution: tuple[int, ...], dim: int) -> Matrix:
-    """Entries of a mod-p solution as an integer matrix (no lifting implied)."""
-    return Matrix.from_rows([solution[r * dim:(r + 1) * dim] for r in range(dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import ast
+import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN,
+import rnalg
+from rnalg import fileio
+from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra,
                            check_associative, check_morphism, check_operator,
                            classify_square, modified_rota_baxter, parse_kind,
                            rota_baxter, star_product)
 from rnalg.catalog import catalog, get_algebra, operator
 from rnalg.errors import InputError
+from rnalg.exactlin import Matrix, qstr
+from test_polysys import _change_basis, _halved, _unimodular
 
 CAT = catalog()
 
@@ -66,12 +74,116 @@ def test_trunc3_truncation():
 
 def test_single_constant_mutations_break_associativity():
     bad = get_algebra("leftunit2")
-    c = [[[x for x in col] for col in row] for row in bad.c]
-    c[0][0][1] = Fraction(1)
-    mutated = type(bad)(bad.dim, c)
+    mutated = Algebra.from_sparse(bad.dim, [(0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 1, 1)])
     report = check_associative(mutated)
     assert not report.passed
     assert report.violations[0].residual != ()
+
+
+# The product is stored once, as the sparse matrix mu; the oracles below read
+# only the dense view c and loop over it as the cube-based code did.
+
+
+def _cube_associator(a: Algebra) -> list:
+    """(i, j, k, residual) of each nonzero (e_i e_j) e_k - e_i (e_j e_k), from the cube."""
+    n, c = range(a.dim), a.c
+    out = []
+    for i, j, k in itertools.product(n, repeat=3):
+        res = tuple(sum(c[i][j][l] * c[l][k][m] - c[j][k][l] * c[i][l][m] for l in n) for m in n)
+        if any(res):
+            out.append((i, j, k, res))
+    return out
+
+
+def _mutated(a: Algebra, idx, delta) -> Algebra:
+    """a with the single structure constant at idx moved by delta."""
+    n = range(a.dim)
+    return Algebra.from_sparse(a.dim, [(*t, a.c[t[0]][t[1]][t[2]] + delta * (t == idx))
+                                       for t in itertools.product(n, repeat=3)])
+
+
+def _storage_cases() -> dict[str, Algebra]:
+    cases = {}
+    for name, a in CAT.items():
+        cases[name] = a
+        cases[f"{name}-copy"] = _change_basis(a, *_unimodular(a.dim, random.Random(name)))
+        cases[f"{name}-halved"] = _halved(a)
+        if a.dim > 1:
+            cases[f"{name}-mutated"] = _mutated(a, (0, 0, 0), Fraction(1, 3))
+    return cases
+
+
+STORAGE_CASES = _storage_cases()
+
+
+@pytest.mark.parametrize("name", sorted(STORAGE_CASES))
+def test_check_associative_equals_the_cube_triple_loop(name):
+    a = STORAGE_CASES[name]
+    report = check_associative(a)
+    assert [(v.i, v.j, v.k, v.residual) for v in report.violations] == _cube_associator(a)
+    assert report.passed == (not name.endswith("-mutated"))
+
+
+@pytest.mark.parametrize("name", sorted(CAT))
+def test_check_associative_equals_the_cube_triple_loop_on_single_constant_mutations(name):
+    a = CAT[name]
+    broken = 0
+    for idx in itertools.product(range(a.dim), repeat=3):
+        for delta in (1, Fraction(1, 3)):
+            m = _mutated(a, idx, delta)
+            violations = [(v.i, v.j, v.k, v.residual) for v in check_associative(m).violations]
+            assert violations == _cube_associator(m), (idx, delta)
+            broken += bool(violations)
+    assert broken > 0 or a.dim == 1
+
+
+@pytest.mark.parametrize("name", sorted(STORAGE_CASES))
+def test_mu_readers_equal_the_cube_loops(name):
+    a = STORAGE_CASES[name]
+    n, c = range(a.dim), a.c
+    rng = random.Random(name)
+    for _ in range(5):
+        x, y = ([rng.choice((0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 2))) for _ in n]
+                for _ in range(2))
+        assert a.multiply(x, y) == [sum(x[i] * y[j] * c[i][j][k] for i in n for j in n)
+                                    for k in n]
+    for i in n:
+        assert a.left_mult_matrix(i) == Matrix.from_rows([[c[i][j][k] for j in n] for k in n])
+        assert a.right_mult_matrix(i) == Matrix.from_rows([[c[j][i][k] for j in n] for k in n])
+    walk = [[i, j, k, qstr(c[i][j][k])] for i in n for j in n for k in n if c[i][j][k]]
+    assert fileio.dump_algebra(a)["c"] == walk
+    assert [[i, j, k, qstr(v)] for i, j, k, v in a.triples()] == walk
+
+
+def test_from_sparse_keeps_the_last_repeated_triple_and_stores_no_zero():
+    a = Algebra.from_sparse(2, [(0, 0, 0, 1), (0, 1, 1, 2), (0, 1, 1, Fraction(1, 2)),
+                                (1, 1, 0, 3), (1, 1, 0, 0), (1, 0, 1, 0)])
+    assert a.mu.entries == {(0, 0): 1, (1, 1): Fraction(1, 2)}
+    assert a.triples() == [(0, 0, 0, 1), (0, 1, 1, Fraction(1, 2))]
+    assert a.c == (((1, 0), (0, Fraction(1, 2))), ((0, 0), (0, 0)))
+    assert a.c is a.c and all(type(x) is Fraction for p in a.c for r in p for x in r)
+    with pytest.raises(InputError, match="out of range"):
+        Algebra.from_sparse(2, [(0, 2, 0, 1)])
+
+
+@pytest.mark.parametrize("mu", [Matrix.zeros(2, 2), Matrix.zeros(4, 2), Matrix.zeros(2, 8),
+                                Matrix.zeros(1, 4), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]],
+                         ids=["square", "transposed", "dim^3-columns", "one-row", "cube"])
+def test_algebra_refuses_a_product_matrix_of_the_wrong_shape(mu):
+    with pytest.raises(InputError):
+        Algebra(2, mu)
+    assert Algebra(2, Matrix.zeros(2, 4)).is_associative()
+
+
+def test_only_the_algebra_module_reads_the_dense_cube():
+    # the product's storage stays behind rnalg.algebra: every other module reads mu
+    readers = []
+    for path in sorted(Path(rnalg.__file__).parent.glob("*.py")):
+        if path.name != "algebra.py":
+            tree = ast.parse(path.read_text())
+            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "c"]
+    assert readers == []
 
 
 def test_parse_kind_accepts_all_forms():

@@ -198,30 +198,6 @@ def test_iso_round_trip():
     assert all(x == y for x, y in zip(j.phi, iso.phi))
 
 
-def test_polynomial_round_trip():
-    system = build_identity_system(CAT["leftunit2"], parse_kind("rn"))
-    doc = fileio.dump_polynomials(system.variables, system.polynomials())
-    variables, polys = fileio.load_polynomials(doc)
-    assert variables == list(system.variables)
-    assert polys == system.polynomials()
-    # list fields must be lists at every nesting level
-    for bad in ({**doc, "variables": 3}, {**doc, "polynomials": 5},
-                {**doc, "polynomials": [5]}, {**doc, "polynomials": [[[5, "1"]]]}):
-        with pytest.raises(InputError):
-            fileio.load_polynomials(bad)
-
-
-@pytest.mark.parametrize("terms", [
-    [[["a"], "1"]], [[[1.5], "1"]], [[[-2], "1"]], [[[True], "1"]], [[[None], "1"]],
-    [[[2], "1"], [[2], "3"]],  # a repeated exponent tuple would overwrite the first term
-], ids=["string", "float", "negative", "bool", "null", "repeated"])
-def test_load_polynomials_refuses_bad_exponents(terms):
-    with pytest.raises(InputError):
-        fileio.load_polynomials({"variables": ["x"], "polynomials": [terms]})
-    good = {"variables": ["x"], "polynomials": [[[[2], "1"], [[0], "-3/2"]]]}
-    assert fileio.load_polynomials(good)[1][0].terms == {(2,): 1, (0,): Fraction(-3, 2)}
-
-
 def test_read_json_wraps_parse_errors(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

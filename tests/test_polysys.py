@@ -18,7 +18,7 @@ from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
 from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals,
                            _search_mod_p, build_identity_system, entry_variables,
-                           enumerate_mod_p, groebner_basis, linear_reduce, solution_matrix,
+                           enumerate_mod_p, groebner_basis, linear_reduce,
                            verify_family)
 
 CAT = catalog()
@@ -348,9 +348,9 @@ def _unimodular(dim: int, rng: random.Random):
 def _change_basis(a: Algebra, t, tinv) -> Algebra:
     """The algebra in the basis f_i = sum_r t[r][i] e_r."""
     n = range(a.dim)
-    return Algebra(a.dim, [[[sum(t[r][i] * t[s][j] * a.c[r][s][u] * tinv[k][u]
-                                 for r in n for s in n for u in n)
-                             for k in n] for j in n] for i in n])
+    return Algebra.from_sparse(a.dim, [(i, j, k, sum(t[r][i] * t[s][j] * a.c[r][s][u] * tinv[k][u]
+                                                     for r in n for s in n for u in n))
+                                       for i in n for j in n for k in n])
 
 
 def _conjugate_mod_p(point, t, tinv, p) -> tuple[int, ...]:
@@ -461,11 +461,6 @@ def test_enumeration_reduces_structure_constants_not_normalized_residuals():
     with pytest.raises(InputError, match="not defined mod 3"):
         enumerate_mod_p(a, KIND_RN, 3)
     assert enumerate_mod_p(a, KIND_RN, 2).solutions == [(0,), (1,)]
-
-
-def test_solution_matrix_reshapes_row_major():
-    m = solution_matrix((1, 0, 0, 0, 0, 0, 0, 0, 1), 3)
-    assert m.at(0, 0) == 1 and m.at(2, 2) == 1 and m.at(1, 1) == 0
 
 
 def test_linear_reduce_on_pair3_rn_system():
