@@ -25,7 +25,7 @@ from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
 from .catalog import catalog
-from .cohomology import ComplexBuilder, _first_nonzero, flatten_map, unflatten
+from .cohomology import ComplexBuilder, _first_nonzero, flatten, unflatten
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           check_equivalence, infinitesimal_cocycle,
                           order_residuals, rigidity_report,
@@ -176,26 +176,21 @@ def _builder(inputs: dict) -> ComplexBuilder:
     return ComplexBuilder(a, p, regular_representation(a, p), None)
 
 
-def _violation_doc(v) -> dict:
-    return {"pair": [v.i, v.j], "identity": v.identity,
-            "residual": [qstr(x) for x in v.residual]}
+def _first_violation(doc: dict) -> dict:
+    """A fileio check report cut down to passed and its first violation entry."""
+    return {"passed": doc["passed"],
+            "first_violation": doc["violations"][0] if doc["violations"] else None}
 
 
 def _run_check_operator(inputs: dict) -> dict:
     a, p = _load(inputs)
-    rep = check_operator(a, p, parse_kind(inputs["kind"]))
-    return {"passed": rep.passed,
-            "first_violation": _violation_doc(rep.violations[0]) if rep.violations else None}
+    return _first_violation(fileio.identity_report_dict(
+        check_operator(a, p, parse_kind(inputs["kind"]))))
 
 
 def _run_check_associative(inputs: dict) -> dict:
     a, _ = _load(inputs)
-    rep = check_associative(a)
-    first = rep.violations[0] if rep.violations else None
-    return {"passed": rep.passed,
-            "first_violation": None if first is None else
-            {"triple": [first.i, first.j, first.k],
-             "residual": [qstr(x) for x in first.residual]}}
+    return _first_violation(fileio.assoc_report_dict(check_associative(a)))
 
 
 def _run_star_morphism(inputs: dict) -> dict:
@@ -268,12 +263,9 @@ def _run_d_square_residual(inputs: dict) -> dict:
 
 def _run_operator_part(inputs: dict) -> dict:
     b = _builder(inputs)
-    dim = b.a.dim
     phi = fileio.matrix_from_json(inputs["cochain"])
-    vec = flatten_map(dim, dim, 1, lambda multi: phi.col_list(multi[0]))
-    from_complex = [-x for x in b.psi(1).apply(vec)]
-    comm = b.p.mul(phi).sub(phi.mul(b.p))
-    claimed = flatten_map(dim, dim, 1, lambda multi: comm.col_list(multi[0]))
+    from_complex = [-x for x in b.psi(1).apply(flatten(phi))]
+    claimed = flatten(b.p.mul(phi).sub(phi.mul(b.p)))
     diff = [x - y for x, y in zip(from_complex, claimed)]
     first = next(([i, qstr(x)] for i, x in enumerate(diff) if x), None)
     return {"matches": first is None, "first_difference": first}
@@ -539,11 +531,9 @@ def _claim_operator_part(fx: dict) -> ClaimVerdict:
          "where the operator's square annihilates the cochain"])
 
 
-def _vector_to_order1(dim: int, vec) -> tuple[list, Matrix]:
+def _vector_to_order1(dim: int, vec) -> tuple[Matrix, Matrix]:
     """(nu_1, P_1) from coordinates in the layout of deformation._pair_vector."""
-    split = dim ** 3
-    nu1 = [[unflatten(vec[:split], dim, dim, (i, j)) for j in range(dim)] for i in range(dim)]
-    return nu1, from_cols([unflatten(vec[split:], dim, dim, (i,)) for i in range(dim)])
+    return unflatten(vec[:dim ** 3], dim), unflatten(vec[dim ** 3:], dim)
 
 
 def order1_system(a: Algebra, p: Matrix) -> Matrix:

@@ -49,8 +49,7 @@ def _load_operator(path: str, dim: int) -> Matrix:
 
 def _check_base(a, d, where: str) -> None:
     # order-0 coefficients must reproduce the algebra the file names
-    base = d.base_algebra()
-    if not base.mu.eq(a.mu):
+    if not d.nu[0].eq(a.mu):
         raise InputError(f"{where}: order-0 product differs from the algebra file")
 
 

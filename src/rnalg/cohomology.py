@@ -1,10 +1,12 @@
 """Cochain complexes attached to an operator-compatible bimodule.
 
-Flattening convention: an n-cochain f: A^n -> V is a vector of length
-dimV * dimA^n.  Multi-indices (i1, ..., in) are ordered lexicographically
-with i1 most significant, and each multi-index owns a contiguous block of
-dimV coordinates, so the flat position of (I, v) is offset(I) * dimV + v
-with offset(I) = ((i1 * dimA + i2) * dimA + ...).
+A cochain is a Matrix; its coordinates are its stacked columns.  An
+n-cochain f: A^n -> V is the dimV x dimA^n Matrix whose column offset(I)
+holds f(e_i1, ..., e_in), with multi-indices ordered lexicographically,
+i1 most significant: offset(I) = ((i1 * dimA + i2) * dimA + ...).  The
+algebra's product mu is the 2-cochain of A with values in A.  flatten
+stacks the columns into one vector of length dimV * dimA^n, so the flat
+position of (I, v) is offset(I) * dimV + v, and unflatten inverts it.
 
 The Hochschild differential delta and the restricted differential share
 one formula; the restricted one acts on the constrained subspace whose
@@ -43,39 +45,23 @@ vanish.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra
 from .errors import BudgetError, InputError, resolve_budget
-from .exactlin import Matrix, kernel_basis, kron_sum, rank
+from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
 from .representation import Bimodule
 
 
-def flat_offset(dim_a: int, multi: tuple[int, ...]) -> int:
-    off = 0
-    for i in multi:
-        off = off * dim_a + i
-    return off
+def flatten(m: Matrix) -> list[Fraction]:
+    """The coordinates of the cochain m: its columns stacked in order."""
+    return [x for j in range(m.cols) for x in m.col_list(j)]
 
 
-def flatten_map(dim_a: int, dim_v: int, n: int, value_at) -> list[Fraction]:
-    """Flatten multi-index -> vector data into cochain coordinates."""
-    out = [Fraction(0)] * (dim_v * dim_a ** n)
-    for multi in itertools.product(range(dim_a), repeat=n):
-        vec = value_at(multi)
-        base = flat_offset(dim_a, multi) * dim_v
-        for v in range(dim_v):
-            out[base + v] = Fraction(vec[v])
-    return out
-
-
-def unflatten(coords: list[Fraction], dim_a: int, dim_v: int,
-              multi: tuple[int, ...]) -> list[Fraction]:
-    """The dim_v coordinates that flatten_map stores for the multi-index."""
-    base = flat_offset(dim_a, multi) * dim_v
-    return list(coords[base : base + dim_v])
+def unflatten(coords: list[Fraction], rows: int) -> Matrix:
+    """The cochain with rows values per multi-index whose coordinates are coords."""
+    return from_cols([coords[k:k + rows] for k in range(0, len(coords), rows)])
 
 
 def _blocks(top_left: Matrix, bottom_left: Matrix,

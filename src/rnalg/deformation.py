@@ -5,7 +5,9 @@ A deformation of order N is a pair of polynomial families
   nu_t = nu_0 + nu_1 t + ... + nu_N t^N     (bilinear maps A x A -> A)
   P_t  = P_0  + P_1 t + ... + P_N t^N       (linear maps A -> A)
 
-with nu_0 the base multiplication and P_0 the base operator.  Together they
+with nu_0 the base multiplication and P_0 the base operator.  Each nu_k is
+stored as Algebra.mu is: the dim x dim^2 Matrix whose column i dim + j
+holds nu_k(e_i, e_j), and each P_k is a dim x dim Matrix.  Together they
 are one algebra with one operator over Q[t]/(t^(N+1)): nu_t multiplies
 A[t]/(t^(N+1)), whose basis vector e_i t^k sits at index k dim + i, and P_t
 acts on it.  The three equations are associativity of nu_t and the
@@ -20,7 +22,7 @@ records.
 Order 0 of the three equations is exactly the base structure check, so a
 valid deformation certifies its own base.  A formal isomorphism
 Id + phi_1 t + ... is an operator on the same space; equivalence,
-transport, inverse and composition read t^n slices too.
+transport and inversion read t^n slices too.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import NIJENHUIS, REYNOLDS, Algebra, _vsub, identity_residual
-from .cohomology import ComplexBuilder, flatten_map
+from .cohomology import ComplexBuilder, flatten
 from .errors import InputError
-from .exactlin import Matrix, kron_sum, solve
+from .exactlin import Matrix, from_cols, kron_sum, solve
 from .representation import regular_representation
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
@@ -59,12 +61,11 @@ def _coefficient(series: Matrix, k: int, dim: int) -> Matrix:
 
 def _series_algebra(nu, order: int) -> Algebra:
     """A[t]/(t^(order+1)) with e_i t^k . e_j t^l = sum_m nu_m(e_i, e_j) t^(k+l+m)."""
-    dim = len(nu[0])
+    dim = nu[0].rows
     size = dim * (order + 1)
     entries = {}
-    for m, table in enumerate(nu[:order + 1]):
-        nonzero = [(i, j, r, x) for i, j in itertools.product(range(dim), repeat=2)
-                   for r, x in enumerate(table[i][j]) if x]
+    for m, coefficient in enumerate(nu[:order + 1]):
+        nonzero = [(*divmod(ij, dim), r, x) for (r, ij), x in coefficient.entries.items()]
         for k in range(order + 1 - m):
             for l in range(order + 1 - m - k):
                 out = (k + l + m) * dim
@@ -74,54 +75,37 @@ def _series_algebra(nu, order: int) -> Algebra:
 
 
 class TruncatedDeformation:
-    """Coefficient data nu[k][i][j] -> vector and p[k] -> matrix, k = 0..order."""
+    """Coefficient matrices nu[k] (dim x dim^2, laid out as Algebra.mu) and p[k], k = 0..order."""
 
-    def __init__(self, order: int, nu, p):
+    def __init__(self, order: int, nu: list[Matrix], p: list[Matrix]):
         if order < 0:
             raise InputError("deformation order must be >= 0")
         if len(nu) != order + 1 or len(p) != order + 1:
             raise InputError("need order+1 coefficient entries for nu and p")
-        dim = len(nu[0])
+        dim = nu[0].rows
         if dim < 1:
             raise InputError("dimension must be >= 1")
-        for table in nu:
-            if len(table) != dim or any(len(row) != dim for row in table):
-                raise InputError("nu coefficient tables must be dim x dim")
-            for row in table:
-                for vec in row:
-                    if len(vec) != dim:
-                        raise InputError("nu values must be dim-vectors")
+        for mat in nu:
+            if mat.rows != dim or mat.cols != dim * dim:
+                raise InputError("nu coefficients must be dim x dim^2 matrices")
         for mat in p:
             if mat.rows != dim or mat.cols != dim:
                 raise InputError("p coefficients must be dim x dim matrices")
         self.order = order
         self.dim = dim
-        self.nu = tuple(tuple(tuple(tuple(Fraction(x) for x in vec) for vec in row)
-                              for row in table) for table in nu)
+        self.nu = tuple(nu)
         self.p = tuple(p)
 
     @classmethod
     def constant(cls, a: Algebra, p: Matrix, order: int) -> "TruncatedDeformation":
         """The deformation with all higher coefficients zero."""
-        base = [[a.mu.col_list(i * a.dim + j) for j in range(a.dim)] for i in range(a.dim)]
-        zero_table = [[[Fraction(0)] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
-        nu = [base] + [zero_table for _ in range(order)]
-        ps = [p] + [Matrix.zeros(a.dim, a.dim) for _ in range(order)]
-        return cls(order, nu, ps)
+        return cls(order, [a.mu] + [Matrix.zeros(a.dim, a.dim * a.dim)] * order,
+                   [p] + [Matrix.zeros(a.dim, a.dim)] * order)
 
-    def base_algebra(self, name: str = "deformation-base") -> Algebra:
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, x in enumerate(self.nu[0][i][j]):
-                    if x:
-                        triples.append((i, j, k, x))
-        return Algebra.from_sparse(self.dim, triples, name=name)
-
-    def with_coefficient(self, k: int, nu_k=None, p_k: Matrix | None = None) -> "TruncatedDeformation":
+    def with_coefficient(self, k: int, nu_k: Matrix | None = None,
+                         p_k: Matrix | None = None) -> "TruncatedDeformation":
         """Copy with the order-k coefficient replaced."""
-        nu = [[[list(vec) for vec in row] for row in table] for table in self.nu]
-        ps = list(self.p)
+        nu, ps = list(self.nu), list(self.p)
         if nu_k is not None:
             nu[k] = nu_k
         if p_k is not None:
@@ -256,15 +240,6 @@ class FormalIso:
             inv = ident.add(nilpotent.mul(inv))
         return [_coefficient(inv, k, self.dim) for k in range(self.order + 1)]
 
-    def inverse(self) -> "FormalIso":
-        return FormalIso(self.order, self.inverse_coefficients())
-
-    def compose(self, other: "FormalIso") -> "FormalIso":
-        """self after other, truncated at min order."""
-        order = min(self.order, other.order)
-        product = _series(self.phi, order).mul(_series(other.phi, order))
-        return FormalIso(order, [_coefficient(product, k, self.dim) for k in range(order + 1)])
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:
@@ -321,11 +296,11 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     phi = _series(iso.phi, order)
     chi = _series(iso.inverse_coefficients(), order)
     images = [phi.apply(at.basis_vector(i)) for i in range(dim)]
-    nu = [[chi.apply(at.multiply(images[a], images[b])) for b in range(dim)] for a in range(dim)]
+    nu = [chi.apply(at.multiply(images[a], images[b]))
+          for a, b in itertools.product(range(dim), repeat=2)]
     p = chi.mul(_series(d.p, order)).mul(phi)
     return TruncatedDeformation(
-        order, [[[vec[k * dim:(k + 1) * dim] for vec in row] for row in nu]
-                for k in range(order + 1)],
+        order, [from_cols([vec[k * dim:(k + 1) * dim] for vec in nu]) for k in range(order + 1)],
         [_coefficient(p, k, dim) for k in range(order + 1)])
 
 
@@ -342,10 +317,7 @@ class CocycleReport:
 
 def _pair_vector(d: TruncatedDeformation, k: int) -> list[Fraction]:
     """Flatten (nu_k, P_k) into ambient C^2 (+) C^1 coordinates, V = A."""
-    dim = d.dim
-    nu_flat = flatten_map(dim, dim, 2, lambda multi: d.nu[k][multi[0]][multi[1]])
-    p_flat = flatten_map(dim, dim, 1, lambda multi: d.p[k].col_list(multi[0]))
-    return nu_flat + p_flat
+    return flatten(d.nu[k]) + flatten(d.p[k])
 
 
 def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation,
@@ -362,8 +334,7 @@ def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation,
     m = regular_representation(a, p)
     b = ComplexBuilder(a, p, m, budget)
     constraint = b.rno_constraint(1)
-    p1_flat = flatten_map(d.dim, d.dim, 1, lambda multi: d.p[1].col_list(multi[0]))
-    member = all(not x for x in constraint.apply(p1_flat))
+    member = all(not x for x in constraint.apply(flatten(d.p[1])))
     image = b.d_ambient(2).apply(_pair_vector(d, 1))
     nonzero = next(((i, x) for i, x in enumerate(image) if x), None)
     return CocycleReport(member, nonzero is None, nonzero)

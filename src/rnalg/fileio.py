@@ -18,7 +18,7 @@ from .cohomology import CohomologyResult
 from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
                           TruncatedDeformation)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError
-from .exactlin import Matrix, parse_q, qstr
+from .exactlin import Matrix, from_cols, parse_q, qstr
 from .polysys import EnumerationResult, GroebnerResult, LinearReduction, PolySystem
 from .representation import Bimodule
 
@@ -174,18 +174,33 @@ def load_bimodule(data) -> Bimodule:
 
 
 def dump_deformation(d: TruncatedDeformation) -> dict:
+    # each nu_k is written as the dense table nu[i][j] = nu_k(e_i, e_j)
+    dim = d.dim
     return {
         "order": d.order,
-        "nu": [[[vector_to_json(vec) for vec in row] for row in table] for table in d.nu],
+        "nu": [[[vector_to_json(m.col_list(i * dim + j)) for j in range(dim)]
+                for i in range(dim)] for m in d.nu],
         "p": [matrix_to_json(m) for m in d.p],
     }
 
 
+def _nu_from_json(table, dim: int) -> Matrix:
+    """The dim x dim^2 coefficient matrix of a dense dim x dim table of dim-vectors."""
+    rows = _list(table, "deformation nu")
+    if len(rows) != dim or any(len(_list(row, "deformation nu")) != dim for row in rows):
+        raise InputError("deformation nu: coefficient tables must be dim x dim")
+    vectors = [vector_from_json(vec, "deformation nu") for row in rows for vec in row]
+    if any(len(vec) != dim for vec in vectors):
+        raise InputError("deformation nu: values must be dim-vectors")
+    return from_cols(vectors)
+
+
 def load_deformation(data) -> TruncatedDeformation:
     order = _require_int(data, "order", "deformation")
-    nu = [[[vector_from_json(vec, "deformation nu") for vec in _list(row, "deformation nu")]
-           for row in _list(table, "deformation nu")]
-          for table in _require_list(data, "nu", "deformation")]
+    tables = _require_list(data, "nu", "deformation")
+    # the first table fixes dim; the constructor refuses dim 0
+    dim = len(_list(tables[0], "deformation nu")) if tables else 0
+    nu = [_nu_from_json(table, dim) for table in tables]
     p = [matrix_from_json(m, "deformation p") for m in _require_list(data, "p", "deformation")]
     return TruncatedDeformation(order, nu, p)
 
@@ -318,4 +333,16 @@ def linear_reduction_dict(r: LinearReduction, variables: list[str]) -> dict:
 
 
 def poly_system_dict(s: PolySystem) -> dict:
-    return s.to_dict()
+    return {
+        "variables": list(s.variables),
+        "kind": s.kind.label(),
+        "polynomials": [
+            {
+                "pair": [e.i, e.j],
+                "coord": e.coord,
+                "identity": e.identity,
+                "terms": [[list(m), qstr(c)] for m, c in e.poly.sorted_terms()],
+            }
+            for e in s.entries
+        ],
+    }

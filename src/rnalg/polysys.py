@@ -229,23 +229,6 @@ class PolySystem:
     def max_total_degree(self) -> int:
         return max((e.poly.total_degree() for e in self.entries), default=0)
 
-    def to_dict(self) -> dict:
-        from .exactlin import qstr
-
-        return {
-            "variables": list(self.variables),
-            "kind": self.kind.label(),
-            "polynomials": [
-                {
-                    "pair": [e.i, e.j],
-                    "coord": e.coord,
-                    "identity": e.identity,
-                    "terms": [[list(m), qstr(c)] for m, c in e.poly.sorted_terms()],
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def _point(m: Matrix) -> list[Fraction]:
     """The entries of m in the row-major order of the unknowns P_r_c."""

@@ -35,7 +35,7 @@ from rnalg.deformation import (
     same_cohomology_class,
     transport,
 )
-from rnalg.exactlin import Matrix
+from rnalg.exactlin import Matrix, from_cols
 from rnalg.fileio import canonical_json
 from rnalg.polysys import SymbolicMatrix, build_identity_system, enumerate_mod_p, verify_family
 from rnalg.representation import regular_representation
@@ -44,6 +44,11 @@ Q = Fraction
 CAT = catalog()
 
 _AUDIT_CACHE = []
+
+
+def _from_table(table):
+    """The coefficient matrix of a dense table: column i dim + j holds table[i][j]."""
+    return from_cols([vec for row in table for vec in row])
 
 
 def _audit():
@@ -308,7 +313,7 @@ def test_criterion_10_deformation_suite():
         table = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
         table[0][0][1] = Q(1)
         bad = TruncatedDeformation.constant(a, Matrix.zeros(2, 2), 2)
-        bad = bad.with_coefficient(1, nu_k=table)
+        bad = bad.with_coefficient(1, nu_k=_from_table(table))
         rep = check_deformation(bad)
         assert [r.ok for r in rep.orders] == [True, False, True]
         assert rep.first_violation().order == 1
@@ -316,11 +321,11 @@ def test_criterion_10_deformation_suite():
         t1[0][1][0] = Q(2)
         t1[1][0][1] = Q(-1)
         d = TruncatedDeformation.constant(a, Matrix.identity(2), 3).with_coefficient(
-            1, nu_k=t1, p_k=operator([[0, 3], [0, 0]]))
+            1, nu_k=_from_table(t1), p_k=operator([[0, 3], [0, 0]]))
         iso = FormalIso(3, [Matrix.identity(2), operator([[0, 1], [2, 0]]),
                             operator([[1, 1], [0, 1]]), Matrix.zeros(2, 2)])
         assert check_equivalence(d, transport(d, iso), iso).ok
-        back = transport(transport(d, iso), iso.inverse())
+        back = transport(transport(d, iso), FormalIso(iso.order, iso.inverse_coefficients()))
         assert back.nu == d.nu
         assert all(x == y for x, y in zip(back.p, d.p))
 
@@ -330,12 +335,7 @@ def _coboundary_shift(a, p, z):
     b = ComplexBuilder(a, p, regular_representation(a, p))
     image = b.d(1).apply(z)
     split = b.amb(2)
-    dim = a.dim
-    nu1 = [[unflatten(image[:split], dim, dim, (i, j)) for j in range(dim)]
-           for i in range(dim)]
-    cols = [unflatten(image[split:], dim, dim, (i,)) for i in range(dim)]
-    p1 = Matrix.from_rows([[cols[i][k] for i in range(dim)] for k in range(dim)])
-    return b, nu1, p1, image
+    return b, unflatten(image[:split], a.dim), unflatten(image[split:], a.dim), image
 
 
 def test_criterion_11_coboundary_shift_class():
@@ -364,9 +364,7 @@ def test_criterion_11_coboundary_shift_class():
             z2 = [Q(0)] * b0.domain_dim(1)
             z2[1 % len(z2)] = Q(2)
             _, nu1b, p1b, _ = _coboundary_shift(a, p, z2)
-            nusum = [[[x + y for x, y in zip(nu1[i][j], nu1b[i][j])]
-                      for j in range(dim)] for i in range(dim)]
-            third = base.with_coefficient(1, nu_k=nusum, p_k=p1.add(p1b))
+            third = base.with_coefficient(1, nu_k=nu1.add(nu1b), p_k=p1.add(p1b))
             assert same_cohomology_class(a, p, shifted, third).same_class
             assert same_cohomology_class(a, p, base, third).same_class
         # a first coefficient that is no coboundary stays in its own class
@@ -375,7 +373,7 @@ def test_criterion_11_coboundary_shift_class():
         base = TruncatedDeformation.constant(a, p, 1)
         table = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
         table[0][0][1] = Q(1)
-        cc = same_cohomology_class(a, p, base.with_coefficient(1, nu_k=table), base)
+        cc = same_cohomology_class(a, p, base.with_coefficient(1, nu_k=_from_table(table)), base)
         assert cc.difference_in_domain
         assert not cc.same_class
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import tempfile
 from fractions import Fraction
@@ -25,7 +26,7 @@ from rnalg.catalog import catalog, operator
 from rnalg.cli import main
 from rnalg.deformation import FormalIso, TruncatedDeformation
 from rnalg.errors import InputError
-from rnalg.exactlin import Matrix
+from rnalg.exactlin import Matrix, from_cols
 from rnalg.algebra import parse_kind
 from rnalg.polysys import build_identity_system
 from rnalg.representation import Bimodule, regular_representation
@@ -96,6 +97,21 @@ def test_audit_output_is_deterministic(report):
     first = canonical_json(audit_report_dict(report))
     second = canonical_json(audit_report_dict(run_audit()))
     assert first == second
+
+
+# sha256 of what `rnalg audit` writes in each format; a change that alters the
+# report on purpose moves the pin in the same change and says why
+AUDIT_SHA256 = {
+    "json": "9a17e1a18dd2b70068649475397928fcd8d131ac1169695eaac9febf399c1442",
+    "markdown": "9babd5fd06868997b92d0eee580eca0c6f69d434b9dc3726f2cc9f5f03cdd841",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(AUDIT_SHA256))
+def test_audit_output_bytes_are_pinned(fmt, capsys):
+    assert main(["--out-format", fmt, "audit"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == AUDIT_SHA256[fmt]
 
 
 def test_markdown_rendering_lists_every_claim(report):
@@ -190,6 +206,24 @@ def test_deformation_round_trip():
     assert all(x == y for x, y in zip(e.p, d.p))
 
 
+_NU_ROW = [["1", "0"], ["0", "1"]]  # nu(e_i, e_0), nu(e_i, e_1) for dim 2
+
+
+@pytest.mark.parametrize("table", [
+    [_NU_ROW, _NU_ROW, _NU_ROW],
+    [_NU_ROW, [["1", "0", "0"], ["0", "1"]]],
+    # the same 2 x 4 matrix as a valid table, so only the table shape refuses it
+    [[["1", "0"], ["0", "1"], ["0", "0"], ["1", "1"]]],
+], ids=["wrong-row-count", "wrong-vector-length", "one-row-of-dim2-vectors"])
+def test_load_deformation_refuses_malformed_nu_tables(table):
+    doc = fileio.dump_deformation(TruncatedDeformation.constant(CAT["leftunit2"],
+                                                                Matrix.zeros(2, 2), 1))
+    assert fileio.load_deformation(doc).order == 1
+    doc["nu"][1] = table
+    with pytest.raises(InputError):
+        fileio.load_deformation(doc)
+
+
 def test_iso_round_trip():
     iso = FormalIso(2, [Matrix.identity(2), operator([[0, 1], [2, 0]]),
                         Matrix.zeros(2, 2)])
@@ -235,8 +269,9 @@ def files(tmp_path):
     corrupt = TruncatedDeformation.constant(a, Matrix.zeros(2, 2), 2)
     table = [[[Q(0)] * 2 for _ in range(2)] for _ in range(2)]
     table[0][0][1] = Q(1)
+    nu_k = from_cols([vec for row in table for vec in row])
     out["corrupt"] = dump("corrupt.json",
-                          fileio.dump_deformation(corrupt.with_coefficient(1, nu_k=table)))
+                          fileio.dump_deformation(corrupt.with_coefficient(1, nu_k=nu_k)))
     return out
 
 

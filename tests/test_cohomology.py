@@ -10,7 +10,7 @@ import pytest
 
 from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import ComplexBuilder, cohomology_dims, flat_offset, flatten_map
+from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
 from rnalg.errors import BudgetError
 from rnalg.exactlin import Matrix, rank
 from rnalg.representation import Bimodule, check_bimodule, regular_representation
@@ -24,18 +24,31 @@ def _builder(name, rows):
     return ComplexBuilder(a, p, regular_representation(a, p))
 
 
-def test_flatten_map_uses_horner_times_dimv_layout():
-    seen = {}
+def _flat_offset(dim_a, multi):
+    """offset(I) = ((i1 * dimA + i2) * dimA + ...), i1 most significant."""
+    off = 0
+    for i in multi:
+        off = off * dim_a + i
+    return off
 
-    def fn(multi):
-        seen[multi] = True
-        return [Fraction(multi[0] * 10 + multi[1]), Fraction(0)]
 
-    flat = flatten_map(2, 2, 2, fn)
+def test_flatten_uses_horner_times_dimv_layout_and_unflatten_inverts_it():
+    # the 2-cochain f(e_i, e_j) = (10 i + j, (i - j)/2) on A = Q^2, V = Q^2
+    values = {multi: [Fraction(multi[0] * 10 + multi[1]), Fraction(multi[0] - multi[1], 2)]
+              for multi in itertools.product(range(2), repeat=2)}
+    f = Matrix(2, 4, {(v, _flat_offset(2, multi)): x
+                      for multi, vec in values.items() for v, x in enumerate(vec)})
+    flat = flatten(f)
     assert len(flat) == 8
-    assert sorted(seen) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(isinstance(x, Fraction) for x in flat)
+    assert all(flat[_flat_offset(2, multi) * 2 + v] == x
+               for multi, vec in values.items() for v, x in enumerate(vec))
     # multi (1, 0) sits at Horner index 2, value slot 0
     assert flat[2 * 2 + 0] == Fraction(10)
+    assert unflatten(flat, 2) == f
+    coords = [Fraction(k * (-1) ** k, 3) for k in range(12)]
+    assert flatten(unflatten(coords, 3)) == coords
+    assert (unflatten(coords, 3).rows, unflatten(coords, 3).cols) == (3, 4)
 
 
 def test_ambient_dimensions_scale_geometrically():
@@ -76,11 +89,11 @@ def _naive_delta(b, n):
     out = {}
     sign_last = Fraction(-1 if (n + 1) % 2 else 1)
     for multi in itertools.product(range(da), repeat=n):
-        base_col = flat_offset(da, multi) * dv
+        base_col = _flat_offset(da, multi) * dv
         for w in range(dv):
             col = base_col + w
             for i1 in range(da):
-                rbase = flat_offset(da, (i1,) + multi) * dv
+                rbase = _flat_offset(da, (i1,) + multi) * dv
                 lm = b.m.left[i1]
                 for v in range(dv):
                     val = lm.at(v, w)
@@ -95,10 +108,10 @@ def _naive_delta(b, n):
                         cv = crow[qi][target]
                         if cv:
                             out_multi = multi[: slot - 1] + (pi, qi) + multi[slot:]
-                            row = flat_offset(da, out_multi) * dv + w
+                            row = _flat_offset(da, out_multi) * dv + w
                             out[row, col] = out.get((row, col), 0) + sign * cv
             for t in range(da):
-                rbase = flat_offset(da, multi + (t,)) * dv
+                rbase = _flat_offset(da, multi + (t,)) * dv
                 rm = b.m.right[t]
                 for v in range(dv):
                     val = rm.at(v, w)
