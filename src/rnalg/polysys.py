@@ -134,8 +134,10 @@ class MPoly:
         return self if factor == 1 else self.scale(factor)
 
     def evaluate(self, point: list[Fraction]) -> Fraction:
+        """The value at point, whose coordinates are rationals; floats and bools are refused."""
         if len(point) != self.nvars:
             raise InputError("evaluation point has wrong arity")
+        point = [_canon(x) for x in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             v = c
@@ -240,24 +242,28 @@ def _sym_columns(dim: int) -> list[list[MPoly]]:
     return [[MPoly.var(n, r * dim + c) for r in range(dim)] for c in range(dim)]
 
 
-def _sym_apply(cols: list[list[MPoly]], vec: list[MPoly]) -> list[MPoly]:
-    dim = len(cols)
-    n = vec[0].nvars
-    out = [MPoly.zero(n) for _ in range(dim)]
+def _sym_apply(dim: int, vec: list[MPoly]) -> list[MPoly]:
+    # coordinate r of P(vec) is the sum over c of P_r_c * vec[c]
+    out: list[dict] = [{} for _ in range(dim)]
     for c, x in enumerate(vec):
-        if x.is_zero():
-            continue
-        for r in range(dim):
-            out[r] = out[r] + cols[c][r] * x
-    return out
+        for m, v in x.terms.items():
+            for r, acc in enumerate(out):
+                i = r * dim + c
+                mi = m[:i] + (m[i] + 1,) + m[i + 1:]
+                acc[mi] = acc.get(mi, 0) + v
+    return [MPoly(dim * dim, t) for t in out]
 
 
-def _sym_mult(a: Algebra, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
-    out = [MPoly.zero(x[0].nvars) for _ in range(a.dim)]
-    for i, j, k, cv in a.triples():
-        if not (x[i].is_zero() or y[j].is_zero()):
-            out[k] = out[k] + (x[i] * y[j]).scale(cv)
-    return out
+def _sym_mult(pairs: dict, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
+    # pairs maps (i, j) to the (k, c_ij^k) of mu's nonzeros; each x[i]*y[j] is formed once
+    out: list[dict] = [{} for _ in x]
+    for (i, j), consts in pairs.items():
+        for m1, c1 in x[i].terms.items():
+            for m2, c2 in y[j].terms.items():
+                m, c = tuple(map(add, m1, m2)), c1 * c2
+                for k, cv in consts:
+                    out[k][m] = out[k].get(m, 0) + c * cv
+    return [MPoly(x[0].nvars, t) for t in out]
 
 
 def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
@@ -276,8 +282,11 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
         raise InputError("algebra is not associative")
     cols = _sym_columns(dim)
     basis = [[MPoly.const(n, 1 if r == i else 0) for r in range(dim)] for i in range(dim)]
-    mul = functools.partial(_sym_mult, a)
-    apply = functools.partial(_sym_apply, cols)
+    pairs: dict = {}
+    for (k, ij), v in a.mu.entries.items():
+        pairs.setdefault(divmod(ij, dim), []).append((k, v))
+    mul = functools.partial(_sym_mult, pairs)
+    apply = functools.partial(_sym_apply, dim)
     weight = MPoly.const(n, kind.weight or 0)
     return [SystemPolynomial(i, j, k, ident, poly)
             for i in range(dim) for j in range(dim)
@@ -326,7 +335,6 @@ class SymbolicMatrix:
         return cls(dim, params, rows)
 
     def instantiate(self, point: list[Fraction]) -> Matrix:
-        point = [Fraction(x) for x in point]
         return Matrix.from_rows([[p.evaluate(point) for p in row] for row in self.entries])
 
 
@@ -493,6 +501,7 @@ class EnumerationResult:
     dim: int
     kind_label: str
     solutions: list[tuple[int, ...]]
+    nodes: int  # search nodes visited
 
     @property
     def count(self) -> int:
@@ -514,13 +523,20 @@ def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int
     return compiled
 
 
-def _search_mod_p(compiled: list, n: int, p: int, cap: int) -> list[tuple[int, ...]]:
-    """Sorted points of F_p^n where every compiled residual vanishes, by depth-first search.
+def _search_mod_p(compiled: list, n: int, p: int,
+                  cap: int) -> tuple[list[tuple[int, ...]], int]:
+    """Sorted points of F_p^n where every compiled residual vanishes, and the nodes visited.
 
-    A residual is tested once its last variable is set; one of degree 1 in its
-    only free variable x forces x = -b/a for a unit a, and needs b = 0 when a = 0
-    (forward checking, Knuth TAOCP 4B, 7.2.2).  Nodes are consistent partial
-    assignments, and BudgetError stops the search once they exceed the cap.
+    The search is depth first.  A residual is tested once its last variable is
+    set; one of degree 1 in its only free variable x forces x = -b/a for a unit
+    a, and needs b = 0 when a = 0 (forward checking, Knuth TAOCP 4B, 7.2.2).
+    It keeps (x, a mod p, b), so the test when x is set is (a*x + b) % p == 0.
+    That is exact because the trail is undone last in, first out: while x is
+    free the residual's other variables hold the values a and b came from, and
+    an undo that frees one of them first raises its free count to two, so
+    (x, a, b) is computed again before it is read.  Nodes are consistent
+    partial assignments, and BudgetError stops the search once they exceed
+    the cap.
     """
     vars_of = [{i for _, f in terms for i in f} for terms in compiled]
     linear = [{i for i in vs if all(f.count(i) < 2 for _, f in terms)}
@@ -534,24 +550,36 @@ def _search_mod_p(compiled: list, n: int, p: int, cap: int) -> list[tuple[int, .
         for r in occ[x]:
             left[r].discard(x)
     val, free, trail, solutions, nodes = [None] * n, [len(vs) for vs in vars_of], [], [], 0
+    unset = [sum(vs) for vs in vars_of]  # the sum of each residual's free variables
+    slot: list = [None] * len(compiled)  # (x, a, b) while the residual is a*x + b, x free
+    split: dict = {}  # (r, x) -> the terms of residual r with x (x taken out), and without
+
+    def value(terms) -> int:
+        total = 0
+        for c, f in terms:
+            for i in f:
+                c *= val[i]
+            total += c
+        return total
 
     def examine(r: int, forced: list) -> bool:
         # residual r has at most one free variable x; if it is linear in x, it is a*x + b
-        x = next((i for i in vars_of[r] if val[i] is None), None)
-        if x is not None and x not in linear[r]:
+        if not free[r]:
+            s = slot[r]
+            return (s[1] * val[s[0]] + s[2] if s else value(compiled[r])) % p == 0
+        x = unset[r]
+        if x not in linear[r]:
+            slot[r] = None
             return True  # tested once x is set
-        a = b = 0
-        for c, f in compiled[r]:
-            for i in f:
-                if i != x:
-                    c *= val[i]
-            if x in f:
-                a += c
-            else:
-                b += c
-        if a % p:
+        if (r, x) not in split:
+            split[r, x] = ([(c, tuple(i for i in f if i != x)) for c, f in compiled[r] if x in f],
+                           [t for t in compiled[r] if x not in t[1]])
+        with_x, without = split[r, x]
+        a, b = value(with_x) % p, value(without)
+        slot[r] = (x, a, b)
+        if a:
             forced.append((x, -b * pow(a, -1, p) % p))
-        return a % p != 0 or b % p == 0
+        return a != 0 or b % p == 0
 
     def propagate(forced: list) -> bool:
         # set each forced value and test the residuals it leaves with one free variable or
@@ -563,6 +591,7 @@ def _search_mod_p(compiled: list, n: int, p: int, cap: int) -> list[tuple[int, .
                 trail.append(x)
                 for r in occ[x]:
                     free[r] -= 1
+                    unset[r] -= x
                 if not all(examine(r, forced) for r in occ[x] if free[r] < 2):
                     return False
         return True
@@ -588,9 +617,10 @@ def _search_mod_p(compiled: list, n: int, p: int, cap: int) -> list[tuple[int, .
             val[x] = None
             for r in occ[x]:
                 free[r] += 1
+                unset[r] += x
         if propagate([(order[k], v)]):
             stack += visit(k + 1)
-    return sorted(solutions)
+    return sorted(solutions), nodes
 
 
 def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult:
@@ -611,8 +641,8 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
     if undefined:
         raise InputError(f"structure constant {undefined[0]} is not defined mod {p}")
     compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
-    solutions = _search_mod_p(compiled, a.dim * a.dim, p, resolve_budget())
-    return EnumerationResult(p, a.dim, kind.label(), solutions)
+    solutions, nodes = _search_mod_p(compiled, a.dim * a.dim, p, resolve_budget())
+    return EnumerationResult(p, a.dim, kind.label(), solutions, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,14 @@ def test_cli_solve_mod_does_not_build_the_rational_system(files, capsys, monkeyp
     assert json.loads(out)["count"] == 56
 
 
+def test_cli_solve_mod_prints_the_answer_without_search_nodes(files, capsys):
+    code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--mod", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"check", "prime", "dim", "kind", "count", "solutions"}
+    assert doc["count"] == 180
+
+
 def test_cli_star_writes_algebra(files, capsys, tmp_path):
     target = str(tmp_path / "star_out.json")
     code, out, _ = _run(capsys, ["star", files["leftunit2"], files["id2"],

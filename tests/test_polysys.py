@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, par
 from rnalg.catalog import catalog, operator
 from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
+from rnalg.fileio import enumeration_result_dict
 from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals,
                            _search_mod_p, build_identity_system, entry_variables,
                            enumerate_mod_p, groebner_basis, linear_reduce,
@@ -134,6 +136,23 @@ def test_symbolic_matrix_instantiation_matches_direct_matrix():
     m = family.instantiate([Fraction(1, 2)])
     assert m.eq(Matrix.from_rows([[Fraction(1, 2), Fraction(0)],
                                   [Fraction(0), Fraction(3)]]))
+
+
+def test_evaluation_refuses_floats_and_bools():
+    # 0.5 would give the float 0.5, not an exact value
+    for x in (0.5, 1.0, True):
+        with pytest.raises(InputError, match="not an exact rational"):
+            MPoly.var(1, 0).evaluate([x])
+    assert MPoly.var(1, 0).evaluate([Fraction(1, 2)]) == Fraction(1, 2)
+
+
+def test_symbolic_matrix_instantiation_refuses_floats_and_bools():
+    # 0.1 would become the entry 3602879701896397/36028797018963968
+    family = SymbolicMatrix.build(1, ["t"], {(0, 0): "t"})
+    for x in (0.1, False):
+        with pytest.raises(InputError, match="not an exact rational"):
+            family.instantiate([x])
+    assert family.instantiate(["1/10"]).at(0, 0) == Fraction(1, 10)
 
 
 def test_groebner_textbook_circle_and_line():
@@ -317,9 +336,13 @@ def test_enumeration_mod_2_on_pair3():
 
 def _naive_mod_p(a, kind, p) -> list[tuple[int, ...]]:
     """The full scan: test every compiled residual at every point of F_p^(dim^2)."""
-    compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
+    return _scan(_compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p), a.dim * a.dim, p)
+
+
+def _scan(compiled, n, p) -> list[tuple[int, ...]]:
+    """The points of F_p^n where every compiled residual vanishes, one point at a time."""
     solutions = []
-    for point in itertools.product(range(p), repeat=a.dim * a.dim):
+    for point in itertools.product(range(p), repeat=n):
         ok = True
         for terms in compiled:
             acc = 0
@@ -408,10 +431,125 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # x_(i+1) - x_i over F_3 for 1100 variables: one branch forces the whole chain
     n = 1100
     chain = [[(1, (i + 1,)), (2, (i,))] for i in range(n - 1)]
-    assert _search_mod_p(chain, n, 3, 4) == [(v,) * n for v in range(3)]
+    assert _search_mod_p(chain, n, 3, 4) == ([(v,) * n for v in range(3)], 4)
     # no residuals: the first path down is n + 1 nodes deep
     with pytest.raises(BudgetError, match="1201 nodes visited, cap 1200"):
         _search_mod_p([], n, 2, 1200)
+
+
+def _reference_search(compiled: list, n: int, p: int, cap: int):
+    """The search before residuals kept their linear coefficients: every test multiplies out
+    the residual's terms.  Returns the sorted solutions and the nodes visited."""
+    vars_of = [{i for _, f in terms for i in f} for terms in compiled]
+    linear = [{i for i in vs if all(f.count(i) < 2 for _, f in terms)}
+              for vs, terms in zip(vars_of, compiled)]
+    occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
+    left, order = [set(vs) for vs in vars_of], []
+    while len(order) < n:
+        x = max(set(range(n)) - set(order),
+                key=lambda x: (sum(left[r] == {x} for r in occ[x]), len(occ[x]), -x))
+        order.append(x)
+        for r in occ[x]:
+            left[r].discard(x)
+    val, free, trail, solutions, nodes = [None] * n, [len(vs) for vs in vars_of], [], [], 0
+
+    def examine(r: int, forced: list) -> bool:
+        x = next((i for i in vars_of[r] if val[i] is None), None)
+        if x is not None and x not in linear[r]:
+            return True
+        a = b = 0
+        for c, f in compiled[r]:
+            for i in f:
+                if i != x:
+                    c *= val[i]
+            if x in f:
+                a += c
+            else:
+                b += c
+        if a % p:
+            forced.append((x, -b * pow(a, -1, p) % p))
+        return a % p != 0 or b % p == 0
+
+    def propagate(forced: list) -> bool:
+        while forced:
+            x, v = forced.pop()
+            if val[x] is None:
+                val[x] = v
+                trail.append(x)
+                for r in occ[x]:
+                    free[r] -= 1
+                if not all(examine(r, forced) for r in occ[x] if free[r] < 2):
+                    return False
+        return True
+
+    def visit(k: int) -> list:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise BudgetError(f"mod-p enumeration stage: {nodes} nodes visited, cap {cap}")
+        k = next((j for j in range(k, n) if val[order[j]] is None), n)
+        if k == n:
+            solutions.append(tuple(val))
+        return [(k, v, len(trail)) for v in range(p)] if k < n else []
+
+    forced: list = []
+    root = all(examine(r, forced) for r in range(len(compiled)) if free[r] < 2)
+    stack = visit(0) if root and propagate(forced) else []
+    while stack:
+        k, v, mark = stack.pop()
+        while len(trail) > mark:
+            x = trail.pop()
+            val[x] = None
+            for r in occ[x]:
+                free[r] += 1
+        if propagate([(order[k], v)]):
+            stack += visit(k + 1)
+    return sorted(solutions), nodes
+
+
+def _random_compiled(rng: random.Random, n: int, p: int) -> list:
+    """Residuals as _compile_mod_p makes them, of degree <= 3, squares and constants included,
+    with a duplicate residual and two residuals that force one entry to different values.
+    Most residuals vanish at one random point, so most systems have solutions."""
+    g, x = rng.sample(range(n), 2)
+    z = [rng.randrange(p) for _ in range(n)]
+    z[g] = 0
+
+    def residual():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[tuple(sorted(rng.choices(range(n), k=rng.randint(1, 3))))] = rng.randrange(1, p)
+        at_z = sum(c * math.prod(z[i] for i in f) for f, c in terms.items())
+        terms[()] = (rng.random() < 0.1) - at_z
+        return [(c % p, f) for f, c in terms.items() if c % p]
+
+    compiled = [residual() for _ in range(rng.randint(1, n + 1))]
+    compiled.append(list(rng.choice(compiled)))
+    # g * (x - 1) and g * (x - 2): once g is a unit, the two force x to 1 and to 2 mod p
+    for v in (1, 2 % p):
+        compiled.insert(rng.randrange(len(compiled) + 1),
+                        [(1, tuple(sorted((g, x))))] + ([(p - v, (g,))] if v else []))
+    return compiled
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_search_equals_the_full_scan_and_visits_the_reference_nodes(p):
+    rng = random.Random(f"search:{p}")
+    for _ in range({2: 60, 3: 50, 5: 25}[p]):
+        n = rng.randint(2, 6 if p < 5 else 5)
+        compiled = _random_compiled(rng, n, p)
+        solutions, nodes = _search_mod_p(compiled, n, p, 10 ** 6)
+        assert solutions == _scan(compiled, n, p)
+        assert (solutions, nodes) == _reference_search(compiled, n, p, 10 ** 6)
+
+
+@pytest.mark.parametrize("name,p,nodes", [("mat2", 2, 404), ("mat2", 3, 2899),
+                                          ("pair3", 3, 285), ("trunc3", 3, 68)])
+def test_enumeration_reports_the_nodes_visited(name, p, nodes):
+    result = enumerate_mod_p(CAT[name], KIND_RN, p)
+    assert result.nodes == nodes
+    # the count is evidence about the search, not part of the answer
+    assert "nodes" not in enumeration_result_dict(result)
 
 
 def _halved(a: Algebra) -> Algebra:
