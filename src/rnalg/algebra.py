@@ -8,8 +8,11 @@ use.  Linear operators use the column convention P(e_j) = sum_i M[i][j] e_i,
 so applying the matrix to a coordinate vector is the ordinary
 matrix-vector product.
 
-Identity checks evaluate on every ordered basis pair and report exact
-residual vectors; bilinearity makes basis pairs sufficient.
+Every identity is bilinear in its two arguments, so its residual over all
+ordered basis pairs is one cochain in mu's layout: a dim x dim^2 Matrix whose
+column i n + j is the exact residual at (e_i, e_j).  product(f, g) = mu(f (x) g)
+is the bilinear map those checks are built from; a nonzero column is a
+violation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .exactlin import Entry, Matrix, from_cols, kron_sum, parse_q
+from .exactlin import Entry, Matrix, kron, kron_sum, parse_q
 
 REYNOLDS = "reynolds"
 NIJENHUIS = "nijenhuis"
@@ -129,18 +132,14 @@ class Algebra:
     def multiply(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("vector length != algebra dimension")
-        d = self.dim
-        out = [Fraction(0)] * d
-        for (k, ij), cv in self.mu.entries.items():
-            xi, yj = x[ij // d], y[ij % d]
-            if xi and yj:
-                out[k] += xi * yj * cv
-        return out
+        return self.mu.apply([u * v for u in x for v in y])
 
-    def basis_vector(self, i: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
+    def product(self, f: Matrix, g: Matrix) -> Matrix:
+        """mu(f (x) g), whose column i g.cols + j is f(e_i) g(e_j); f (x) g itself is never built."""
+        if f.rows != self.dim or g.rows != self.dim:
+            raise InputError("map rows != algebra dimension")
+        left = self.mu.mul(kron([f, Matrix.identity(self.dim)]))
+        return left.mul(kron([Matrix.identity(f.cols), g]))
 
     def left_mult_matrix(self, i: int) -> Matrix:
         # column j holds the coordinates of e_i * e_j: columns i*dim .. i*dim + dim - 1 of mu
@@ -182,6 +181,14 @@ class AssociativityReport:
         return not self.violations
 
 
+def _nonzero_columns(named) -> list[tuple[int, object, tuple[Fraction, ...]]]:
+    """(column, name, values) of each nonzero column of the (name, Matrix) pairs, which share
+    one layout: column by column, and within a column in the order of named."""
+    cols = sorted({col for _, m in named for _, col in m.entries})
+    return [(col, name, res) for col in cols for name, m in named
+            if any(res := tuple(m.col_list(col)))]
+
+
 def check_associative(a: Algebra) -> AssociativityReport:
     """Evaluate (e_i e_j) e_k - e_i (e_j e_k) on all ordered basis triples.
 
@@ -190,12 +197,9 @@ def check_associative(a: Algebra) -> AssociativityReport:
     """
     ident = Matrix.identity(a.dim)
     assoc = a.mu.mul(kron_sum([(1, [a.mu, ident]), (-1, [ident, a.mu])]))
-    violations = []
-    for col in sorted({col for _, col in assoc.entries}):
-        ij, k = divmod(col, a.dim)
-        violations.append(AssociativityViolation(*divmod(ij, a.dim), k,
-                                                 tuple(assoc.col_list(col))))
-    return AssociativityReport(a.dim, tuple(violations))
+    return AssociativityReport(a.dim, tuple(
+        AssociativityViolation(*divmod(col // a.dim, a.dim), col % a.dim, res)
+        for col, _, res in _nonzero_columns([(None, assoc)])))
 
 
 @dataclass(frozen=True)
@@ -227,29 +231,18 @@ def _require_associative(a: Algebra) -> None:
         raise InputError("algebra is not associative")
 
 
-def _vadd(x, y):
-    return [u + v for u, v in zip(x, y)]
-
-
-def _vsub(x, y):
-    return [u - v for u, v in zip(x, y)]
-
-
-def _cross(mul, x, y, px, py) -> list:
-    # xP(y) + P(x)y, the part all four identities share
-    return _vadd(mul(x, py), mul(px, y))
-
-
-def star(mul, apply, x, y, px, py) -> list:
+def star(mul, apply, x, y, px, py):
     """The deformed product x*y = xP(y) + P(x)y - P(xy), with px = P(x), py = P(y)."""
-    return _vsub(_cross(mul, x, y, px, py), apply(mul(x, y)))
+    return mul(x, py).add(mul(px, y)).sub(apply(mul(x, y)))
 
 
-def identity_residual(identity: str, weight, mul, apply, x, y, px, py) -> list:
+def identity_residual(identity: str, weight, mul, apply, x, y, px, py):
     """lhs - rhs of one identity at (x, y), with px = P(x) and py = P(y).
 
-    mul and apply act on coordinate vectors whose entries support +, - and
-    *, so the one definition serves rationals and polynomials alike:
+    The values mul and apply return have add, sub and scale.  On matrices,
+    with x = y = Id (or the inclusion A -> A[t]), mul = Algebra.product and
+    apply = P.mul, it is the residual cochain of all basis pairs at once;
+    polysys feeds it one basis pair of polynomial vectors at a time:
 
       nijenhuis            P(x)P(y) = P(x*y)
       reynolds             P(x)P(y) = P(xP(y) + P(x)y - P(x)P(y))
@@ -257,17 +250,17 @@ def identity_residual(identity: str, weight, mul, apply, x, y, px, py) -> list:
       modified_rota_baxter P(xy)    = xP(y) + P(x)y + weight xy
     """
     if identity == NIJENHUIS:
-        return _vsub(mul(px, py), apply(star(mul, apply, x, y, px, py)))
-    cross = _cross(mul, x, y, px, py)
+        return mul(px, py).sub(apply(star(mul, apply, x, y, px, py)))
+    cross = mul(x, py).add(mul(px, y))
     if identity == REYNOLDS:
         lhs = mul(px, py)
-        return _vsub(lhs, apply(_vsub(cross, lhs)))
+        return lhs.sub(apply(cross.sub(lhs)))
     xy = mul(x, y)
-    weighted = _vadd(cross, [weight * t for t in xy])
+    weighted = cross.add(xy.scale(weight))
     if identity == ROTA_BAXTER:
-        return _vsub(mul(px, py), apply(weighted))
+        return mul(px, py).sub(apply(weighted))
     if identity == MODIFIED_ROTA_BAXTER:
-        return _vsub(apply(xy), weighted)
+        return apply(xy).sub(weighted)
     raise InputError(f"unknown identity {identity!r}")  # pragma: no cover
 
 
@@ -281,28 +274,19 @@ def check_operator(a: Algebra, p: Matrix, kind: OperatorKind) -> IdentityReport:
     """Test the identity for `kind` on all ordered basis pairs; exact residuals."""
     _require_square(a, p)
     _require_associative(a)
-    violations = []
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    images = [p.apply(x) for x in basis]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for ident in _component_identities(kind):
-                res = identity_residual(ident, kind.weight, a.multiply, p.apply,
-                                        basis[i], basis[j], images[i], images[j])
-                if any(res):
-                    violations.append(IdentityViolation(i, j, ident, tuple(res)))
-    return IdentityReport(kind, a.dim, tuple(violations))
+    ident = Matrix.identity(a.dim)
+    residuals = [(name, identity_residual(name, kind.weight, a.product, p.mul, ident, ident, p, p))
+                 for name in _component_identities(kind)]
+    return IdentityReport(kind, a.dim, tuple(IdentityViolation(*divmod(col, a.dim), name, res)
+                                             for col, name, res in _nonzero_columns(residuals)))
 
 
 def star_product(a: Algebra, p: Matrix) -> Algebra:
     """Deformed product a*b = aP(b) + P(a)b - P(ab); associativity not assumed."""
     _require_square(a, p)
     _require_associative(a)
-    basis = [a.basis_vector(i) for i in range(a.dim)]
-    images = [p.apply(x) for x in basis]
-    cols = [star(a.multiply, p.apply, basis[i], basis[j], images[i], images[j])
-            for i in range(a.dim) for j in range(a.dim)]
-    return Algebra(a.dim, from_cols(cols), basis=a.basis,
+    ident = Matrix.identity(a.dim)
+    return Algebra(a.dim, star(a.product, p.mul, ident, ident, p, p), basis=a.basis,
                    name=f"star({a.name})" if a.name else None)
 
 
@@ -326,22 +310,16 @@ class MorphismReport:
 
 def check_morphism(src: Algebra, dst: Algebra, phi: Matrix,
                    p_src: Matrix, p_dst: Matrix) -> MorphismReport:
-    """Check phi(xy) = phi(x)phi(y) on basis pairs and p_dst . phi = phi . p_src."""
+    """Check phi mu_src = mu_dst (phi (x) phi) on basis pairs and p_dst . phi = phi . p_src."""
     if src.dim != phi.cols or dst.dim != phi.rows:
         raise InputError("morphism matrix shape does not match the algebras")
     _require_square(src, p_src)
     _require_square(dst, p_dst)
-    violations = []
-    basis = [src.basis_vector(i) for i in range(src.dim)]
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = phi.apply(src.multiply(basis[i], basis[j]))
-            rhs = dst.multiply(phi.apply(basis[i]), phi.apply(basis[j]))
-            res = tuple(l - r for l, r in zip(lhs, rhs))
-            if any(res):
-                violations.append((i, j, res))
+    product = phi.mul(src.mu).sub(dst.product(phi, phi))
+    violations = tuple((*divmod(col, src.dim), res)
+                       for col, _, res in _nonzero_columns([(None, product)]))
     diff = p_dst.mul(phi).sub(phi.mul(p_src))
-    return MorphismReport(tuple(violations), tuple(tuple(r) for r in diff.to_rows()))
+    return MorphismReport(violations, tuple(tuple(r) for r in diff.to_rows()))
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,29 @@ are one algebra with one operator over Q[t]/(t^(N+1)): nu_t multiplies
 A[t]/(t^(N+1)), whose basis vector e_i t^k sits at index k dim + i, and P_t
 acts on it.  The three equations are associativity of nu_t and the
 Nijenhuis ("twisted compatibility") and Reynolds ("averaged
-compatibility") identities of P_t, evaluated on the basis of A; the
-coefficient of t^n of each residual is the order-n equation.  Coefficients
-whose indices sum to n land in t^n, so truncating at N is exact for every
-reported order.  Over Q[t] the Reynolds term P_t(nu_t(P_t a, P_t b)) is the
-quartic sum over all splits i+j+k+l = n, the reading every order report
-records.
+compatibility") identities of P_t, each one cochain over A[t] evaluated on
+A through the inclusion iota: A -> A[t].  Rows n dim .. (n + 1) dim - 1 of
+a column are its t^n coefficient, the order-n equation at that basis tuple.
+Coefficients whose indices sum to n land in t^n, so truncating at N is
+exact for every reported order.  Over Q[t] the Reynolds term
+P_t(nu_t(P_t a, P_t b)) is the quartic sum over all splits i+j+k+l = n,
+the reading every order report records.
 
 Order 0 of the three equations is exactly the base structure check, so a
 valid deformation certifies its own base.  A formal isomorphism
 Id + phi_1 t + ... is an operator on the same space; equivalence,
-transport and inversion read t^n slices too.
+transport and inversion read t^n coefficients too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NIJENHUIS, REYNOLDS, Algebra, _vsub, identity_residual
+from .algebra import NIJENHUIS, REYNOLDS, Algebra, _nonzero_columns, identity_residual
 from .cohomology import ComplexBuilder, flatten
-from .errors import InputError
-from .exactlin import Matrix, from_cols, kron_sum, solve
+from .errors import DEFAULT_BUDGET, BudgetError, InputError
+from .exactlin import Matrix, kron_sum, solve
 from .representation import regular_representation
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
@@ -53,16 +53,25 @@ def _series(coefficients, order: int) -> Matrix:
                      for k, c in enumerate(coefficients[:order + 1])])
 
 
-def _coefficient(series: Matrix, k: int, dim: int) -> Matrix:
-    """The t^k coefficient of a Q[t]-linear series: its block at row t^k, column t^0."""
-    return Matrix(dim, dim, {(i - k * dim, j): x for (i, j), x in series.entries.items()
-                             if j < dim and k * dim <= i < (k + 1) * dim})
+def _inclusion(dim: int, order: int) -> Matrix:
+    """iota: A -> A[t]/(t^(order+1)), e_i -> e_i t^0."""
+    return Matrix(dim * (order + 1), dim, {(i, i): 1 for i in range(dim)})
+
+
+def _coefficient(m: Matrix, k: int, dim: int) -> Matrix:
+    """The t^k coefficient of a map into A[t]: its rows k dim .. (k + 1) dim - 1."""
+    return Matrix(dim, m.cols, {(i - k * dim, j): x for (i, j), x in m.entries.items()
+                                if k * dim <= i < (k + 1) * dim})
 
 
 def _series_algebra(nu, order: int) -> Algebra:
     """A[t]/(t^(order+1)) with e_i t^k . e_j t^l = sum_m nu_m(e_i, e_j) t^(k+l+m)."""
     dim = nu[0].rows
     size = dim * (order + 1)
+    if size ** 3 > DEFAULT_BUDGET:  # the fixed cap of loading an algebra file, on A[t]
+        raise BudgetError(f"deformation series stage: dim {dim} at order {order} makes a dimension-"
+                          f"{size} algebra, which needs {size ** 3} structure constants, "
+                          f"cap {DEFAULT_BUDGET}")
     entries = {}
     for m, coefficient in enumerate(nu[:order + 1]):
         nonzero = [(*divmod(ij, dim), r, x) for (r, ij), x in coefficient.entries.items()]
@@ -149,37 +158,35 @@ class DeformationReport:
         return None
 
 
-def _at_order(terms, n: int, dim: int) -> tuple[EqViolation, ...]:
-    """The nonzero t^n slices of (equation, basis indices, residual series) terms."""
-    out = []
-    for eq, args, series in terms:
-        res = tuple(series[n * dim:(n + 1) * dim])
-        if any(res):
-            out.append(EqViolation(eq, n, args, res))
-    return tuple(out)
+def _at_order(groups, n: int, dim: int) -> tuple[EqViolation, ...]:
+    """The nonzero columns of each residual's t^n coefficient, as order-n violations.
+
+    groups holds (arity, [(equation, residual), ...]); the residuals of a group
+    share one layout, whose column a_1 ... a_arity in base dim is that basis tuple.
+    """
+    return tuple(EqViolation(eq, n, tuple(col // dim ** k % dim for k in range(arity)[::-1]), res)
+                 for arity, group in groups for col, eq, res in _nonzero_columns(
+                     [(eq, _coefficient(residual, n, dim)) for eq, residual in group]))
 
 
 def _residual_series(d: TruncatedDeformation):
-    """(equation, basis indices, residual series) for the three identities over Q[t].
+    """(arity, [(equation, residual), ...]) groups for the three identities over Q[t].
 
-    Associativity triples come first in lexicographic (a, b, c) order, then
-    per pair (a, b) the twisted followed by the averaged residual.
+    Each residual is one cochain over A[t] evaluated on A: the identity with
+    x = y = iota and P(x) = P(y) = P_t iota.  Associativity triples come
+    first in lexicographic (a, b, c) order, then per pair (a, b) the
+    twisted followed by the averaged residual.
     """
     at = _series_algebra(d.nu, d.order)
     pt = _series(d.p, d.order)
-    basis = [at.basis_vector(i) for i in range(d.dim)]
-    images = [pt.apply(x) for x in basis]
-    pairs = list(itertools.product(range(d.dim), repeat=2))
-    products = {(a, b): at.multiply(basis[a], basis[b]) for a, b in pairs}
-    terms = [(EQ_ASSOCIATIVITY, (a, b, c), _vsub(at.multiply(products[a, b], basis[c]),
-                                                 at.multiply(basis[a], products[b, c])))
-             for a, b, c in itertools.product(range(d.dim), repeat=3)]
-    for a, b in pairs:
-        for eq, identity in ((EQ_TWISTED, NIJENHUIS), (EQ_AVERAGED, REYNOLDS)):
-            terms.append((eq, (a, b), identity_residual(identity, None, at.multiply, pt.apply,
-                                                        basis[a], basis[b],
-                                                        images[a], images[b])))
-    return terms
+    iota = _inclusion(d.dim, d.order)
+    p_iota = pt.mul(iota)
+    ab = at.product(iota, iota)
+    twisted, averaged = (identity_residual(identity, None, at.product, pt.mul,
+                                           iota, iota, p_iota, p_iota)
+                         for identity in (NIJENHUIS, REYNOLDS))
+    return [(3, [(EQ_ASSOCIATIVITY, at.product(ab, iota).sub(at.product(iota, ab)))]),
+            (2, [(EQ_TWISTED, twisted), (EQ_AVERAGED, averaged)])]
 
 
 def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
@@ -190,13 +197,17 @@ def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
     """
     if not 0 <= n <= d.order:
         raise InputError("order out of range")
-    return [x for _, _, series in _residual_series(d) for x in series[n * d.dim:(n + 1) * d.dim]]
+    out = []
+    for _, group in _residual_series(d):
+        blocks = [_coefficient(residual, n, d.dim) for _, residual in group]
+        out += [x for col in range(blocks[0].cols) for b in blocks for x in b.col_list(col)]
+    return out
 
 
 def check_deformation(d: TruncatedDeformation) -> DeformationReport:
     """Order-by-order residual report; order 0 is the base structure check."""
-    terms = _residual_series(d)
-    return DeformationReport(d.order, tuple(OrderReport(n, _at_order(terms, n, d.dim))
+    groups = _residual_series(d)
+    return DeformationReport(d.order, tuple(OrderReport(n, _at_order(groups, n, d.dim))
                                             for n in range(d.order + 1)))
 
 
@@ -238,6 +249,7 @@ class FormalIso:
         inv = ident
         for _ in range(self.order):
             inv = ident.add(nilpotent.mul(inv))
+        inv = inv.mul(_inclusion(self.dim, self.order))
         return [_coefficient(inv, k, self.dim) for k in range(self.order + 1)]
 
 
@@ -271,15 +283,13 @@ def check_equivalence(src: TruncatedDeformation, dst: TruncatedDeformation,
     dim = src.dim
     at, at_dst = _series_algebra(src.nu, order), _series_algebra(dst.nu, order)
     phi = _series(iso.phi, order)
-    basis = [at.basis_vector(i) for i in range(dim)]
-    images = [phi.apply(x) for x in basis]
-    operator = phi.mul(_series(dst.p, order)).sub(_series(src.p, order).mul(phi))
-    terms = [(EQ_PRODUCT_TRANSPORT, (a, b), _vsub(phi.apply(at_dst.multiply(basis[a], basis[b])),
-                                                  at.multiply(images[a], images[b])))
-             for a, b in itertools.product(range(dim), repeat=2)]
-    terms += [(EQ_OPERATOR_TRANSPORT, (a,), operator.col_list(a)) for a in range(dim)]
+    iota = _inclusion(dim, order)
+    phi_iota = phi.mul(iota)
+    product = phi.mul(at_dst.product(iota, iota)).sub(at.product(phi_iota, phi_iota))
+    operator = phi.mul(_series(dst.p, order)).sub(_series(src.p, order).mul(phi)).mul(iota)
+    groups = [(2, [(EQ_PRODUCT_TRANSPORT, product)]), (1, [(EQ_OPERATOR_TRANSPORT, operator)])]
     return EquivalenceReport(order, tuple(v for n in range(order + 1)
-                                          for v in _at_order(terms, n, dim)))
+                                          for v in _at_order(groups, n, dim)))
 
 
 def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
@@ -295,13 +305,11 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     at = _series_algebra(d.nu, order)
     phi = _series(iso.phi, order)
     chi = _series(iso.inverse_coefficients(), order)
-    images = [phi.apply(at.basis_vector(i)) for i in range(dim)]
-    nu = [chi.apply(at.multiply(images[a], images[b]))
-          for a, b in itertools.product(range(dim), repeat=2)]
-    p = chi.mul(_series(d.p, order)).mul(phi)
-    return TruncatedDeformation(
-        order, [from_cols([vec[k * dim:(k + 1) * dim] for vec in nu]) for k in range(order + 1)],
-        [_coefficient(p, k, dim) for k in range(order + 1)])
+    phi_iota = phi.mul(_inclusion(dim, order))
+    nu = chi.mul(at.product(phi_iota, phi_iota))
+    p = chi.mul(_series(d.p, order)).mul(phi_iota)
+    return TruncatedDeformation(order, [_coefficient(nu, k, dim) for k in range(order + 1)],
+                                [_coefficient(p, k, dim) for k in range(order + 1)])
 
 
 @dataclass(frozen=True)
@@ -363,7 +371,7 @@ def same_cohomology_class(a: Algebra, p: Matrix, d1: TruncatedDeformation,
         raise InputError("need order >= 1")
     m = regular_representation(a, p)
     b = ComplexBuilder(a, p, m, budget)
-    diff = _vsub(_pair_vector(d1, 1), _pair_vector(d2, 1))
+    diff = [x - y for x, y in zip(_pair_vector(d1, 1), _pair_vector(d2, 1))]
     split = b.amb(2)
     constraint = b.rno_constraint(1)
     in_domain = all(not x for x in constraint.apply(diff[split:]))

@@ -113,7 +113,7 @@ def load_algebra(data) -> Algebra:
     if not _is_int(dim) or dim < 0:
         raise InputError("algebra: dim must be a nonnegative integer")
     # a fixed cap on dim^3: the dense view Algebra.c has that many entries, and the
-    # checks do dense work of that size, such as a dim-vector for each of the dim^2 basis pairs
+    # associator mu (mu (x) Id - Id (x) mu) has that many columns
     if dim ** 3 > DEFAULT_BUDGET:
         raise BudgetError(f"algebra load stage: dim {dim} needs {dim ** 3} structure constants, "
                           f"cap {DEFAULT_BUDGET}")

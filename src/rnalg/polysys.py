@@ -237,12 +237,25 @@ def _point(m: Matrix) -> list[Fraction]:
     return [x for row in m.to_rows() for x in row]
 
 
+class _Vec(list):
+    """A coordinate vector of MPolys with the add, sub and scale identity_residual uses."""
+
+    def add(self, other: list) -> "_Vec":
+        return _Vec(map(add, self, other))
+
+    def sub(self, other: list) -> "_Vec":
+        return _Vec(map(sub, self, other))
+
+    def scale(self, c) -> "_Vec":
+        return _Vec(x.scale(c) for x in self)
+
+
 def _sym_columns(dim: int) -> list[list[MPoly]]:
     n = dim * dim
     return [[MPoly.var(n, r * dim + c) for r in range(dim)] for c in range(dim)]
 
 
-def _sym_apply(dim: int, vec: list[MPoly]) -> list[MPoly]:
+def _sym_apply(dim: int, vec: list[MPoly]) -> _Vec:
     # coordinate r of P(vec) is the sum over c of P_r_c * vec[c]
     out: list[dict] = [{} for _ in range(dim)]
     for c, x in enumerate(vec):
@@ -251,10 +264,10 @@ def _sym_apply(dim: int, vec: list[MPoly]) -> list[MPoly]:
                 i = r * dim + c
                 mi = m[:i] + (m[i] + 1,) + m[i + 1:]
                 acc[mi] = acc.get(mi, 0) + v
-    return [MPoly(dim * dim, t) for t in out]
+    return _Vec(MPoly(dim * dim, t) for t in out)
 
 
-def _sym_mult(pairs: dict, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
+def _sym_mult(pairs: dict, x: list[MPoly], y: list[MPoly]) -> _Vec:
     # pairs maps (i, j) to the (k, c_ij^k) of mu's nonzeros; each x[i]*y[j] is formed once
     out: list[dict] = [{} for _ in x]
     for (i, j), consts in pairs.items():
@@ -263,7 +276,7 @@ def _sym_mult(pairs: dict, x: list[MPoly], y: list[MPoly]) -> list[MPoly]:
                 m, c = tuple(map(add, m1, m2)), c1 * c2
                 for k, cv in consts:
                     out[k][m] = out[k].get(m, 0) + c * cv
-    return [MPoly(x[0].nvars, t) for t in out]
+    return _Vec(MPoly(x[0].nvars, t) for t in out)
 
 
 def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
@@ -287,11 +300,10 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
         pairs.setdefault(divmod(ij, dim), []).append((k, v))
     mul = functools.partial(_sym_mult, pairs)
     apply = functools.partial(_sym_apply, dim)
-    weight = MPoly.const(n, kind.weight or 0)
     return [SystemPolynomial(i, j, k, ident, poly)
             for i in range(dim) for j in range(dim)
             for ident in _component_identities(kind)
-            for k, poly in enumerate(identity_residual(ident, weight, mul, apply,
+            for k, poly in enumerate(identity_residual(ident, kind.weight, mul, apply,
                                                        basis[i], basis[j], cols[i], cols[j]))]
 
 

@@ -95,10 +95,9 @@ def _check_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> ProfileReport:
     for i in range(a.dim):
         checks.append(("rho-left-commute", (i,), rho.mul(m.left[i]).sub(m.left[i].mul(rho))))
         checks.append(("rho-right-commute", (i,), rho.mul(m.right[i]).sub(m.right[i].mul(rho))))
-    basis = [a.basis_vector(i) for i in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
-            prod = a.multiply(basis[i], basis[j])
+            prod = a.mu.col_list(i * a.dim + j)
             lp = m.left_of(prod)
             rp = m.right_of(prod)
             checks.append(("left-action-multiplicative", (i, j),
@@ -136,8 +135,8 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
     if m.xi is None:
         raise InputError("bimodule carries no xi")
     xi = m.xi
-    lp = [m.left_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
-    rp = [m.right_of(p.apply(a.basis_vector(i))) for i in range(a.dim)]
+    lp = [m.left_of(p.col_list(i)) for i in range(a.dim)]
+    rp = [m.right_of(p.col_list(i)) for i in range(a.dim)]
     checks = []
     for i in range(a.dim):
         checks.append(("xi-left-intertwine", (i,), xi.mul(m.left[i]).sub(lp[i].mul(xi))))
@@ -168,7 +167,7 @@ def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], l
     xi = m.xi
     left, right = [], []
     for i in range(a.dim):
-        pa = p.apply(a.basis_vector(i))
+        pa = p.col_list(i)
         left.append(m.left[i].mul(xi).sub(xi.mul(m.left[i])).add(m.left_of(pa)))
         right.append(m.right[i].mul(xi).sub(xi.mul(m.right[i])).add(m.right_of(pa)))
     return left, right

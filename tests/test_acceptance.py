@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import record_criterion
+from test_algebra import _e
 
 from rnalg.algebra import (
     KIND_NIJENHUIS,
@@ -234,9 +235,8 @@ def test_criterion_06_star_product_suite():
                 assert check_associative(st).passed, (name, label)
                 for i in range(a.dim):
                     for j in range(a.dim):
-                        lhs = p.apply(st.multiply(a.basis_vector(i), a.basis_vector(j)))
-                        rhs = a.multiply(p.apply(a.basis_vector(i)),
-                                         p.apply(a.basis_vector(j)))
+                        lhs = p.apply(st.multiply(_e(a, i), _e(a, j)))
+                        rhs = a.multiply(p.apply(_e(a, i)), p.apply(_e(a, j)))
                         assert lhs == rhs, (name, label, i, j)
         for name in CAT:
             assert (name, "zero") in tested

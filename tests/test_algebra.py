@@ -16,6 +16,7 @@ from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra,
                            check_associative, check_morphism, check_operator,
                            classify_square, modified_rota_baxter, parse_kind,
                            rota_baxter, star_product)
+from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, get_algebra, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix, qstr
@@ -25,7 +26,8 @@ CAT = catalog()
 
 
 def _e(a, i):
-    return a.basis_vector(i)
+    """The unit coordinate vector e_i of a."""
+    return [Fraction(int(k == i)) for k in range(a.dim)]
 
 
 def test_catalog_names_and_dimensions():
@@ -175,15 +177,142 @@ def test_algebra_refuses_a_product_matrix_of_the_wrong_shape(mu):
     assert Algebra(2, Matrix.zeros(2, 4)).is_associative()
 
 
-def test_only_the_algebra_module_reads_the_dense_cube():
-    # the product's storage stays behind rnalg.algebra: every other module reads mu
-    readers = []
+def _outside_algebra(match) -> list[str]:
+    """file:line of every AST node that match accepts in an rnalg module other than algebra.py."""
+    found = []
     for path in sorted(Path(rnalg.__file__).parent.glob("*.py")):
         if path.name != "algebra.py":
             tree = ast.parse(path.read_text())
-            readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                        if isinstance(node, ast.Attribute) and node.attr == "c"]
-    assert readers == []
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if match(node)]
+    return found
+
+
+def test_only_the_algebra_module_reads_the_dense_cube():
+    # the product's storage stays behind rnalg.algebra: every other module reads mu
+    assert _outside_algebra(lambda node: isinstance(node, ast.Attribute) and node.attr == "c") == []
+
+
+def test_only_the_algebra_module_calls_multiply():
+    # every check evaluates its identity as one cochain on mu; none goes back to
+    # multiplying basis vectors pair by pair
+    assert _outside_algebra(lambda node: isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "multiply") == []
+
+
+# The checks evaluate each identity once, as a cochain on mu.  The oracles
+# below evaluate it pair by pair, with a.multiply on unit vectors, as the
+# checks once did.
+
+ORACLE_KINDS = ("rn", "reynolds", "nijenhuis", "rb:1", "rb:-1", "mrb:1", "mrb:-1",
+                "rb:1/2", "mrb:-3/2")
+
+
+def _add(x, y):
+    return [u + v for u, v in zip(x, y)]
+
+
+def _sub(x, y):
+    return [u - v for u, v in zip(x, y)]
+
+
+def _pair_identities(a: Algebra, p: Matrix, kind) -> list:
+    """(i, j, identity, residual) of each nonzero identity residual, pair by pair."""
+    mul, apply = a.multiply, p.apply
+    names = ["nijenhuis", "reynolds"] if kind == KIND_RN else [kind.name]
+    out = []
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        x, y = _e(a, i), _e(a, j)
+        px, py, xy = apply(x), apply(y), mul(x, y)
+        cross = _add(mul(x, py), mul(px, y))
+        weighted = _add(cross, [(kind.weight or 0) * t for t in xy])
+        residual = {
+            "nijenhuis": _sub(mul(px, py), apply(_sub(cross, apply(xy)))),
+            "reynolds": _sub(mul(px, py), apply(_sub(cross, mul(px, py)))),
+            "rota_baxter": _sub(mul(px, py), apply(weighted)),
+            "modified_rota_baxter": _sub(apply(xy), weighted),
+        }
+        out += [(i, j, name, tuple(residual[name])) for name in names if any(residual[name])]
+    return out
+
+
+def _pair_star(a: Algebra, p: Matrix) -> list:
+    """e_i * e_j = e_i P(e_j) + P(e_i) e_j - P(e_i e_j), pair by pair."""
+    out = []
+    for i, j in itertools.product(range(a.dim), repeat=2):
+        x, y = _e(a, i), _e(a, j)
+        out.append(_sub(_add(a.multiply(x, p.apply(y)), a.multiply(p.apply(x), y)),
+                        p.apply(a.multiply(x, y))))
+    return out
+
+
+def _pair_morphism(src: Algebra, dst: Algebra, phi: Matrix) -> list:
+    """(i, j, phi(e_i e_j) - phi(e_i) phi(e_j)) of each nonzero residual, pair by pair."""
+    out = []
+    for i, j in itertools.product(range(src.dim), repeat=2):
+        x, y = _e(src, i), _e(src, j)
+        res = tuple(_sub(phi.apply(src.multiply(x, y)),
+                         dst.multiply(phi.apply(x), phi.apply(y))))
+        if any(res):
+            out.append((i, j, res))
+    return out
+
+
+def _random_map(rng: random.Random, rows: int, cols: int) -> Matrix:
+    pool = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    return Matrix.from_rows([[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+
+
+ORACLE_CASES = sorted(n for n in STORAGE_CASES if not n.endswith("-mutated"))
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_check_operator_and_star_product_equal_the_per_pair_oracles(name):
+    a = STORAGE_CASES[name]
+    rng = random.Random(name)
+    ops = operator_fixtures().get(name, []) + [(f"random{k}", _random_map(rng, a.dim, a.dim))
+                                               for k in range(2)]
+    for label, p in ops:
+        for text in ORACLE_KINDS:
+            kind = parse_kind(text)
+            got = [(v.i, v.j, v.identity, v.residual)
+                   for v in check_operator(a, p, kind).violations]
+            assert got == _pair_identities(a, p, kind), (label, text)
+            assert all(type(x) is Fraction for v in got for x in v[3])
+        st = star_product(a, p)
+        assert [st.mu.col_list(col) for col in range(a.dim ** 2)] == _pair_star(a, p), label
+        assert (st.basis, st.name) == (a.basis, f"star({a.name})" if a.name else None)
+
+
+def test_check_morphism_equals_the_per_pair_oracle():
+    rng = random.Random(14)
+    for src, dst in itertools.product(CAT.values(), repeat=2):
+        p_src, p_dst = _random_map(rng, src.dim, src.dim), _random_map(rng, dst.dim, dst.dim)
+        phis = [Matrix.zeros(dst.dim, src.dim), _random_map(rng, dst.dim, src.dim)]
+        if src.dim == dst.dim:
+            phis.append(Matrix.identity(src.dim))
+        for phi in phis:
+            report = check_morphism(src, dst, phi, p_src, p_dst)
+            assert list(report.product_violations) == _pair_morphism(src, dst, phi)
+            assert report.intertwine_residual == tuple(
+                tuple(sum(p_dst.at(r, k) * phi.at(k, c) for k in range(dst.dim))
+                      - sum(phi.at(r, k) * p_src.at(k, c) for k in range(src.dim))
+                      for c in range(src.dim)) for r in range(dst.dim))
+
+
+def test_check_morphism_between_algebras_of_different_dimensions():
+    # leftunit2 -> mat2: e0 -> E00, e1 -> E01 is a morphism; e0 -> E00 + E11 is not,
+    # since e1 e0 = 0 while E01 (E00 + E11) = E01
+    src, dst = CAT["leftunit2"], CAT["mat2"]
+    zero2, zero4 = Matrix.zeros(2, 2), Matrix.zeros(4, 4)
+    good = Matrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])
+    assert check_morphism(src, dst, good, zero2, zero4).passed
+    bad = Matrix.from_rows([[1, 0], [0, 1], [0, 0], [1, 0]])
+    report = check_morphism(src, dst, bad, zero2, zero4)
+    assert report.product_violations == ((1, 0, (0, -1, 0, 0)),)
+    assert report.intertwines and not report.passed
+    with pytest.raises(InputError):
+        check_morphism(src, dst, good.transpose(), zero2, zero4)
 
 
 def test_parse_kind_accepts_all_forms():

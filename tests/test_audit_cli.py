@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +502,34 @@ def test_cli_refuses_oversized_algebras_before_building(files, capsys, monkeypat
     # every catalog algebra is admitted by both
     for name, a in CAT.items():
         assert build_identity_system(fileio.load_algebra(fileio.dump_algebra(a)), parse_kind("rn"))
+
+
+def test_cli_refuses_a_deformation_order_past_the_series_cap(files, capsys, monkeypatch):
+    # the series algebra over Q[t]/(t^(order+1)) has dimension dim (order + 1); its cube
+    # meets the same fixed cap as a loaded algebra, which the budget does not move
+    monkeypatch.setenv("RN_BUDGET", str(10 ** 12))
+    a = CAT["leftunit2"]
+    paths = {}
+    for order in (17, 18, 600):
+        paths[order] = str(files["dir"] / f"order{order}.json")
+        fileio.write_json(paths[order], fileio.dump_deformation(
+            TruncatedDeformation.constant(a, Matrix.zeros(2, 2), order)))
+    iso = str(files["dir"] / "iso600.json")
+    fileio.write_json(iso, fileio.dump_iso(FormalIso.identity(2, 600)))
+    code, out, _ = _run(capsys, ["deform", "check", files["leftunit2"], paths[17]])
+    assert code == 0 and json.loads(out)["passed"] is True
+    code, out, err = _run(capsys, ["deform", "check", files["leftunit2"], paths[18]])
+    assert code == 3 and out == ""
+    assert ("budget exhausted: deformation series stage: dim 2 at order 18 makes a "
+            "dimension-38 algebra, which needs 54872 structure constants, cap 50000") in err
+    for argv in (["deform", "check", files["leftunit2"], paths[600]],
+                 ["--budget", str(10 ** 12), "deform", "equiv", files["leftunit2"],
+                  paths[600], paths[600], iso]):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "deformation series stage: dim 2 at order 600 makes a dimension-1202" in err
+        assert time.perf_counter() - start < 5
 
 
 def test_cli_budget_env_variable(files, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
 from rnalg.errors import BudgetError
 from rnalg.exactlin import Matrix, rank
 from rnalg.representation import Bimodule, check_bimodule, regular_representation
+from test_algebra import _e
 
 CAT = catalog()
 
@@ -70,11 +71,10 @@ def test_delta_anchor_degree_zero_on_leftunit2():
     d0 = b.delta(0)
     a = CAT["leftunit2"]
     for j in range(2):
-        v = a.basis_vector(j)
+        v = _e(a, j)
         image = d0.apply(v)
         for i in range(2):
-            expect = [x - y for x, y in zip(a.multiply(a.basis_vector(i), v),
-                                            a.multiply(v, a.basis_vector(i)))]
+            expect = [x - y for x, y in zip(a.multiply(_e(a, i), v), a.multiply(v, _e(a, i)))]
             assert image[i * 2:(i + 1) * 2] == expect
 
 

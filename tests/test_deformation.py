@@ -15,6 +15,7 @@ from rnalg.deformation import (
     FormalIso,
     TruncatedDeformation,
     _coefficient,
+    _inclusion,
     _pair_vector,
     _series,
     check_deformation,
@@ -161,7 +162,7 @@ def _inverse(iso):
 def _compose(f, g):
     """f after g, truncated at the lower order, as a product of series."""
     order = min(f.order, g.order)
-    product = _series(f.phi, order).mul(_series(g.phi, order))
+    product = _series(f.phi, order).mul(_series(g.phi, order)).mul(_inclusion(f.dim, order))
     return FormalIso(order, [_coefficient(product, k, f.dim) for k in range(order + 1)])
 
 

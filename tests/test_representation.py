@@ -88,7 +88,7 @@ def test_induced_actions_formula_on_fixed_instance():
     m = regular_representation(a, p)
     left, right = induced_actions(a, p, m)
     for i in range(3):
-        pa = p.apply(a.basis_vector(i))
+        pa = p.col_list(i)
         expect = m.left[i].mul(p).sub(p.mul(m.left[i])).add(m.left_of(pa))
         assert left[i].eq(expect)
         expect_r = m.right[i].mul(p).sub(p.mul(m.right[i])).add(m.right_of(pa))
