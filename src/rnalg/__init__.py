@@ -5,31 +5,52 @@ algebra is a structure-constant table, an operator is a matrix in the
 column convention P(e_j) = sum_i M[i][j] e_i, and every check either
 passes exactly or returns the offending basis indices with the exact
 residual vector.
+
+Importing the package loads the layers every command needs (errors,
+exactlin, algebra, catalog).  The heavier layers (audit, cohomology,
+deformation, polysys, representation) are imported when one of their
+names is first read from the package: ``rnalg.cohomology_dims`` imports
+the cohomology module then.  The command line imports in each command
+only the layers that command runs.
 """
+
+import importlib
 
 from .algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra,
                       IdentityReport, IdentityViolation, OperatorKind,
                       check_associative, check_morphism, check_operator,
                       classify_square, modified_rota_baxter, parse_kind,
                       rota_baxter, star_product)
-from .audit import (AuditReport, ClaimVerdict, audit_report_dict,
-                    build_fixtures, render_markdown, replay_counterexample,
-                    run_audit)
+# imported eagerly so rnalg.catalog names the function, not the submodule
 from .catalog import catalog, get_algebra, operator
-from .cohomology import ComplexBuilder, CohomologyResult, cohomology_dims
-from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
-                          check_equivalence, infinitesimal_cocycle,
-                          order_residuals, rigidity_report,
-                          same_cohomology_class, transport)
 from .errors import BudgetError, InputError
 from .exactlin import (Matrix, from_cols, kernel_basis, kron, parse_q, qstr,
                        rank, rref, solve)
-from .polysys import (MPoly, PolySystem, SymbolicMatrix, build_identity_system,
-                      enumerate_mod_p, groebner_basis, linear_reduce,
-                      verify_family)
-from .representation import (Bimodule, check_bimodule, check_rn_representation,
-                             induce_representation, induced_actions,
-                             regular_representation)
+
+_LAZY = {
+    "audit": ("AuditReport", "ClaimVerdict", "audit_report_dict", "build_fixtures",
+              "render_markdown", "replay_counterexample", "run_audit"),
+    "cohomology": ("ComplexBuilder", "CohomologyResult", "cohomology_dims"),
+    "deformation": ("FormalIso", "TruncatedDeformation", "check_deformation",
+                    "check_equivalence", "infinitesimal_cocycle", "order_residuals",
+                    "rigidity_report", "same_cohomology_class", "transport"),
+    "polysys": ("MPoly", "PolySystem", "SymbolicMatrix", "build_identity_system",
+                "enumerate_mod_p", "groebner_basis", "linear_reduce", "verify_family"),
+    "representation": ("Bimodule", "check_bimodule", "check_rn_representation",
+                       "induce_representation", "induced_actions",
+                       "regular_representation"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -15,16 +15,11 @@ import sys
 
 from . import fileio
 from .algebra import check_associative, check_operator, parse_kind, star_product
-from .audit import audit_report_dict, build_fixtures, render_markdown, run_audit
-from .cohomology import cohomology_dims
-from .deformation import (check_deformation, check_equivalence,
-                          rigidity_report)
 from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, qstr
-from .polysys import (build_identity_system, enumerate_mod_p, groebner_basis,
-                      linear_reduce)
-from .representation import (check_bimodule, check_rn_representation,
-                             regular_representation)
+
+# Each command imports the engine layers it runs (polysys, representation,
+# cohomology, deformation, audit) itself, so a command loads no other.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -32,12 +27,20 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _load_algebra(path: str):
-    return fileio.load_algebra(fileio.read_json(path))
-
-
-def _load_operator(path: str, dim: int) -> Matrix:
+def _load(path: str, load):
+    """load(the JSON in path); an input error names the file."""
     data = fileio.read_json(path)
+    try:
+        return load(data)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_algebra(path: str):
+    return _load(path, fileio.load_algebra)
+
+
+def _linop(data, dim: int) -> Matrix:
     if isinstance(data, list):
         m = fileio.matrix_from_json(data, "operator")
     else:
@@ -45,6 +48,10 @@ def _load_operator(path: str, dim: int) -> Matrix:
     if m.rows != dim or m.cols != dim:
         raise InputError(f"operator is {m.rows}x{m.cols}, algebra has dimension {dim}")
     return m
+
+
+def _load_operator(path: str, dim: int) -> Matrix:
+    return _load(path, lambda data: _linop(data, dim))
 
 
 def _check_base(a, d, where: str) -> None:
@@ -99,12 +106,15 @@ def _condition_violations(violations) -> list[dict]:
 
 
 def _bimodule_for(args, a, p):
+    from .representation import regular_representation
+
     if args.rep is not None:
-        m = fileio.load_bimodule(fileio.read_json(args.rep))
+        m = _load(args.rep, fileio.load_bimodule)
         if m.dim_a != a.dim:
-            raise InputError("bimodule action count differs from the algebra dimension")
+            raise InputError(f"{args.rep}: bimodule action count differs from "
+                             "the algebra dimension")
         if m.xi is None:
-            raise InputError("bimodule file carries no xi operator")
+            raise InputError(f"{args.rep}: bimodule file carries no xi operator")
         return m
     return regular_representation(a, p)
 
@@ -125,6 +135,8 @@ def _cmd_check_op(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .polysys import build_identity_system, enumerate_mod_p, groebner_basis, linear_reduce
+
     a = _load_algebra(args.algebra)
     kind = parse_kind(args.kind)
     if args.mod is not None:
@@ -159,6 +171,8 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_check_rep(args) -> int:
+    from .representation import check_bimodule, check_rn_representation
+
     a = _load_algebra(args.algebra)
     p = _load_operator(args.operator, a.dim)
     m = _bimodule_for(args, a, p)
@@ -183,6 +197,8 @@ def _cmd_check_rep(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_dims
+
     a = _load_algebra(args.algebra)
     p = _load_operator(args.operator, a.dim)
     m = _bimodule_for(args, a, p)
@@ -192,8 +208,10 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_deform_check(args) -> int:
+    from .deformation import check_deformation
+
     a = _load_algebra(args.algebra)
-    d = fileio.load_deformation(fileio.read_json(args.deformation))
+    d = _load(args.deformation, fileio.load_deformation)
     _check_base(a, d, args.deformation)
     rep = check_deformation(d)
     _emit(fileio.deformation_report_dict(rep), args.out_format)
@@ -201,10 +219,12 @@ def _cmd_deform_check(args) -> int:
 
 
 def _cmd_deform_equiv(args) -> int:
+    from .deformation import check_equivalence
+
     a = _load_algebra(args.algebra)
-    d1 = fileio.load_deformation(fileio.read_json(args.deformation1))
-    d2 = fileio.load_deformation(fileio.read_json(args.deformation2))
-    iso = fileio.load_iso(fileio.read_json(args.iso))
+    d1 = _load(args.deformation1, fileio.load_deformation)
+    d2 = _load(args.deformation2, fileio.load_deformation)
+    iso = _load(args.iso, fileio.load_iso)
     _check_base(a, d1, args.deformation1)
     _check_base(a, d2, args.deformation2)
     rep = check_equivalence(d1, d2, iso)
@@ -213,6 +233,8 @@ def _cmd_deform_equiv(args) -> int:
 
 
 def _cmd_deform_rigidity(args) -> int:
+    from .deformation import rigidity_report
+
     a = _load_algebra(args.algebra)
     p = _load_operator(args.operator, a.dim)
     rep = rigidity_report(a, p, args.budget)
@@ -224,6 +246,8 @@ def _cmd_deform_rigidity(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .audit import audit_report_dict, build_fixtures, render_markdown, run_audit
+
     extras = {}
     if args.fixdir is not None:
         if not os.path.isdir(args.fixdir):
@@ -232,7 +256,7 @@ def _cmd_audit(args) -> int:
             if not entry.endswith(".json"):
                 continue
             path = os.path.join(args.fixdir, entry)
-            extras[entry[:-5]] = fileio.load_algebra(fileio.read_json(path))
+            extras[entry[:-5]] = _load_algebra(path)
     report = run_audit(build_fixtures(extras) if extras else None)
     _emit(audit_report_dict(report), args.out_format,
           markdown=render_markdown)

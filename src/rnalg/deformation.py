@@ -304,7 +304,9 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     order, dim = d.order, d.dim
     at = _series_algebra(d.nu, order)
     phi = _series(iso.phi, order)
-    chi = _series(iso.inverse_coefficients(), order)
+    # chi_k depends on phi_0 .. phi_k only: invert no further than d's order
+    k = min(iso.order, order)
+    chi = _series(FormalIso(k, iso.phi[:k + 1]).inverse_coefficients(), order)
     phi_iota = phi.mul(_inclusion(dim, order))
     nu = chi.mul(at.product(phi_iota, phi_iota))
     p = chi.mul(_series(d.p, order)).mul(phi_iota)

@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import Algebra, AssociativityReport, IdentityReport
-from .cohomology import CohomologyResult
-from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
-                          TruncatedDeformation)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exactlin import Matrix, from_cols, parse_q, qstr
-from .polysys import EnumerationResult, GroebnerResult, LinearReduction, PolySystem
-from .representation import Bimodule
+
+if TYPE_CHECKING:
+    # the heavier layers load only when a command reads or writes their objects
+    from .cohomology import CohomologyResult
+    from .deformation import (DeformationReport, EquivalenceReport, FormalIso,
+                              TruncatedDeformation)
+    from .polysys import EnumerationResult, GroebnerResult, LinearReduction, PolySystem
+    from .representation import Bimodule
 
 LINOP_CONVENTION = "P(e_j) = sum_i M[i][j] e_i"
 
@@ -163,6 +167,8 @@ def dump_bimodule(m: Bimodule) -> dict:
 
 
 def load_bimodule(data) -> Bimodule:
+    from .representation import Bimodule
+
     dim_v = _require_int(data, "dimV", "bimodule")
     left = [matrix_from_json(x, "bimodule l") for x in _require_list(data, "l", "bimodule")]
     right = [matrix_from_json(x, "bimodule r") for x in _require_list(data, "r", "bimodule")]
@@ -196,6 +202,8 @@ def _nu_from_json(table, dim: int) -> Matrix:
 
 
 def load_deformation(data) -> TruncatedDeformation:
+    from .deformation import TruncatedDeformation
+
     order = _require_int(data, "order", "deformation")
     tables = _require_list(data, "nu", "deformation")
     # the first table fixes dim; the constructor refuses dim 0
@@ -210,6 +218,8 @@ def dump_iso(iso: FormalIso) -> dict:
 
 
 def load_iso(data) -> FormalIso:
+    from .deformation import FormalIso
+
     order = _require_int(data, "order", "iso")
     phi = [matrix_from_json(m, "iso phi") for m in _require_list(data, "phi", "iso")]
     return FormalIso(order, phi)

@@ -330,7 +330,7 @@ def test_cli_solve_mod_does_not_build_the_rational_system(files, capsys, monkeyp
     def refuse(*args):
         raise AssertionError("build_identity_system called")
 
-    monkeypatch.setattr("rnalg.cli.build_identity_system", refuse)
+    monkeypatch.setattr("rnalg.polysys.build_identity_system", refuse)
     code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--mod", "2"])
     assert code == 0
     assert json.loads(out)["count"] == 56
@@ -441,6 +441,35 @@ def test_cli_input_errors_exit_two(files, capsys, tmp_path):
         code, _, err = _run(capsys, argv + [str(path)])
         assert code == 2, name
         assert "error" in err, name
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"dim": 2}, ["check-assoc"], "algebra: missing key 'c'"),
+    ({"dim": 2}, ["check-op", "leftunit2", "--kind", "rn"], "operator: missing key 'matrix'"),
+    ({"l": []}, ["check-rep", "leftunit2", "zero2", "--rep"], "bimodule: missing key 'dimV'"),
+    ({"order": 1}, ["deform", "check", "leftunit2"], "deformation: missing key 'nu'"),
+    ({"order": 1}, ["deform", "equiv", "leftunit2", "triv", "triv"], "iso: missing key 'phi'"),
+], ids=["algebra", "operator", "bimodule", "deformation", "iso"])
+def test_cli_schema_errors_name_the_file(files, capsys, tmp_path, doc, argv, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [files.get(x, x) for x in argv]
+    if argv[0] == "check-op":
+        argv.insert(2, str(path))
+    else:
+        argv.append(str(path))
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_cli_audit_schema_error_names_the_fixture_file(capsys, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps({"dim": 2}), encoding="utf-8")
+    code, out, err = _run(capsys, ["audit", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {tmp_path / 'bad.json'}: algebra: missing key 'c'\n"
 
 
 def test_cli_usage_errors_exit_two(files):

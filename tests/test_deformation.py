@@ -203,6 +203,19 @@ def test_transport_round_trip_restores_coefficients():
     assert all(x == y for x, y in zip(back.p, d.p))
 
 
+def test_transport_ignores_iso_coefficients_past_the_deformation_order():
+    d, _ = _sample_deformation_and_iso()
+    d1 = TruncatedDeformation(1, list(d.nu[:2]), list(d.p[:2]))
+    rng = random.Random(15)
+    phi = [Matrix.identity(2)] + [operator([[rng.randint(-2, 2) for _ in range(2)]
+                                            for _ in range(2)]) for _ in range(40)]
+    long_iso, short_iso = FormalIso(40, phi), FormalIso(1, phi[:2])
+    dt = transport(d1, long_iso)
+    assert dt.nu == transport(d1, short_iso).nu
+    assert dt.p == transport(d1, short_iso).p
+    assert check_equivalence(d1, dt, long_iso).ok
+
+
 def test_equivalence_reports_transport_violations():
     d, iso = _sample_deformation_and_iso()
     rep = check_equivalence(d, d, iso)

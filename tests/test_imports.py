@@ -1,0 +1,104 @@
+"""Which layers a command loads, and the package's lazily served names."""
+
+from __future__ import annotations
+
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import rnalg
+from rnalg import fileio
+from rnalg.catalog import catalog
+from rnalg.exactlin import Matrix
+
+SRC = os.path.dirname(os.path.dirname(rnalg.__file__))
+EVERY_COMMAND = ["rnalg", "rnalg.algebra", "rnalg.catalog", "rnalg.cli", "rnalg.errors",
+                 "rnalg.exactlin", "rnalg.fileio"]
+
+# run cli.main on argv in this process, then print its exit code and the rnalg modules loaded
+LOADED = """
+import contextlib, io, json, sys
+from rnalg import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "rnalg")]))
+"""
+
+
+def _python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("RN_BUDGET", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("layers")
+    fileio.write_json(str(path / "pair3.json"), fileio.dump_algebra(catalog()["pair3"]))
+    fileio.write_json(str(path / "zero3.json"), fileio.dump_linop(Matrix.zeros(3, 3)))
+    return path
+
+
+def _loaded(workdir, argv):
+    proc = _python("-c", LOADED, *argv, cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    return modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-assoc", "pair3.json"],
+    ["check-op", "pair3.json", "zero3.json", "--kind", "rn"],
+    ["star", "pair3.json", "zero3.json", "-o", "star.json"],
+], ids=["check-assoc", "check-op", "star"])
+def test_algebra_commands_load_only_the_base_layers(workdir, argv):
+    assert _loaded(workdir, argv) == EVERY_COMMAND
+
+
+def test_solve_mod_loads_polysys_and_no_other_layer(workdir):
+    modules = _loaded(workdir, ["solve", "pair3.json", "--kind", "rn", "--mod", "2"])
+    assert modules == sorted(EVERY_COMMAND + ["rnalg.polysys"])
+
+
+def test_audit_loads_every_module(workdir):
+    package = ["rnalg"] + [f"rnalg.{m.name}" for m in pkgutil.iter_modules(rnalg.__path__)]
+    assert _loaded(workdir, ["audit"]) == sorted(package)
+
+
+def test_every_public_name_is_the_object_its_submodule_defines():
+    for name in rnalg.__all__:
+        value = getattr(rnalg, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name
+
+
+def test_star_import_binds_every_public_name_in_a_fresh_interpreter():
+    proc = _python("-c", "from rnalg import *; import rnalg; "
+                         "print(sum(name in globals() for name in rnalg.__all__))")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(rnalg.__all__) == 62
+
+
+def test_catalog_stays_the_function_after_the_audit_loads():
+    proc = _python("-c", "import rnalg.audit, rnalg; "
+                         "assert callable(rnalg.catalog); print(sorted(rnalg.catalog()))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(sorted(catalog()))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rnalg.no_such_name
+    assert not hasattr(rnalg, "cli_main")
+
+
+def test_cli_help_raises_no_warning():
+    proc = _python("-W", "error", "-m", "rnalg.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.startswith("usage: rnalg")
