@@ -141,18 +141,6 @@ class Algebra:
         left = self.mu.mul(kron([f, Matrix.identity(self.dim)]))
         return left.mul(kron([Matrix.identity(f.cols), g]))
 
-    def left_mult_matrix(self, i: int) -> Matrix:
-        # column j holds the coordinates of e_i * e_j: columns i*dim .. i*dim + dim - 1 of mu
-        lo = i * self.dim
-        return Matrix(self.dim, self.dim, {(k, ij - lo): v for (k, ij), v in self.mu.entries.items()
-                                           if lo <= ij < lo + self.dim})
-
-    def right_mult_matrix(self, i: int) -> Matrix:
-        # column j holds the coordinates of e_j * e_i: column j*dim + i of mu
-        return Matrix(self.dim, self.dim, {(k, ij // self.dim): v
-                                           for (k, ij), v in self.mu.entries.items()
-                                           if ij % self.dim == i})
-
     def is_associative(self) -> bool:
         if self._assoc is None:
             self._assoc = check_associative(self).passed
@@ -181,12 +169,21 @@ class AssociativityReport:
         return not self.violations
 
 
-def _nonzero_columns(named) -> list[tuple[int, object, tuple[Fraction, ...]]]:
-    """(column, name, values) of each nonzero column of the (name, Matrix) pairs, which share
-    one layout: column by column, and within a column in the order of named."""
-    cols = sorted({col for _, m in named for _, col in m.entries})
-    return [(col, name, res) for col in cols for name, m in named
-            if any(res := tuple(m.col_list(col)))]
+def _nonzero_columns(named, dim: int, arity: int, width: int = 1):
+    """(indices, name, columns) of each nonzero block of the (name, Matrix) pairs.
+
+    The pairs share one layout of blocks of width columns: block a_1 ... a_arity in
+    base dim holds the residual at that basis tuple.  Blocks come in order, and
+    within a block the pairs in the order of named; columns are the block's columns.
+    """
+    out = []
+    for b in sorted({col // width for _, m in named for _, col in m.entries}):
+        indices = tuple(b // dim ** k % dim for k in range(arity)[::-1])
+        for name, m in named:
+            cols = [tuple(m.col_list(col)) for col in range(b * width, (b + 1) * width)]
+            if any(map(any, cols)):
+                out.append((indices, name, cols))
+    return out
 
 
 def check_associative(a: Algebra) -> AssociativityReport:
@@ -198,8 +195,8 @@ def check_associative(a: Algebra) -> AssociativityReport:
     ident = Matrix.identity(a.dim)
     assoc = a.mu.mul(kron_sum([(1, [a.mu, ident]), (-1, [ident, a.mu])]))
     return AssociativityReport(a.dim, tuple(
-        AssociativityViolation(*divmod(col // a.dim, a.dim), col % a.dim, res)
-        for col, _, res in _nonzero_columns([(None, assoc)])))
+        AssociativityViolation(*ijk, res) for ijk, _, (res,) in _nonzero_columns(
+            [(None, assoc)], a.dim, 3)))
 
 
 @dataclass(frozen=True)
@@ -277,8 +274,9 @@ def check_operator(a: Algebra, p: Matrix, kind: OperatorKind) -> IdentityReport:
     ident = Matrix.identity(a.dim)
     residuals = [(name, identity_residual(name, kind.weight, a.product, p.mul, ident, ident, p, p))
                  for name in _component_identities(kind)]
-    return IdentityReport(kind, a.dim, tuple(IdentityViolation(*divmod(col, a.dim), name, res)
-                                             for col, name, res in _nonzero_columns(residuals)))
+    return IdentityReport(kind, a.dim, tuple(IdentityViolation(*ij, name, res)
+                                             for ij, name, (res,) in _nonzero_columns(
+                                                 residuals, a.dim, 2)))
 
 
 def star_product(a: Algebra, p: Matrix) -> Algebra:
@@ -316,8 +314,8 @@ def check_morphism(src: Algebra, dst: Algebra, phi: Matrix,
     _require_square(src, p_src)
     _require_square(dst, p_dst)
     product = phi.mul(src.mu).sub(dst.product(phi, phi))
-    violations = tuple((*divmod(col, src.dim), res)
-                       for col, _, res in _nonzero_columns([(None, product)]))
+    violations = tuple((*ij, res) for ij, _, (res,) in _nonzero_columns(
+        [(None, product)], src.dim, 2))
     diff = p_dst.mul(phi).sub(phi.mul(p_src))
     return MorphismReport(violations, tuple(tuple(r) for r in diff.to_rows()))
 

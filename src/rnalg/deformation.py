@@ -164,9 +164,9 @@ def _at_order(groups, n: int, dim: int) -> tuple[EqViolation, ...]:
     groups holds (arity, [(equation, residual), ...]); the residuals of a group
     share one layout, whose column a_1 ... a_arity in base dim is that basis tuple.
     """
-    return tuple(EqViolation(eq, n, tuple(col // dim ** k % dim for k in range(arity)[::-1]), res)
-                 for arity, group in groups for col, eq, res in _nonzero_columns(
-                     [(eq, _coefficient(residual, n, dim)) for eq, residual in group]))
+    return tuple(EqViolation(eq, n, idx, res)
+                 for arity, group in groups for idx, eq, (res,) in _nonzero_columns(
+                     [(eq, _coefficient(residual, n, dim)) for eq, residual in group], dim, arity))
 
 
 def _residual_series(d: TruncatedDeformation):
@@ -330,8 +330,7 @@ def _pair_vector(d: TruncatedDeformation, k: int) -> list[Fraction]:
     return flatten(d.nu[k]) + flatten(d.p[k])
 
 
-def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation,
-                          budget: int | None = None) -> CocycleReport:
+def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation) -> CocycleReport:
     """Is (nu_1, P_1) a degree-2 cocycle of the combined complex?
 
     Membership asks P_1 to commute with P (the degree-1 constrained
@@ -342,7 +341,7 @@ def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation,
     if d.order < 1:
         raise InputError("need order >= 1")
     m = regular_representation(a, p)
-    b = ComplexBuilder(a, p, m, budget)
+    b = ComplexBuilder(a, p, m)
     constraint = b.rno_constraint(1)
     member = all(not x for x in constraint.apply(flatten(d.p[1])))
     image = b.d_ambient(2).apply(_pair_vector(d, 1))
@@ -358,8 +357,7 @@ class ClassComparison:
 
 
 def same_cohomology_class(a: Algebra, p: Matrix, d1: TruncatedDeformation,
-                          d2: TruncatedDeformation,
-                          budget: int | None = None) -> ClassComparison:
+                          d2: TruncatedDeformation) -> ClassComparison:
     """Is (nu_1, P_1) of d1 cohomologous to that of d2?
 
     The difference must lie in the degree-2 domain (operator parts in the
@@ -372,7 +370,7 @@ def same_cohomology_class(a: Algebra, p: Matrix, d1: TruncatedDeformation,
     if d1.order < 1 or d2.order < 1:
         raise InputError("need order >= 1")
     m = regular_representation(a, p)
-    b = ComplexBuilder(a, p, m, budget)
+    b = ComplexBuilder(a, p, m)
     diff = [x - y for x, y in zip(_pair_vector(d1, 1), _pair_vector(d2, 1))]
     split = b.amb(2)
     constraint = b.rno_constraint(1)

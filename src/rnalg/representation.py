@@ -1,12 +1,15 @@
 """Bimodules over structure-constant algebras and operator-compatible actions.
 
 A bimodule is (V, l, r, rho) with one left-action and one right-action
-matrix per algebra basis element.  Validation reports two profiles: the
-axioms as written with the given twist rho, and the standard profile with
-rho replaced by the identity.  An operator-compatible action adds xi with
-four compatibility conditions against P; l(P(a)) always means the linear
-extension sum_k P[k][i] l(e_k).  Constructors only build modules: the
-validators run where a caller asks for them.
+matrix per algebra basis element, and each action is one cochain
+A (x) V -> V: L = [l_0 | ... | l_{d-1}], whose column i dimV + v is
+l_i(e_v), and R the same way, so l(P(a)) is L (P (x) Id_V).  Every axiom
+and condition is one residual cochain in L, R, mu, rho, xi and the swap
+S = sigma (x) Id_V, sigma(e_i (x) e_j) = e_j (x) e_i; its nonzero blocks of
+dimV columns, at index i or (i, j), are the violations.  Validation reports
+the axioms with the given twist rho and the standard profile, rho = Id.  The
+regular representation is (mu, mu sigma) with rho = Id and xi = P.
+Constructors only build modules: the validators run where a caller asks.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, _nonzero_columns
 from .errors import InputError
-from .exactlin import Matrix
+from .exactlin import Matrix, kron
 
 
 class Bimodule:
@@ -29,6 +32,9 @@ class Bimodule:
                 raise InputError("action matrices must be dimV x dimV")
         if len(left) != len(right):
             raise InputError("left/right action counts differ")
+        if not left:
+            # refused before the default rho: only a dimV x dimV action bounds dimV by input size
+            raise InputError("a bimodule needs one action per algebra basis element")
         self.dim_v = dim_v
         self.left = list(left)
         self.right = list(right)
@@ -43,19 +49,28 @@ class Bimodule:
     def dim_a(self) -> int:
         return len(self.left)
 
-    def left_of(self, vec: list[Fraction]) -> Matrix:
-        """Linear extension of the left action to a coordinate vector."""
-        return self._extend(self.left, vec)
 
-    def right_of(self, vec: list[Fraction]) -> Matrix:
-        return self._extend(self.right, vec)
+def _cochain(actions: list[Matrix], dim_v: int) -> Matrix:
+    """[a_0 | ... | a_{d-1}]: the map A (x) V -> V whose column i dimV + v is a_i(e_v)."""
+    return Matrix(dim_v, len(actions) * dim_v, {(r, i * dim_v + c): x
+                                                for i, m in enumerate(actions)
+                                                for (r, c), x in m.entries.items()})
 
-    def _extend(self, actions: list[Matrix], vec: list[Fraction]) -> Matrix:
-        out = Matrix.zeros(self.dim_v, self.dim_v)
-        for i, x in enumerate(vec):
-            if x:
-                out = out.add(actions[i].scale(x))
-        return out
+
+def _actions(cochain: Matrix, dim_a: int, dim_v: int) -> list[Matrix]:
+    """The dimV x dimV blocks of a cochain A (x) V -> V, one per basis element."""
+    blocks = [{} for _ in range(dim_a)]
+    for (r, col), x in cochain.entries.items():
+        i, c = divmod(col, dim_v)
+        blocks[i][r, c] = x
+    return [Matrix(dim_v, dim_v, b) for b in blocks]
+
+
+def _swap(dim: int, dim_v: int = 1) -> Matrix:
+    """sigma (x) Id_V on A (x) A (x) V: e_i (x) e_j (x) e_v -> e_j (x) e_i (x) e_v."""
+    n = dim * dim * dim_v
+    return Matrix(n, n, {((j * dim + i) * dim_v + v, (i * dim + j) * dim_v + v): 1
+                         for i in range(dim) for j in range(dim) for v in range(dim_v)})
 
 
 @dataclass(frozen=True)
@@ -84,37 +99,32 @@ class BimoduleReport:
         return self.standard.passed
 
 
-def _violations(checks) -> tuple[ConditionViolation, ...]:
-    """The (condition, indices, difference) checks whose difference is nonzero."""
-    return tuple(ConditionViolation(cond, idx, tuple(tuple(r) for r in diff.to_rows()))
-                 for cond, idx, diff in checks if not diff.is_zero())
-
-
-def _check_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> ProfileReport:
-    checks = []
-    for i in range(a.dim):
-        checks.append(("rho-left-commute", (i,), rho.mul(m.left[i]).sub(m.left[i].mul(rho))))
-        checks.append(("rho-right-commute", (i,), rho.mul(m.right[i]).sub(m.right[i].mul(rho))))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.mu.col_list(i * a.dim + j)
-            lp = m.left_of(prod)
-            rp = m.right_of(prod)
-            checks.append(("left-action-multiplicative", (i, j),
-                           lp.mul(rho).sub(m.left[i].mul(m.left[j]))))
-            checks.append(("right-action-antimultiplicative", (i, j),
-                           rp.mul(rho).sub(m.right[j].mul(m.right[i]))))
-            checks.append(("left-right-commute", (i, j),
-                           m.left[i].mul(m.right[j]).sub(m.right[j].mul(m.left[i]))))
-    return ProfileReport(_violations(checks))
+def _block_violations(a: Algebra, m: Bimodule, groups) -> tuple[ConditionViolation, ...]:
+    """The nonzero per-element blocks of (arity, [(condition, residual cochain), ...]) groups."""
+    return tuple(ConditionViolation(cond, idx, tuple(zip(*cols)))
+                 for arity, named in groups
+                 for idx, cond, cols in _nonzero_columns(named, a.dim, arity, m.dim_v))
 
 
 def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
     """Evaluate the bimodule axioms with the given rho and with rho = Id."""
     if m.dim_a != a.dim:
         raise InputError("action count != algebra dimension")
-    return BimoduleReport(_check_axioms(a, m, m.rho),
-                          _check_axioms(a, m, Matrix.identity(m.dim_v)))
+    ida, idv, swap = Matrix.identity(a.dim), Matrix.identity(m.dim_v), _swap(a.dim, m.dim_v)
+    left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
+    id_left, id_right = kron([ida, left]), kron([ida, right])
+    ll, rr = left.mul(id_left), right.mul(id_right).mul(swap)
+    commute = left.mul(id_right).sub(right.mul(id_left).mul(swap))
+
+    def profile(rho: Matrix) -> ProfileReport:
+        id_rho, mu_rho = kron([ida, rho]), kron([a.mu, rho])
+        return ProfileReport(_block_violations(a, m, [
+            (1, [("rho-left-commute", rho.mul(left).sub(left.mul(id_rho))),
+                 ("rho-right-commute", rho.mul(right).sub(right.mul(id_rho)))]),
+            (2, [("left-action-multiplicative", left.mul(mu_rho).sub(ll)),
+                 ("right-action-antimultiplicative", right.mul(mu_rho).sub(rr)),
+                 ("left-right-commute", commute)])]))
+    return BimoduleReport(profile(m.rho), profile(idv))
 
 
 @dataclass(frozen=True)
@@ -134,59 +144,50 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
         raise InputError("operator shape != algebra dimension")
     if m.xi is None:
         raise InputError("bimodule carries no xi")
-    xi = m.xi
-    lp = [m.left_of(p.col_list(i)) for i in range(a.dim)]
-    rp = [m.right_of(p.col_list(i)) for i in range(a.dim)]
-    checks = []
-    for i in range(a.dim):
-        checks.append(("xi-left-intertwine", (i,), xi.mul(m.left[i]).sub(lp[i].mul(xi))))
-        checks.append(("xi-right-intertwine", (i,), xi.mul(m.right[i]).sub(rp[i].mul(xi))))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            checks.append(("left-operator-exchange", (i, j),
-                           lp[i].mul(m.left[j]).sub(m.left[i].mul(lp[j]))))
-            checks.append(("right-operator-exchange", (i, j),
-                           rp[i].mul(m.right[j]).sub(m.right[j].mul(rp[i]))))
-    return RNRepresentationReport(_violations(checks))
+    xi, ida, idv = m.xi, Matrix.identity(a.dim), Matrix.identity(m.dim_v)
+    p_xi, p_id = kron([p, xi]), kron([p, idv])
+    left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
+    return RNRepresentationReport(_block_violations(a, m, [
+        (1, [("xi-left-intertwine", xi.mul(left).sub(left.mul(p_xi))),
+             ("xi-right-intertwine", xi.mul(right).sub(right.mul(p_xi)))]),
+        (2, [("left-operator-exchange", left.mul(kron([p, left])).sub(
+                left.mul(kron([ida, left.mul(p_id)])))),
+             ("right-operator-exchange", right.mul(kron([p, right])).sub(
+                 right.mul(kron([ida, right.mul(p_id)])).mul(_swap(a.dim, m.dim_v))))])]))
 
 
 def regular_representation(a: Algebra, p: Matrix) -> Bimodule:
-    """V = A with multiplication actions, rho = Id, xi = P; nothing is validated."""
+    """V = A with L = mu and R = mu sigma, rho = Id, xi = P; nothing is validated."""
     if p.rows != a.dim or p.cols != a.dim:
         raise InputError("operator shape != algebra dimension")
-    return Bimodule(a.dim,
-                    [a.left_mult_matrix(i) for i in range(a.dim)],
-                    [a.right_mult_matrix(i) for i in range(a.dim)],
+    return Bimodule(a.dim, _actions(a.mu, a.dim, a.dim),
+                    _actions(a.mu.mul(_swap(a.dim)), a.dim, a.dim),
                     rho=Matrix.identity(a.dim), xi=p)
 
 
 def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], list[Matrix]]:
-    """The twisted actions l'(a) = l(a)xi - xi l(a) + l(P(a)), same shape for r'."""
+    """The twisted actions l'(a) = l(a)xi - xi l(a) + l(P(a)), same shape for r'.
+
+    As cochains, L' = L (Id (x) xi) - xi L + L (P (x) Id_V), and R' the same way.
+    """
     if m.xi is None:
         raise InputError("bimodule carries no xi")
-    xi = m.xi
-    left, right = [], []
-    for i in range(a.dim):
-        pa = p.col_list(i)
-        left.append(m.left[i].mul(xi).sub(xi.mul(m.left[i])).add(m.left_of(pa)))
-        right.append(m.right[i].mul(xi).sub(xi.mul(m.right[i])).add(m.right_of(pa)))
-    return left, right
+    xi, ida, idv = m.xi, Matrix.identity(a.dim), Matrix.identity(m.dim_v)
+    id_xi, p_id = kron([ida, xi]), kron([p, idv])
+    return tuple(_actions(c.mul(id_xi).sub(xi.mul(c)).add(c.mul(p_id)), a.dim, m.dim_v)
+                 for c in (_cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)))
 
 
-def induce_representation(a: Algebra, p: Matrix, m: Bimodule,
-                          validate: bool = True) -> Bimodule:
+def induce_representation(a: Algebra, p: Matrix, m: Bimodule) -> Bimodule:
     """Build the induced bimodule from the twisted actions.
 
-    With validate=True (the default) the input must already pass the
-    standard bimodule profile and the xi conditions.  The result is not
-    validated: the induced actions are a definition, so a caller that
-    relies on their validity checks them with check_bimodule and
-    check_rn_representation.
+    The input must already pass the standard bimodule profile and the xi
+    conditions.  The result is not validated: the induced actions are a
+    definition, so a caller that relies on their validity checks them with
+    check_bimodule and check_rn_representation.
     """
-    if validate:
-        if not check_bimodule(a, m).passed_standard:
-            raise InputError("input bimodule fails the standard profile")
-        if not check_rn_representation(a, p, m).passed:
-            raise InputError("input bimodule fails the xi compatibility conditions")
-    left, right = induced_actions(a, p, m)
-    return Bimodule(m.dim_v, left, right, rho=m.rho, xi=m.xi)
+    if not check_bimodule(a, m).passed_standard:
+        raise InputError("input bimodule fails the standard profile")
+    if not check_rn_representation(a, p, m).passed:
+        raise InputError("input bimodule fails the xi compatibility conditions")
+    return Bimodule(m.dim_v, *induced_actions(a, p, m), rho=m.rho, xi=m.xi)

@@ -20,6 +20,7 @@ from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, get_algebra, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix, qstr
+from rnalg.representation import regular_representation
 from test_polysys import _change_basis, _halved, _unimodular
 
 CAT = catalog()
@@ -149,9 +150,10 @@ def test_mu_readers_equal_the_cube_loops(name):
                 for _ in range(2))
         assert a.multiply(x, y) == [sum(x[i] * y[j] * c[i][j][k] for i in n for j in n)
                                     for k in n]
+    m = regular_representation(a, Matrix.zeros(a.dim, a.dim))
     for i in n:
-        assert a.left_mult_matrix(i) == Matrix.from_rows([[c[i][j][k] for j in n] for k in n])
-        assert a.right_mult_matrix(i) == Matrix.from_rows([[c[j][i][k] for j in n] for k in n])
+        assert m.left[i] == Matrix.from_rows([[c[i][j][k] for j in n] for k in n])
+        assert m.right[i] == Matrix.from_rows([[c[j][i][k] for j in n] for k in n])
     walk = [[i, j, k, qstr(c[i][j][k])] for i in n for j in n for k in n if c[i][j][k]]
     assert fileio.dump_algebra(a)["c"] == walk
     assert [[i, j, k, qstr(v)] for i, j, k, v in a.triples()] == walk

@@ -464,6 +464,21 @@ def test_cli_schema_errors_name_the_file(files, capsys, tmp_path, doc, argv, mes
     assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["check-rep"], ["cohomology", "--max-degree", "2"]],
+                         ids=["check-rep", "cohomology"])
+def test_cli_refuses_a_bimodule_without_actions_before_building_rho(files, capsys, tmp_path,
+                                                                     command):
+    # 40 bytes naming dimV = 10^9 and no actions: the default rho would be 10^9 x 10^9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimV": 10 ** 9, "l": [], "r": []}), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [*command, files["leftunit2"], files["zero2"], "--rep",
+                                   str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: a bimodule needs one action per algebra basis element\n"
+
+
 def test_cli_audit_schema_error_names_the_fixture_file(capsys, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps({"dim": 2}), encoding="utf-8")
     code, out, err = _run(capsys, ["audit", str(tmp_path)])
@@ -713,7 +728,7 @@ _FUZZ_BIMODULE_EDGES = [
     {"dimV": 1, "l": [[["1"]]], "r": [[["1"]]], "xi": [["1"]]},
     {**_FUZZ_BIMODULE, "xi": None}, {**_FUZZ_BIMODULE, "xi": [["1", "0"]]},
     {**_FUZZ_BIMODULE, "rho": [["0", "0"], ["0", "1/0"]]},
-    {**_FUZZ_BIMODULE, "dimV": 10 ** 9},
+    {**_FUZZ_BIMODULE, "dimV": 10 ** 9}, {"dimV": 10 ** 9, "l": [], "r": []},
     {**_FUZZ_BIMODULE, "l": _FUZZ_BIMODULE["l"][:1]},
     {**_FUZZ_BIMODULE, "r": _FUZZ_BIMODULE["r"] + _FUZZ_BIMODULE["r"][:1]},
 ]
