@@ -186,17 +186,17 @@ def _nonzero_columns(named, dim: int, arity: int, width: int = 1):
     return out
 
 
-def check_associative(a: Algebra) -> AssociativityReport:
-    """Evaluate (e_i e_j) e_k - e_i (e_j e_k) on all ordered basis triples.
-
-    The associator is mu (mu (x) Id - Id (x) mu), whose column (i dim + j) dim + k
-    is the residual at (i, j, k).
-    """
+def associator(a: Algebra) -> Matrix:
+    """mu (mu (x) Id - Id (x) mu): column (i dim + j) dim + k is (e_i e_j) e_k - e_i (e_j e_k)."""
     ident = Matrix.identity(a.dim)
-    assoc = a.mu.mul(kron_sum([(1, [a.mu, ident]), (-1, [ident, a.mu])]))
+    return a.mu.mul(kron_sum([(1, [a.mu, ident]), (-1, [ident, a.mu])]))
+
+
+def check_associative(a: Algebra) -> AssociativityReport:
+    """Evaluate the associator on all ordered basis triples; a nonzero column is a violation."""
     return AssociativityReport(a.dim, tuple(
         AssociativityViolation(*ijk, res) for ijk, _, (res,) in _nonzero_columns(
-            [(None, assoc)], a.dim, 3)))
+            [(None, associator(a))], a.dim, 3)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,26 @@ i-th dimA x 1 basis column and Id^k the identity on k tensor factors of A,
   delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu^T (x) Id^(n-s) (x) Id_V
             + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
 
+Multiplied out for any bilinear mu and any action lists, delta_(n+1) delta_n
+keeps only the defects of the identities the complex rests on; every other
+pair of terms cancels by sign alone.  The defects are the associator
+Assoc = mu (mu (x) Id - Id (x) mu) and, with S = sigma (x) Id_V the swap of the
+two A factors of A (x) A (x) V, the standard-profile bimodule cochains
+LM = L (mu (x) Id_V) - L (Id (x) L), RA = R (mu (x) Id_V) - R (Id (x) R) S and
+LR = L (Id (x) R) - R (Id (x) L) S.  With X_ij the dimV x dimV block of columns
+(i dimA + j) dimV ... (i dimA + j + 1) dimV - 1 of X and [...] stacking blocks
+as rows,
+
+  delta_(n+1) delta_n = - sum_(i,j) (e_i (x) e_j) (x) Id^n (x) LM_ij
+                        + sum_s Id^(s-1) (x) Assoc^T (x) Id^(n-s) (x) Id_V
+                        + (-1)^(n+1) sum_i e_i (x) Id^n (x) [LR_i0; ...; LR_i(dimA-1)]
+                        + Id^n (x) [RA_00; RA_01; ...; RA_(dimA-1)(dimA-1)].
+
+This is an identity of matrices that assumes no axiom, so the composite it
+gives is the explicit product entry for entry: zero when mu is associative
+and the actions form a bimodule, and the same nonzero matrix when they do
+not.  delta_square sums it and never builds delta_(n+1).
+
 With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
 
@@ -48,10 +68,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, associator
 from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
-from .representation import Bimodule
+from .representation import Bimodule, _actions, product_axioms
 
 
 def flatten(m: Matrix) -> list[Fraction]:
@@ -171,10 +191,36 @@ class ComplexBuilder:
     def domain_dim(self, n: int) -> int:
         return self.amb(n) + (self.rno_basis(n - 1).cols if n else 0)
 
+    @functools.cached_property
+    def _defects(self) -> tuple[Matrix, list[Matrix], list[Matrix], Matrix]:
+        """Assoc^T, the blocks LM_ij (at index i dimA + j), each [LR_i0; ...] and [RA_00; ...]."""
+        da, dv = self.a.dim, self.m.dim_v
+        lm, ra, lr = (_actions(c, da * da, dv)
+                      for _, c in product_axioms(self.a, self.m, Matrix.identity(dv)))
+        return (associator(self.a).transpose(), lm,
+                [functools.reduce(Matrix.vstack, lr[i * da:(i + 1) * da]) for i in range(da)],
+                functools.reduce(Matrix.vstack, ra))
+
     def delta_square(self, n: int) -> Matrix:
-        """delta_(n+1) delta_n on ambient C^n."""
+        """delta_(n+1) delta_n on ambient C^n as the sum of defect terms in the module docstring.
+
+        Terms with a zero factor are skipped; delta_(n+1) is never built.
+        """
         if n not in self._delta2:
-            self._delta2[n] = self.delta(n + 1).mul(self.delta(n))
+            self._guard(n + 2)
+            if n < 0:
+                raise InputError("degree must be >= 0")
+            da = self.a.dim
+            ida, idv = Matrix.identity(da), Matrix.identity(self.m.dim_v)
+            assoc_t, lm, lr, ra = self._defects
+            terms = [t for t in (
+                [(-1, [Matrix(da * da, 1, {(k, 0): 1}), *[ida] * n, x]) for k, x in enumerate(lm)]
+                + [(1, [*[ida] * (s - 1), assoc_t, *[ida] * (n - s), idv]) for s in range(1, n + 1)]
+                + [((-1) ** (n + 1), [Matrix(da, 1, {(i, 0): 1}), *[ida] * n, x])
+                   for i, x in enumerate(lr)]
+                + [(1, [*[ida] * n, ra])]) if all(f.entries for f in t[1])]
+            self._delta2[n] = (kron_sum(terms) if terms
+                               else Matrix.zeros(self.amb(n + 2), self.amb(n)))
         return self._delta2[n]
 
     def psi_delta_residual(self, n: int) -> Matrix:
@@ -242,8 +288,9 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     image of d_(n-1) closes inside the stated codomain, and the composite
     leaving degree n vanishes as well; otherwise the raw kernel and image
     dimensions are kept and the degree is flagged inconsistent.  Residual
-    flags at degree n cover the composites leaving degree n, so spaces one
-    degree past max_n are touched.
+    flags at degree n cover the composites leaving degree n, so the budget
+    must admit the cochain space at degree max_n + 2, which is guarded but
+    not built.
     """
     if max_n < 1:
         raise InputError("max degree must be >= 1")

@@ -110,21 +110,35 @@ def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
     """Evaluate the bimodule axioms with the given rho and with rho = Id."""
     if m.dim_a != a.dim:
         raise InputError("action count != algebra dimension")
-    ida, idv, swap = Matrix.identity(a.dim), Matrix.identity(m.dim_v), _swap(a.dim, m.dim_v)
+    ida = Matrix.identity(a.dim)
     left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
-    id_left, id_right = kron([ida, left]), kron([ida, right])
-    ll, rr = left.mul(id_left), right.mul(id_right).mul(swap)
-    commute = left.mul(id_right).sub(right.mul(id_left).mul(swap))
 
     def profile(rho: Matrix) -> ProfileReport:
-        id_rho, mu_rho = kron([ida, rho]), kron([a.mu, rho])
+        id_rho = kron([ida, rho])
         return ProfileReport(_block_violations(a, m, [
             (1, [("rho-left-commute", rho.mul(left).sub(left.mul(id_rho))),
                  ("rho-right-commute", rho.mul(right).sub(right.mul(id_rho)))]),
-            (2, [("left-action-multiplicative", left.mul(mu_rho).sub(ll)),
-                 ("right-action-antimultiplicative", right.mul(mu_rho).sub(rr)),
-                 ("left-right-commute", commute)])]))
-    return BimoduleReport(profile(m.rho), profile(idv))
+            (2, product_axioms(a, m, rho))]))
+    idv = Matrix.identity(m.dim_v)
+    standard = profile(idv)
+    return BimoduleReport(standard if m.rho == idv else profile(m.rho), standard)
+
+
+def product_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> list[tuple[str, Matrix]]:
+    """The residual cochains A (x) A (x) V -> V of the axioms on products, with twist rho.
+
+      left-action-multiplicative       L (mu (x) rho) - L (Id (x) L)
+      right-action-antimultiplicative  R (mu (x) rho) - R (Id (x) R) S
+      left-right-commute               L (Id (x) R) - R (Id (x) L) S
+    """
+    ida, swap = Matrix.identity(a.dim), _swap(a.dim, m.dim_v)
+    left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
+    id_left, id_right = kron([ida, left]), kron([ida, right])
+    mu_rho = kron([a.mu, rho])
+    return [("left-action-multiplicative", left.mul(mu_rho).sub(left.mul(id_left))),
+            ("right-action-antimultiplicative",
+             right.mul(mu_rho).sub(right.mul(id_right).mul(swap))),
+            ("left-right-commute", left.mul(id_right).sub(right.mul(id_left).mul(swap)))]
 
 
 @dataclass(frozen=True)

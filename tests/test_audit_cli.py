@@ -501,6 +501,12 @@ def test_cli_budget_exhaustion_exits_three(files, capsys):
                                  files["zero2"], "--regular", "--max-degree", "1"])
     assert code == 3
     assert "budget exhausted" in err
+    # the residuals leaving degree 2 guard amb(4) = 32 coordinates without building them
+    argv = ["cohomology", files["leftunit2"], files["zero2"], "--regular", "--max-degree", "2"]
+    code, _, err = _run(capsys, ["--budget", "16", *argv])
+    assert code == 3
+    assert "cochain space at degree 4 needs 32 coordinates, budget is 16" in err
+    assert _run(capsys, ["--budget", "32", *argv])[0] == 0
 
 
 def test_cli_groebner_budget_exhaustion_exits_three(files, capsys):

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from rnalg.algebra import Algebra, associator
 from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, operator
 from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
 from rnalg.errors import BudgetError
 from rnalg.exactlin import Matrix, rank
-from rnalg.representation import Bimodule, check_bimodule, regular_representation
+from rnalg.representation import (Bimodule, check_bimodule, product_axioms,
+                                  regular_representation)
 from test_algebra import _e
+from test_polysys import _change_basis, _unimodular
 
 CAT = catalog()
 
@@ -147,6 +151,121 @@ def test_kronecker_delta_equals_index_formula_on_non_integral_actions():
         assert b.delta(n).entries == want.entries, n
         assert any(isinstance(x, Fraction) for x in want.entries.values()), n
         assert b.delta(n + 1).mul(b.delta(n)).is_zero(), n
+
+
+def _assert_delta_square_is_the_product(b, degrees, tag):
+    for n in degrees:
+        fast, slow = b.delta_square(n), b.delta(n + 1).mul(b.delta(n))
+        assert (fast.rows, fast.cols) == (slow.rows, slow.cols) == (b.amb(n + 2), b.amb(n)), tag
+        assert fast.entries == slow.entries, (tag, n)
+
+
+def test_delta_square_equals_the_explicit_product_on_fixtures():
+    for name, ops in operator_fixtures().items():
+        a = CAT[name]
+        for label, p in ops:
+            b = ComplexBuilder(a, p, regular_representation(a, p))
+            _assert_delta_square_is_the_product(b, range(2 if name == "mat2" else 3), (name, label))
+
+
+def test_delta_square_equals_the_explicit_product_on_basis_changed_copies():
+    for name, a in CAT.items():
+        t, tinv = _unimodular(a.dim, random.Random(name))
+        copy = _change_basis(a, t, tinv)
+        p = Matrix.zeros(a.dim, a.dim)
+        b = ComplexBuilder(copy, p, regular_representation(copy, p))
+        _assert_delta_square_is_the_product(b, range(2 if name == "mat2" else 3), name)
+
+
+def _random_matrix(rng, rows, cols):
+    return Matrix(rows, cols, {(i, j): Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                               for i in range(rows) for j in range(cols) if rng.random() < 0.6})
+
+
+def test_delta_square_equals_the_explicit_product_on_random_non_bimodules():
+    rng = random.Random(17)
+    for da, dv in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 1)):
+        for _ in range(3):
+            a = Algebra(da, _random_matrix(rng, da, da * da))
+            m = Bimodule(dv, [_random_matrix(rng, dv, dv) for _ in range(da)],
+                         [_random_matrix(rng, dv, dv) for _ in range(da)], xi=Matrix.identity(dv))
+            b = ComplexBuilder(a, Matrix.identity(da), m)
+            _assert_delta_square_is_the_product(b, [n for n in range(4) if b.amb(n + 2) <= 512],
+                                                (da, dv))
+
+
+def _op(*rows):
+    return Matrix.from_rows(rows)
+
+
+# (name, algebra, left actions, right actions, the one defect that is nonzero)
+_ONE_DEFECT = (
+    ("unit1-left", Algebra(1, _op([1])), [_op([2])], [_op([0])], "left-action-multiplicative"),
+    ("unit1-right", Algebra(1, _op([1])), [_op([0])], [_op([2])],
+     "right-action-antimultiplicative"),
+    # idempotent actions that do not commute
+    ("unit1-commute", Algebra(1, _op([1])), [_op([1, 0], [0, 0])], [_op([1, 1], [0, 0])],
+     "left-right-commute"),
+    ("idempotents2-left", Algebra.from_sparse(2, [(0, 0, 0, 1), (1, 1, 1, 1)]),
+     [_op([2, 0], [0, 2]), _op([0, 0], [0, 0])], [_op([0, 0], [0, 0])] * 2,
+     "left-action-multiplicative"),
+    ("idempotents2-right", Algebra.from_sparse(2, [(0, 0, 0, 1), (1, 1, 1, 1)]),
+     [_op([0, 0], [0, 0])] * 2, [_op([0, 0], [0, 0]), _op([0, 1], [0, 2])],
+     "right-action-antimultiplicative"),
+    ("idempotents2-commute", Algebra.from_sparse(2, [(0, 0, 0, 1), (1, 1, 1, 1)]),
+     [_op([1, 0], [0, 0]), _op([0, 0], [0, 0])], [_op([1, 1], [0, 0]), _op([0, 0], [0, 0])],
+     "left-right-commute"),
+    ("zero2-commute", Algebra(2, Matrix.zeros(2, 4)),
+     [_op([0, 1], [0, 0]), _op([0, 0], [0, 0])], [_op([0, 0], [0, 0]), _op([0, 0], [1, 0])],
+     "left-right-commute"),
+    ("nonassoc2-zero-actions", Algebra.from_sparse(2, [(0, 0, 1, 1), (1, 0, 0, 1)]),
+     [Matrix.zeros(3, 3)] * 2, [Matrix.zeros(3, 3)] * 2, "associator"),
+)
+
+
+def test_delta_square_equals_the_explicit_product_when_one_defect_is_nonzero():
+    for name, a, left, right, broken in _ONE_DEFECT:
+        m = Bimodule(left[0].rows, left, right, xi=Matrix.identity(left[0].rows))
+        defects = dict(product_axioms(a, m, m.rho), associator=associator(a))
+        assert [k for k, x in defects.items() if not x.is_zero()] == [broken], name
+        b = ComplexBuilder(a, Matrix.zeros(a.dim, a.dim), m)
+        _assert_delta_square_is_the_product(b, range(4), name)
+        assert not b.delta_square(2).is_zero(), name
+    # a non-associative product with its regular actions breaks all four
+    a = _ONE_DEFECT[-1][1]
+    m = regular_representation(a, Matrix.zeros(2, 2))
+    assert not any(x.is_zero() for _, x in product_axioms(a, m, m.rho))
+    _assert_delta_square_is_the_product(ComplexBuilder(a, Matrix.zeros(2, 2), m), range(4),
+                                        "nonassoc2-regular")
+
+
+def test_delta_square_never_builds_the_next_differential(monkeypatch):
+    built = []
+    delta = ComplexBuilder.delta
+    monkeypatch.setattr(ComplexBuilder, "delta", lambda self, n: built.append(n) or delta(self, n))
+    b = _builder("trunc3", [[0] * 3 for _ in range(3)])
+    for n in range(3):
+        b.delta_square(n)
+        assert n + 1 not in built, n
+    a, p = CAT["leftunit2"], Matrix.zeros(2, 2)
+    built.clear()
+    cohomology_dims(a, p, regular_representation(a, p), 2)
+    assert 3 not in built and max(built) == 2
+
+
+def test_cohomology_budget_guards_two_degrees_past_the_top():
+    # the residuals leaving degree max_n need the degree max_n + 2 space within budget
+    a, p = CAT["leftunit2"], Matrix.zeros(2, 2)
+    m = regular_representation(a, p)
+    b = ComplexBuilder(a, p, m)
+    for top in (1, 2, 3):
+        with pytest.raises(BudgetError, match=rf"^cochain space at degree {top + 2} needs "
+                                              rf"{b.amb(top + 2)} coordinates, budget is "
+                                              rf"{b.amb(top + 1)}$"):
+            cohomology_dims(a, p, m, top, budget=b.amb(top + 1))
+        assert cohomology_dims(a, p, m, top, budget=b.amb(top + 2)) == cohomology_dims(a, p, m, top)
+    with pytest.raises(BudgetError, match=r"^cochain space at degree 3 needs 16 coordinates"):
+        ComplexBuilder(a, p, m, budget=b.amb(2)).delta_square(1)
 
 
 def test_psi_is_identity_then_zero_at_identity_operator():
