@@ -18,11 +18,11 @@ violation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
-from .exactlin import Entry, Matrix, kron, kron_sum, parse_q
+from .exactlin import Entry, Matrix, kron, kron_sum, parse_q, qstr
 
 REYNOLDS = "reynolds"
 NIJENHUIS = "nijenhuis"
@@ -34,26 +34,44 @@ _WEIGHTED = {ROTA_BAXTER, MODIFIED_ROTA_BAXTER}
 _KNOWN = {REYNOLDS, NIJENHUIS, REYNOLDS_NIJENHUIS} | _WEIGHTED
 
 
-@dataclass(frozen=True)
 class OperatorKind:
-    """One of the five operator identity classes; weighted kinds carry a weight."""
+    """One of the five operator identity classes; weighted kinds carry an exact weight."""
 
-    name: str
-    weight: Fraction | None = None
+    __slots__ = ("name", "weight")
 
-    def __post_init__(self):
-        if self.name not in _KNOWN:
-            raise InputError(f"unknown operator kind {self.name!r}")
-        if self.name in _WEIGHTED:
-            if self.weight is None:
-                raise InputError(f"kind {self.name} requires a weight")
-        elif self.weight is not None:
-            raise InputError(f"kind {self.name} does not take a weight")
+    def __init__(self, name: str, weight=None):
+        if name not in _KNOWN:
+            raise InputError(f"unknown operator kind {name!r}")
+        if name in _WEIGHTED:
+            if weight is None:
+                raise InputError(f"kind {name} requires a weight")
+            weight = parse_q(weight)
+        elif weight is not None:
+            raise InputError(f"kind {name} does not take a weight")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weight", weight)
+
+    def __setattr__(self, attr, *_):
+        raise AttributeError(f"OperatorKind is immutable: cannot set or delete {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return OperatorKind, (self.name, self.weight)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.weight) == (other.name, other.weight)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.weight))
+
+    def __repr__(self):
+        return f"OperatorKind(name={self.name!r}, weight={self.weight!r})"
 
     def label(self) -> str:
         if self.name in _WEIGHTED:
-            from .exactlin import qstr
-
             return f"{self.name}({qstr(self.weight)})"
         return self.name
 
@@ -64,11 +82,11 @@ KIND_RN = OperatorKind(REYNOLDS_NIJENHUIS)
 
 
 def rota_baxter(weight) -> OperatorKind:
-    return OperatorKind(ROTA_BAXTER, Fraction(weight))
+    return OperatorKind(ROTA_BAXTER, weight)
 
 
 def modified_rota_baxter(weight) -> OperatorKind:
-    return OperatorKind(MODIFIED_ROTA_BAXTER, Fraction(weight))
+    return OperatorKind(MODIFIED_ROTA_BAXTER, weight)
 
 
 def parse_kind(text: str) -> OperatorKind:
@@ -151,16 +169,14 @@ class Algebra:
         return f"Algebra({tag})"
 
 
-@dataclass(frozen=True)
-class AssociativityViolation:
+class AssociativityViolation(NamedTuple):
     i: int
     j: int
     k: int
     residual: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class AssociativityReport:
+class AssociativityReport(NamedTuple):
     dim: int
     violations: tuple[AssociativityViolation, ...]
 
@@ -199,16 +215,14 @@ def check_associative(a: Algebra) -> AssociativityReport:
             [(None, associator(a))], a.dim, 3)))
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
+class IdentityViolation(NamedTuple):
     i: int
     j: int
     identity: str
     residual: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     kind: OperatorKind
     dim: int
     violations: tuple[IdentityViolation, ...]
@@ -288,8 +302,7 @@ def star_product(a: Algebra, p: Matrix) -> Algebra:
                    name=f"star({a.name})" if a.name else None)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     product_violations: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
     intertwine_residual: tuple[tuple[Fraction, ...], ...]
 
@@ -320,8 +333,7 @@ def check_morphism(src: Algebra, dst: Algebra, phi: Matrix,
     return MorphismReport(violations, tuple(tuple(r) for r in diff.to_rows()))
 
 
-@dataclass(frozen=True)
-class SquareCase:
+class SquareCase(NamedTuple):
     condition: str
     equivalent_kind: OperatorKind
     is_rn: bool
@@ -332,13 +344,12 @@ class SquareCase:
         return self.is_rn == self.other_holds
 
 
-@dataclass(frozen=True)
-class SquareClassification:
+class SquareClassification(NamedTuple):
     square_zero: bool
     idempotent: bool
     involutive: bool
     anti_involutive: bool
-    cases: tuple[SquareCase, ...] = field(default=())
+    cases: tuple[SquareCase, ...] = ()
 
 
 def classify_square(a: Algebra, p: Matrix) -> SquareClassification:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import fileio
 from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
@@ -124,18 +124,16 @@ def build_fixtures(extra_algebras: dict[str, Algebra] | None = None) -> dict:
     return {"algebras": algebras, "operators": operators}
 
 
-@dataclass
-class ClaimVerdict:
+class ClaimVerdict(NamedTuple):
     claim_id: str
     statement: str
     verdict: str
-    instances: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    instances: list
+    counterexamples: list
+    notes: list
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     version: str
     fixtures: dict
     claims: list[ClaimVerdict]

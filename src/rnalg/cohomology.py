@@ -65,8 +65,8 @@ vanish.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Algebra, associator
 from .errors import BudgetError, InputError, resolve_budget
@@ -244,15 +244,13 @@ class ComplexBuilder:
         return lower.mul(self.d(n)).is_zero()
 
 
-@dataclass(frozen=True)
-class ResidualWitness:
+class ResidualWitness(NamedTuple):
     row: int
     col: int
     value: Fraction
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: int
     dim_space: int
     dim_z: int
@@ -263,8 +261,7 @@ class DegreeReport:
     witnesses: dict
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(NamedTuple):
     max_degree: int
     degrees: tuple[DegreeReport, ...]
 

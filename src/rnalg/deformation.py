@@ -28,8 +28,8 @@ transport and inversion read t^n coefficients too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import NIJENHUIS, REYNOLDS, Algebra, _nonzero_columns, identity_residual
 from .cohomology import ComplexBuilder, flatten
@@ -122,16 +122,14 @@ class TruncatedDeformation:
         return TruncatedDeformation(self.order, nu, ps)
 
 
-@dataclass(frozen=True)
-class EqViolation:
+class EqViolation(NamedTuple):
     equation: str
     order: int
     args: tuple
     residual: tuple
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     order: int
     violations: tuple[EqViolation, ...]
     convention_note: str = CONVENTION_NOTE
@@ -141,8 +139,7 @@ class OrderReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     order: int
     orders: tuple[OrderReport, ...]
     convention_note: str = CONVENTION_NOTE
@@ -253,8 +250,7 @@ class FormalIso:
         return [_coefficient(inv, k, self.dim) for k in range(self.order + 1)]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     order: int
     violations: tuple[EqViolation, ...]
 
@@ -314,8 +310,7 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
                                 [_coefficient(p, k, dim) for k in range(order + 1)])
 
 
-@dataclass(frozen=True)
-class CocycleReport:
+class CocycleReport(NamedTuple):
     in_constrained_subspace: bool
     differential_zero: bool
     first_nonzero: tuple | None
@@ -349,8 +344,7 @@ def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation) -> Coc
     return CocycleReport(member, nonzero is None, nonzero)
 
 
-@dataclass(frozen=True)
-class ClassComparison:
+class ClassComparison(NamedTuple):
     difference_in_domain: bool
     same_class: bool
     witness: tuple | None
@@ -380,8 +374,7 @@ def same_cohomology_class(a: Algebra, p: Matrix, d1: TruncatedDeformation,
                            tuple(witness) if witness is not None else None)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     verdict: str
     dim_h2: int | None
     residuals_zero: dict

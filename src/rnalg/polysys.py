@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, neg, sub
+from typing import NamedTuple
 
 from .algebra import (Algebra, OperatorKind, _component_identities,
                       identity_residual)
@@ -203,8 +203,7 @@ def entry_variables(dim: int) -> list[str]:
     return [f"P_{r}_{c}" for r in range(dim) for c in range(dim)]
 
 
-@dataclass(frozen=True)
-class SystemPolynomial:
+class SystemPolynomial(NamedTuple):
     i: int
     j: int
     coord: int
@@ -350,8 +349,7 @@ class SymbolicMatrix:
         return Matrix.from_rows([[p.evaluate(point) for p in row] for row in self.entries])
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     residuals: tuple[MPoly, ...]
 
     @property
@@ -380,8 +378,7 @@ def verify_family(system: PolySystem, family: SymbolicMatrix) -> FamilyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GroebnerResult:
+class GroebnerResult(NamedTuple):
     complete: bool
     basis: list[MPoly] | None
     pairs_processed: int  # S-pairs reduced; the budget counts these
@@ -507,8 +504,7 @@ def _reduce_basis(basis: list[MPoly]) -> list[MPoly]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     prime: int
     dim: int
     kind_label: str
@@ -535,6 +531,32 @@ def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int
     return compiled
 
 
+def _search_order(vars_of: list[set[int]], occ: list[list[int]]) -> list[int]:
+    """The variables in search order: next is the one that is the last unplaced variable
+    of the most residuals, then the one in the most residuals, then the least.
+
+    completes[x] counts the residuals whose one unplaced variable is x; a residual is
+    counted when its unplaced count falls to one, so no step rescans the residuals.
+    """
+    left = [len(vs) for vs in vars_of]
+    rest = [sum(vs) for vs in vars_of]  # the sum of each residual's unplaced variables
+    completes = [0] * len(occ)
+    for k, s in zip(left, rest):
+        if k == 1:
+            completes[s] += 1
+    unplaced, order = set(range(len(occ))), []
+    while unplaced:
+        x = max(unplaced, key=lambda x: (completes[x], len(occ[x]), -x))
+        unplaced.remove(x)
+        order.append(x)
+        for r in occ[x]:
+            left[r] -= 1
+            rest[r] -= x
+            if left[r] == 1:
+                completes[rest[r]] += 1
+    return order
+
+
 def _search_mod_p(compiled: list, n: int, p: int,
                   cap: int) -> tuple[list[tuple[int, ...]], int]:
     """Sorted points of F_p^n where every compiled residual vanishes, and the nodes visited.
@@ -554,13 +576,7 @@ def _search_mod_p(compiled: list, n: int, p: int,
     linear = [{i for i in vs if all(f.count(i) < 2 for _, f in terms)}
               for vs, terms in zip(vars_of, compiled)]
     occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
-    left, order = [set(vs) for vs in vars_of], []
-    while len(order) < n:  # the variable completing the most residuals, then the most frequent
-        x = max(set(range(n)) - set(order),
-                key=lambda x: (sum(left[r] == {x} for r in occ[x]), len(occ[x]), -x))
-        order.append(x)
-        for r in occ[x]:
-            left[r].discard(x)
+    order = _search_order(vars_of, occ)
     val, free, trail, solutions, nodes = [None] * n, [len(vs) for vs in vars_of], [], [], 0
     unset = [sum(vs) for vs in vars_of]  # the sum of each residual's free variables
     slot: list = [None] * len(compiled)  # (x, a, b) while the residual is a*x + b, x free
@@ -662,8 +678,7 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearReduction:
+class LinearReduction(NamedTuple):
     constraints: list[tuple[int, MPoly]]
     residual: list[MPoly]
     inconsistent: bool

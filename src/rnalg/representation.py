@@ -14,8 +14,8 @@ Constructors only build modules: the validators run where a caller asks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Algebra, _nonzero_columns
 from .errors import InputError
@@ -73,15 +73,13 @@ def _swap(dim: int, dim_v: int = 1) -> Matrix:
                          for i in range(dim) for j in range(dim) for v in range(dim_v)})
 
 
-@dataclass(frozen=True)
-class ConditionViolation:
+class ConditionViolation(NamedTuple):
     condition: str
     indices: tuple[int, ...]
     residual: tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     violations: tuple[ConditionViolation, ...]
 
     @property
@@ -89,8 +87,7 @@ class ProfileReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class BimoduleReport:
+class BimoduleReport(NamedTuple):
     with_rho: ProfileReport
     standard: ProfileReport
 
@@ -141,8 +138,7 @@ def product_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> list[tuple[str, Matr
             ("left-right-commute", left.mul(id_right).sub(right.mul(id_left).mul(swap)))]
 
 
-@dataclass(frozen=True)
-class RNRepresentationReport:
+class RNRepresentationReport(NamedTuple):
     violations: tuple[ConditionViolation, ...]
 
     @property

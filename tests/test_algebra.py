@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import rnalg
 from rnalg import fileio
-from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra,
+from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra, OperatorKind,
                            check_associative, check_morphism, check_operator,
                            classify_square, modified_rota_baxter, parse_kind,
                            rota_baxter, star_product)
@@ -331,6 +333,41 @@ def test_parse_kind_rejects_unknown_strings():
     for bad in ("", "rb", "rb:", "rb:x", "reynolds-nijenhuis?", "mrb"):
         with pytest.raises(InputError):
             parse_kind(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OperatorKind("rota-baxter", Fraction(1)),
+    lambda: OperatorKind("rota_baxter"),
+    lambda: OperatorKind("modified_rota_baxter", None),
+    lambda: OperatorKind("reynolds", Fraction(0)),
+    lambda: OperatorKind("reynolds_nijenhuis", 1),
+    lambda: OperatorKind("rota_baxter", 0.5),
+    lambda: OperatorKind("modified_rota_baxter", True),
+    lambda: rota_baxter(0.1),
+    lambda: rota_baxter(True),
+    lambda: modified_rota_baxter(-0.5),
+    lambda: modified_rota_baxter(False),
+], ids=["unknown-name", "rb-no-weight", "mrb-none-weight", "reynolds-weight", "rn-weight",
+        "kind-float", "kind-bool", "rb-float", "rb-bool", "mrb-float", "mrb-bool"])
+def test_operator_kind_refuses_bad_names_and_weights(make):
+    with pytest.raises(InputError):
+        make()
+
+
+def test_operator_kind_keeps_its_value_semantics():
+    assert KIND_RN == OperatorKind("reynolds_nijenhuis") and KIND_RN != KIND_REYNOLDS
+    assert hash(KIND_RN) == hash(("reynolds_nijenhuis", None))
+    assert repr(KIND_RN) == "OperatorKind(name='reynolds_nijenhuis', weight=None)"
+    rb = rota_baxter(-1)
+    assert rb == OperatorKind("rota_baxter", Fraction(-1)) == parse_kind("rb:-1")
+    assert rb != modified_rota_baxter(-1) and rb != rota_baxter(1)
+    assert hash(rb) == hash(("rota_baxter", Fraction(-1)))
+    assert repr(rb) == "OperatorKind(name='rota_baxter', weight=Fraction(-1, 1))"
+    assert type(rb.weight) is Fraction and rota_baxter("1/2").weight == Fraction(1, 2)
+    assert KIND_RN != ("reynolds_nijenhuis", None) and rb != ("rota_baxter", Fraction(-1))
+    assert len({KIND_RN, OperatorKind("reynolds_nijenhuis"), rb, rota_baxter(-1)}) == 2
+    for kind in (KIND_RN, rb):
+        assert copy.deepcopy(kind) == pickle.loads(pickle.dumps(kind)) == kind
 
 
 def test_zero_and_identity_operators_pass_rn_everywhere():

@@ -1,4 +1,5 @@
-"""Which layers a command loads, and the package's lazily served names."""
+"""Which layers a command loads (and which stdlib modules they avoid), the package's lazily served
+names, and the immutability of its records."""
 
 from __future__ import annotations
 
@@ -69,6 +70,33 @@ def test_solve_mod_loads_polysys_and_no_other_layer(workdir):
 def test_audit_loads_every_module(workdir):
     package = ["rnalg"] + [f"rnalg.{m.name}" for m in pkgutil.iter_modules(rnalg.__path__)]
     assert _loaded(workdir, ["audit"]) == sorted(package)
+
+
+def test_no_layer_loads_dataclasses_or_inspect():
+    proc = _python("-c", "import sys, rnalg.audit; "
+                         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_records_of_every_layer_refuse_assignment():
+    from rnalg import algebra, audit, cohomology, deformation, polysys, representation
+
+    a, p = catalog()["pair3"], Matrix.zeros(3, 3)
+    regular = representation.regular_representation(a, p)
+    for record, field in [
+        (algebra.check_associative(a), "violations"),
+        (algebra.parse_kind("rb:1"), "weight"),
+        (polysys.enumerate_mod_p(a, algebra.KIND_RN, 2), "solutions"),
+        (representation.check_bimodule(a, regular), "standard"),
+        (cohomology.cohomology_dims(a, p, regular, 1), "degrees"),
+        (deformation.rigidity_report(a, p), "verdict"),
+        (audit.ClaimVerdict("id", "statement", "confirmed", [], [], []), "verdict"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
 
 
 def test_every_public_name_is_the_object_its_submodule_defines():

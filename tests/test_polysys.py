@@ -19,7 +19,8 @@ from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
 from rnalg.fileio import enumeration_result_dict
 from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals,
-                           _search_mod_p, build_identity_system, entry_variables,
+                           _search_mod_p, _search_order, build_identity_system,
+                           entry_variables,
                            enumerate_mod_p, groebner_basis, linear_reduce,
                            verify_family)
 
@@ -425,6 +426,37 @@ def test_enumeration_budget_caps_the_nodes_visited(monkeypatch):
     with pytest.raises(BudgetError,
                        match=r"^mod-p enumeration stage: 101 nodes visited, cap 100$"):
         enumerate_mod_p(CAT["mat2"], KIND_RN, 3)
+
+
+def _quadratic_search_order(vars_of: list[set[int]], occ: list[list[int]]) -> list[int]:
+    """The search order by its definition: every step rescans each variable's residuals."""
+    left, order = [set(vs) for vs in vars_of], []
+    while len(order) < len(occ):
+        x = max(set(range(len(occ))) - set(order),
+                key=lambda x: (sum(left[r] == {x} for r in occ[x]), len(occ[x]), -x))
+        order.append(x)
+        for r in occ[x]:
+            left[r].discard(x)
+    return order
+
+
+@pytest.mark.parametrize("name", CAT)
+def test_search_order_equals_the_quadratic_rescan(name):
+    a, n = CAT[name], CAT[name].dim ** 2
+    for kind, p in itertools.product(map(parse_kind, KINDS), (2, 3, 5)):
+        compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
+        vars_of = [{i for _, f in terms for i in f} for terms in compiled]
+        occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
+        order = _search_order(vars_of, occ)
+        assert order == _quadratic_search_order(vars_of, occ), (kind, p)
+        assert sorted(order) == list(range(n))
+
+
+def test_search_order_on_hand_made_residuals():
+    # x2 alone completes two residuals; then x0 and x1 tie on both counts, and x0 is least
+    vars_of = [{2}, {2}, {0, 1}, {0, 3}, {1, 3}]
+    occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(5)]
+    assert _search_order(vars_of, occ) == _quadratic_search_order(vars_of, occ) == [2, 0, 1, 3, 4]
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
