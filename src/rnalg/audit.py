@@ -25,13 +25,13 @@ from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
 from .catalog import catalog
-from .cohomology import ComplexBuilder, _first_nonzero, flatten, unflatten
+from .cohomology import ComplexBuilder, _first_nonzero, flatten
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
-                          check_equivalence, infinitesimal_cocycle,
-                          order_residuals, rigidity_report,
+                          check_equivalence, cocycle_reports, infinitesimal_cocycle,
+                          order1_pair, order1_system, rigidity_report,
                           same_cohomology_class, transport)
 from .errors import InputError
-from .exactlin import Matrix, from_cols, kernel_basis, qstr
+from .exactlin import Matrix, kernel_basis, qstr
 from .polysys import SymbolicMatrix, build_identity_system, enumerate_mod_p, verify_family
 from .representation import (check_bimodule, check_rn_representation,
                              induce_representation, regular_representation)
@@ -529,43 +529,19 @@ def _claim_operator_part(fx: dict) -> ClaimVerdict:
          "where the operator's square annihilates the cochain"])
 
 
-def _vector_to_order1(dim: int, vec) -> tuple[Matrix, Matrix]:
-    """(nu_1, P_1) from coordinates in the layout of deformation._pair_vector."""
-    return unflatten(vec[:dim ** 3], dim), unflatten(vec[dim ** 3:], dim)
-
-
-def order1_system(a: Algebra, p: Matrix) -> Matrix:
-    """Matrix of the order-1 equations in the unknown pair (nu_1, P_1).
-
-    Column layout matches the degree-2 pair flattening: nu_1 coordinates
-    first (input pair index major), then P_1 column by column.
-    """
-    dim = a.dim
-    unknowns = dim ** 3 + dim ** 2
-    base = TruncatedDeformation.constant(a, p, 1)
-    cols = []
-    for idx in range(unknowns):
-        unit = [Fraction(0)] * unknowns
-        unit[idx] = Fraction(1)
-        nu1, p1 = _vector_to_order1(dim, unit)
-        cols.append(order_residuals(base.with_coefficient(1, nu1, p1), 1))
-    return from_cols(cols)
-
-
 def _claim_infinitesimal_cocycle(fx: dict) -> ClaimVerdict:
     ev = _Evidence()
     for row, a, p in _complex_instances(fx):
         inputs = _alg_op_inputs(a, p)
         kernel = kernel_basis(order1_system(a, p))
-        b = _builder(inputs)
-        constraint, differential, split = b.rno_constraint(1), b.d_ambient(2), a.dim ** 3
-        bad = [vec for vec in map(kernel.col_list, range(kernel.cols))
-               if any(constraint.apply(vec[split:])) or any(differential.apply(vec))]
+        vectors = [kernel.col_list(j) for j in range(kernel.cols)]
+        bad = [vec for vec, rep in zip(vectors, cocycle_reports(a, p, vectors))
+               if not rep.is_cocycle]
         ev.rows.append(dict(row, order1_solution_dim=kernel.cols, cocycle_failures=len(bad)))
         ev.oks.append(not bad)
         if bad:
-            nu1, p1 = _vector_to_order1(a.dim, bad[0])
-            d = TruncatedDeformation.constant(a, p, 1).with_coefficient(1, nu1, p1)
+            d = TruncatedDeformation.constant(a, p, 1).with_coefficient(
+                1, *order1_pair(a.dim, bad[0]))
             ev.refute("infinitesimal_cocycle",
                       dict(inputs, deformation=fileio.dump_deformation(d)))
     return ev.verdict(

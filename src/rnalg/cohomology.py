@@ -28,25 +28,11 @@ i-th dimA x 1 basis column and Id^k the identity on k tensor factors of A,
   delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu^T (x) Id^(n-s) (x) Id_V
             + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
 
-Multiplied out for any bilinear mu and any action lists, delta_(n+1) delta_n
-keeps only the defects of the identities the complex rests on; every other
-pair of terms cancels by sign alone.  The defects are the associator
-Assoc = mu (mu (x) Id - Id (x) mu) and, with S = sigma (x) Id_V the swap of the
-two A factors of A (x) A (x) V, the standard-profile bimodule cochains
-LM = L (mu (x) Id_V) - L (Id (x) L), RA = R (mu (x) Id_V) - R (Id (x) R) S and
-LR = L (Id (x) R) - R (Id (x) L) S.  With X_ij the dimV x dimV block of columns
-(i dimA + j) dimV ... (i dimA + j + 1) dimV - 1 of X and [...] stacking blocks
-as rows,
-
-  delta_(n+1) delta_n = - sum_(i,j) (e_i (x) e_j) (x) Id^n (x) LM_ij
-                        + sum_s Id^(s-1) (x) Assoc^T (x) Id^(n-s) (x) Id_V
-                        + (-1)^(n+1) sum_i e_i (x) Id^n (x) [LR_i0; ...; LR_i(dimA-1)]
-                        + Id^n (x) [RA_00; RA_01; ...; RA_(dimA-1)(dimA-1)].
-
-This is an identity of matrices that assumes no axiom, so the composite it
-gives is the explicit product entry for entry: zero when mu is associative
-and the actions form a bimodule, and the same nonzero matrix when they do
-not.  delta_square sums it and never builds delta_(n+1).
+By Hochschild's theorem (Ann. Math. 46, 1945) delta_(n+1) delta_n = 0 when
+mu is associative and the actions satisfy the bimodule axioms with rho = Id
+(the standard profile of representation.check_bimodule).  delta_square then
+returns the zero matrix without building delta_(n+1); for any other input it
+is the explicit product, so a failed axiom shows as a nonzero composite.
 
 With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
@@ -68,10 +54,10 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Algebra, associator
+from .algebra import Algebra
 from .errors import BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
-from .representation import Bimodule, _actions, product_axioms
+from .representation import Bimodule, check_bimodule
 
 
 def flatten(m: Matrix) -> list[Fraction]:
@@ -192,35 +178,18 @@ class ComplexBuilder:
         return self.amb(n) + (self.rno_basis(n - 1).cols if n else 0)
 
     @functools.cached_property
-    def _defects(self) -> tuple[Matrix, list[Matrix], list[Matrix], Matrix]:
-        """Assoc^T, the blocks LM_ij (at index i dimA + j), each [LR_i0; ...] and [RA_00; ...]."""
-        da, dv = self.a.dim, self.m.dim_v
-        lm, ra, lr = (_actions(c, da * da, dv)
-                      for _, c in product_axioms(self.a, self.m, Matrix.identity(dv)))
-        return (associator(self.a).transpose(), lm,
-                [functools.reduce(Matrix.vstack, lr[i * da:(i + 1) * da]) for i in range(da)],
-                functools.reduce(Matrix.vstack, ra))
+    def _hochschild(self) -> bool:
+        """Is mu associative, with actions that pass the standard bimodule profile?"""
+        return self.a.is_associative() and check_bimodule(self.a, self.m).passed_standard
 
     def delta_square(self, n: int) -> Matrix:
-        """delta_(n+1) delta_n on ambient C^n as the sum of defect terms in the module docstring.
-
-        Terms with a zero factor are skipped; delta_(n+1) is never built.
-        """
+        """delta_(n+1) delta_n on ambient C^n: zero on a bimodule, else the explicit product."""
         if n not in self._delta2:
             self._guard(n + 2)
             if n < 0:
                 raise InputError("degree must be >= 0")
-            da = self.a.dim
-            ida, idv = Matrix.identity(da), Matrix.identity(self.m.dim_v)
-            assoc_t, lm, lr, ra = self._defects
-            terms = [t for t in (
-                [(-1, [Matrix(da * da, 1, {(k, 0): 1}), *[ida] * n, x]) for k, x in enumerate(lm)]
-                + [(1, [*[ida] * (s - 1), assoc_t, *[ida] * (n - s), idv]) for s in range(1, n + 1)]
-                + [((-1) ** (n + 1), [Matrix(da, 1, {(i, 0): 1}), *[ida] * n, x])
-                   for i, x in enumerate(lr)]
-                + [(1, [*[ida] * n, ra])]) if all(f.entries for f in t[1])]
-            self._delta2[n] = (kron_sum(terms) if terms
-                               else Matrix.zeros(self.amb(n + 2), self.amb(n)))
+            self._delta2[n] = (Matrix.zeros(self.amb(n + 2), self.amb(n)) if self._hochschild
+                               else self.delta(n + 1).mul(self.delta(n)))
         return self._delta2[n]
 
     def psi_delta_residual(self, n: int) -> Matrix:
@@ -286,8 +255,8 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     leaving degree n vanishes as well; otherwise the raw kernel and image
     dimensions are kept and the degree is flagged inconsistent.  Residual
     flags at degree n cover the composites leaving degree n, so the budget
-    must admit the cochain space at degree max_n + 2, which is guarded but
-    not built.
+    must admit the cochain space at degree max_n + 2, which is built only
+    when the input is not a bimodule over an associative algebra.
     """
     if max_n < 1:
         raise InputError("max degree must be >= 1")

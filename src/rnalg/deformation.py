@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import NIJENHUIS, REYNOLDS, Algebra, _nonzero_columns, identity_residual
-from .cohomology import ComplexBuilder, flatten
+from .cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
 from .errors import DEFAULT_BUDGET, BudgetError, InputError
-from .exactlin import Matrix, kron_sum, solve
+from .exactlin import Matrix, from_cols, kron_sum, solve
 from .representation import regular_representation
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
@@ -325,23 +325,52 @@ def _pair_vector(d: TruncatedDeformation, k: int) -> list[Fraction]:
     return flatten(d.nu[k]) + flatten(d.p[k])
 
 
-def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation) -> CocycleReport:
-    """Is (nu_1, P_1) a degree-2 cocycle of the combined complex?
+def order1_pair(dim: int, vec) -> tuple[Matrix, Matrix]:
+    """(nu_1, P_1) from coordinates in the layout of _pair_vector."""
+    return unflatten(vec[:dim ** 3], dim), unflatten(vec[dim ** 3:], dim)
+
+
+def order1_system(a: Algebra, p: Matrix) -> Matrix:
+    """Matrix of the order-1 equations in the unknown pair (nu_1, P_1).
+
+    Column layout matches the degree-2 pair flattening: nu_1 coordinates
+    first (input pair index major), then P_1 column by column.
+    """
+    dim = a.dim
+    unknowns = dim ** 3 + dim ** 2
+    base = TruncatedDeformation.constant(a, p, 1)
+    cols = []
+    for idx in range(unknowns):
+        unit = [Fraction(0)] * unknowns
+        unit[idx] = Fraction(1)
+        cols.append(order_residuals(base.with_coefficient(1, *order1_pair(dim, unit)), 1))
+    return from_cols(cols)
+
+
+def cocycle_reports(a: Algebra, p: Matrix, vectors) -> list[CocycleReport]:
+    """Is each (nu_1, P_1), given in the layout of _pair_vector, a degree-2 cocycle?
 
     Membership asks P_1 to commute with P (the degree-1 constrained
     subspace for the regular coefficients); the differential is applied in
     ambient coordinates, so a failure of the complex itself would surface
-    as a nonzero image rather than being masked.
+    as a nonzero image rather than being masked.  The constraint and the
+    differential are built once for all vectors.
     """
+    b = ComplexBuilder(a, p, regular_representation(a, p))
+    constraint, differential, split = b.rno_constraint(1), b.d_ambient(2), b.amb(2)
+    reports = []
+    for vec in vectors:
+        member = not any(constraint.apply(vec[split:]))
+        nonzero = next(((i, x) for i, x in enumerate(differential.apply(vec)) if x), None)
+        reports.append(CocycleReport(member, nonzero is None, nonzero))
+    return reports
+
+
+def infinitesimal_cocycle(a: Algebra, p: Matrix, d: TruncatedDeformation) -> CocycleReport:
+    """Is (nu_1, P_1) a degree-2 cocycle of the combined complex?  See cocycle_reports."""
     if d.order < 1:
         raise InputError("need order >= 1")
-    m = regular_representation(a, p)
-    b = ComplexBuilder(a, p, m)
-    constraint = b.rno_constraint(1)
-    member = all(not x for x in constraint.apply(flatten(d.p[1])))
-    image = b.d_ambient(2).apply(_pair_vector(d, 1))
-    nonzero = next(((i, x) for i, x in enumerate(image) if x), None)
-    return CocycleReport(member, nonzero is None, nonzero)
+    return cocycle_reports(a, p, [_pair_vector(d, 1)])[0]
 
 
 class ClassComparison(NamedTuple):
@@ -389,8 +418,6 @@ def rigidity_report(a: Algebra, p: Matrix, budget: int | None = None) -> Rigidit
     "inconclusive", never "flexible", since a nonzero class is only a
     candidate direction, not a certified deformation.
     """
-    from .cohomology import cohomology_dims
-
     m = regular_representation(a, p)
     result = cohomology_dims(a, p, m, 2, budget)
     r1 = result.at(1).residual_zero["d2"]

@@ -54,6 +54,9 @@ def parse_q(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
+        # "1e10000000" is ten characters for a 33-million-bit numerator
+        if "e" in text or "E" in text:
+            raise InputError(f"not a rational: {text!r} (write p/q or a decimal, no exponent)")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -42,8 +42,10 @@ def read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax, bad UTF-8 and an integer past Python's
+        # digit limit; RecursionError, arrays or objects nested too deep
+        raise InputError(f"{path}: not readable as JSON ({exc})") from exc
 
 
 def _require(data, key: str, where: str):

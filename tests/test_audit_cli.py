@@ -291,6 +291,31 @@ def test_cli_check_assoc(files, capsys):
     assert json.loads(out)["violations"]
 
 
+@pytest.mark.parametrize("text", ["[" + "7" * 5000 + "]", "[" * 100_000 + "]" * 100_000],
+                         ids=["5000-digit-integer", "nested-100000-deep"])
+def test_cli_refuses_json_that_python_cannot_decode(files, capsys, text):
+    # neither is a JSONDecodeError: int() refuses the digits, the decoder recurses too deep
+    path = files["dir"] / "undecodable.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, ["check-assoc", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: not readable as JSON")
+
+
+def test_cli_refuses_exponent_notation_at_once(files, capsys):
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["check-op", files["leftunit2"], files["zero2"],
+                                 "--kind", "rb:1e1000000"])
+    assert code == 2 and "'1e1000000'" in err
+    doc = fileio.dump_algebra(CAT["leftunit2"])
+    doc["c"][0][3] = "1e10000000"
+    path = files["dir"] / "exponent.json"
+    fileio.write_json(str(path), doc)
+    code, _, err = _run(capsys, ["check-assoc", str(path)])
+    assert code == 2 and err.startswith(f"error: {path}: ") and "'1e10000000'" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_cli_check_op_kinds(files, capsys):
     code, out, _ = _run(capsys, ["check-op", files["leftunit2"], files["proj_e1"],
                                  "--kind", "rn"])
@@ -372,6 +397,29 @@ def test_cli_cohomology_table(files, capsys):
     assert code == 0
     doc = json.loads(out)
     assert [d["dimH"] for d in doc["degrees"]] == [None, None, 0]
+
+
+# sha256 of the table below; no benchmark workload reaches a module that is
+# not a bimodule, so this pin is what shows a change to that path
+NON_BIMODULE_SHA256 = "c7380aca6e505ea5873cfe0a5beafff4bb7228fae8cd0ceef276a973b660bc59"
+
+
+def test_cli_cohomology_on_a_non_bimodule_is_pinned(tmp_path, capsys):
+    # two orthogonal idempotents, e_0 acting on the left as 2 Id: only
+    # left-action-multiplicative fails, so every delta^2 is the explicit product
+    docs = {"alg": {"dim": 2, "c": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
+            "op": fileio.dump_linop(operator([[1, 0], [0, 0]])),
+            "rep": {"dimV": 2, "l": [[["2", "0"], ["0", "2"]], [["0", "0"], ["0", "0"]]],
+                    "r": [[["0", "0"], ["0", "0"]]] * 2, "xi": [["1", "0"], ["0", "1"]]}}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        fileio.write_json(paths[name], doc)
+    code, out, _ = _run(capsys, ["cohomology", paths["alg"], paths["op"],
+                                 "--rep", paths["rep"], "--max-degree", "3"])
+    assert code == 0
+    assert not all(d["residual_zero"]["delta2"] for d in json.loads(out)["degrees"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NON_BIMODULE_SHA256
 
 
 def test_cli_deform_check(files, capsys):

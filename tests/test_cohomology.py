@@ -251,6 +251,27 @@ def test_delta_square_never_builds_the_next_differential(monkeypatch):
     built.clear()
     cohomology_dims(a, p, regular_representation(a, p), 2)
     assert 3 not in built and max(built) == 2
+    # a twist rho that fails rho-right-commute: the standard profile, which
+    # is all the Hochschild differential reads, still passes
+    reg = regular_representation(a, p)
+    m = Bimodule(2, reg.left, reg.right, rho=operator([[1, 1], [0, 1]]), xi=p)
+    report = check_bimodule(a, m)
+    assert report.passed_standard
+    assert "rho-right-commute" in {v.condition for v in report.with_rho.violations}
+    b = ComplexBuilder(a, p, m)
+    built.clear()
+    for n in range(3):
+        assert b.delta_square(n).is_zero(), n
+        assert n + 1 not in built, n
+    # off a bimodule the composite is the product, so delta_(n+1) is built
+    for name, alg, left, right, _ in _ONE_DEFECT:
+        b = ComplexBuilder(alg, Matrix.zeros(alg.dim, alg.dim),
+                           Bimodule(left[0].rows, left, right, xi=Matrix.identity(left[0].rows)))
+        for n in range(3):
+            built.clear()
+            fast = b.delta_square(n)
+            assert n + 1 in built, (name, n)
+            assert fast.entries == b.delta(n + 1).mul(b.delta(n)).entries, (name, n)
 
 
 def test_cohomology_budget_guards_two_degrees_past_the_top():

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from rnalg.algebra import Algebra
-from rnalg.audit import order1_system
 from rnalg.catalog import catalog, operator
 from rnalg.deformation import (
     FormalIso,
@@ -21,6 +20,8 @@ from rnalg.deformation import (
     check_deformation,
     check_equivalence,
     infinitesimal_cocycle,
+    order1_pair,
+    order1_system,
     order_residuals,
     rigidity_report,
     same_cohomology_class,
@@ -125,7 +126,7 @@ def test_order_one_residuals_are_linear_in_the_coefficients():
 
 def test_order1_system_columns_follow_the_pair_vector_layout():
     # the audit solves order1_system for (nu_1, P_1) and reads its kernel
-    # back through unflatten; both must agree with _pair_vector's layout
+    # back through order1_pair; both must agree with _pair_vector's layout
     a = CAT["pair3"]
     p = operator([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     nu1 = _zero_table(3)
@@ -136,6 +137,8 @@ def test_order1_system_columns_follow_the_pair_vector_layout():
     residuals = order_residuals(d, 1)
     assert any(residuals)
     assert order1_system(a, p).apply(_pair_vector(d, 1)) == residuals
+    nu, pk = order1_pair(3, _pair_vector(d, 1))
+    assert nu == d.nu[1] and pk == p1
 
 
 def test_zero_dimensional_data_is_refused():

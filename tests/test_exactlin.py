@@ -320,3 +320,8 @@ def test_parse_q_rejects_garbage():
         parse_q("3/0")
     with pytest.raises(InputError):
         parse_q("one half")
+    # exponent notation is refused: its value can be exponentially larger than its text
+    for text in ("1e3", "2E-1", "1.5e2"):
+        with pytest.raises(InputError, match="no exponent"):
+            parse_q(text)
+    assert parse_q("0.5") == Fraction(1, 2)
