@@ -22,7 +22,7 @@ from .algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra,
                       classify_square, modified_rota_baxter, parse_kind,
                       rota_baxter, star_product)
 # imported eagerly so rnalg.catalog names the function, not the submodule
-from .catalog import catalog, get_algebra, operator
+from .catalog import catalog, operator
 from .errors import BudgetError, InputError
 from .exactlin import (Matrix, from_cols, kernel_basis, kron, parse_q, qstr,
                        rank, rref, solve)
@@ -64,7 +64,7 @@ __all__ = [
     "check_associative", "check_bimodule", "check_deformation",
     "check_equivalence", "check_morphism", "check_operator",
     "check_rn_representation", "classify_square", "cohomology_dims",
-    "enumerate_mod_p", "from_cols", "get_algebra", "groebner_basis",
+    "enumerate_mod_p", "from_cols", "groebner_basis",
     "induce_representation", "induced_actions", "infinitesimal_cocycle",
     "kernel_basis", "kron", "linear_reduce", "modified_rota_baxter",
     "operator", "order_residuals", "parse_kind", "parse_q", "qstr", "rank",

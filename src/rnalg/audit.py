@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ from . import fileio
 from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
-from .catalog import catalog
+from .catalog import catalog, operator
 from .cohomology import ComplexBuilder, _first_nonzero, flatten
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           check_equivalence, cocycle_reports, infinitesimal_cocycle,
@@ -105,8 +104,7 @@ _COMPLEX_INSTANCES = [
 
 def operator_fixtures() -> dict[str, list[tuple[str, Matrix]]]:
     return {
-        name: [(label, Matrix.from_rows([[Fraction(x) for x in row] for row in rows]))
-               for label, rows in table]
+        name: [(label, operator(rows)) for label, rows in table]
         for name, table in _OPERATOR_TABLE.items()
     }
 
@@ -506,7 +504,7 @@ def _cochain_instances(fx: dict):
     for row, a, p in _complex_instances(fx):
         table = _COCHAIN_TABLE.get(row["algebra"])
         if table is not None:
-            yield row, a, p, Matrix.from_rows([[Fraction(x) for x in r] for r in table])
+            yield row, a, p, operator(table)
 
 
 def _claim_residual_grid(fx: dict, op_name: str, degrees, claim_id: str,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Algebra
 from .exactlin import Matrix
 
@@ -66,14 +64,5 @@ def catalog() -> dict[str, Algebra]:
     return out
 
 
-def get_algebra(name: str) -> Algebra:
-    if name not in _BUILDERS:
-        raise KeyError(f"unknown catalog algebra {name!r}")
-    a = _BUILDERS[name]()
-    if not a.is_associative():
-        raise AssertionError(f"catalog algebra {name} failed associativity")
-    return a
-
-
 def operator(rows) -> Matrix:
-    return Matrix.from_rows([[Fraction(x) for x in row] for row in rows])
+    return Matrix.from_rows(rows)

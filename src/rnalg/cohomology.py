@@ -55,9 +55,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import Algebra
-from .errors import BudgetError, InputError, resolve_budget
+from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
-from .representation import Bimodule, check_bimodule
+from .representation import Bimodule, _operator_module, check_bimodule
 
 
 def flatten(m: Matrix) -> list[Fraction]:
@@ -83,12 +83,7 @@ class ComplexBuilder:
     """Caches the matrices of one (algebra, operator, bimodule) complex."""
 
     def __init__(self, a: Algebra, p: Matrix, m: Bimodule, budget: int | None = None):
-        if m.dim_a != a.dim:
-            raise InputError("bimodule action count != algebra dimension")
-        if p.rows != a.dim or p.cols != a.dim:
-            raise InputError("operator shape != algebra dimension")
-        if m.xi is None:
-            raise InputError("bimodule carries no xi")
+        _operator_module(a, p, m)
         self.a = a
         self.p = p
         self.m = m
@@ -104,6 +99,12 @@ class ComplexBuilder:
         return self.m.dim_v * self.a.dim ** n
 
     def _guard(self, n: int) -> None:
+        # a fixed cap first, so dimA^n is never formed past it: delta_n and psi_n are sums of
+        # about n Kronecker products of n + 2 factors, so on a dim-1 algebra, whose coordinates
+        # stay at dimV, the work grows as n^3; at dimA >= 2 it binds only at budgets >= 2^223
+        if (n + 1) ** 2 > DEFAULT_BUDGET:
+            raise BudgetError(f"cochain stage: degree {n} needs {(n + 1) ** 2} Kronecker factor "
+                              f"products, cap {DEFAULT_BUDGET}")
         size = self.amb(n)
         if size > self.budget:
             raise BudgetError(
@@ -256,11 +257,14 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     dimensions are kept and the degree is flagged inconsistent.  Residual
     flags at degree n cover the composites leaving degree n, so the budget
     must admit the cochain space at degree max_n + 2, which is built only
-    when the input is not a bimodule over an associative algebra.
+    when the input is not a bimodule over an associative algebra.  Every
+    degree up to max_n + 2 is guarded before any rank is taken.
     """
     if max_n < 1:
         raise InputError("max degree must be >= 1")
     b = ComplexBuilder(a, p, m, budget)
+    for n in range(max_n + 3):  # refuse before any rank, at the degree a build would stop
+        b._guard(n)
     degrees = range(max_n + 1)
     ranks = {n: rank(b.d(n)) for n in degrees}
     delta2 = {n: b.delta_square(n) for n in degrees}

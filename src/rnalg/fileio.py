@@ -1,9 +1,11 @@
 """JSON input/output for all engine objects and reports.
 
 Rationals travel as strings ("3", "-7/2") so nothing is ever rounded.
-Matrices are row-major lists of string rows.  Every operator file carries a
-convention header naming the column convention, and loading rejects a file
-whose header disagrees rather than silently transposing.  Serialized
+Matrices are row-major lists of string rows.  dump_linop writes an operator
+as {dim, matrix, convention}, the header naming the column convention;
+load_linop checks that header when it is present and rejects one that
+disagrees rather than silently transposing.  The command line also reads an
+operator file that is a bare list of rows, which has no header.  Serialized
 reports use sorted keys and no timestamps, so identical inputs produce
 byte-identical files.
 """

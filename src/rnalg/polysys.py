@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .algebra import (Algebra, OperatorKind, _component_identities,
                       identity_residual)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
-from .exactlin import Entry, Matrix, _canon
+from .exactlin import Entry, _canon
 
 ENUM_PRIMES = (2, 3, 5)
 
@@ -56,16 +56,12 @@ class MPoly:
         self._lm = None
 
     @classmethod
-    def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def var(cls, nvars: int, i: int, power: int = 1) -> "MPoly":
-        mono = tuple(power if j == i else 0 for j in range(nvars))
+    def var(cls, nvars: int, i: int) -> "MPoly":
+        mono = tuple(int(j == i) for j in range(nvars))
         return cls(nvars, {mono: 1})
 
     def is_zero(self) -> bool:
@@ -223,18 +219,6 @@ class PolySystem:
     def polynomials(self) -> list[MPoly]:
         return [e.poly for e in self.entries]
 
-    def holds_at(self, m: Matrix) -> bool:
-        point = _point(m)
-        return all(e.poly.evaluate(point) == 0 for e in self.entries)
-
-    def max_total_degree(self) -> int:
-        return max((e.poly.total_degree() for e in self.entries), default=0)
-
-
-def _point(m: Matrix) -> list[Fraction]:
-    """The entries of m in the row-major order of the unknowns P_r_c."""
-    return [x for row in m.to_rows() for x in row]
-
 
 class _Vec(list):
     """A coordinate vector of MPolys with the add, sub and scale identity_residual uses."""
@@ -335,7 +319,7 @@ class SymbolicMatrix:
     def build(cls, dim: int, params: list[str], assign: dict) -> "SymbolicMatrix":
         """assign maps (row, col) to a parameter name, a rational, or an MPoly."""
         nv = len(params)
-        rows = [[MPoly.zero(nv) for _ in range(dim)] for _ in range(dim)]
+        rows = [[MPoly(nv) for _ in range(dim)] for _ in range(dim)]
         for (r, c), value in assign.items():
             if isinstance(value, MPoly):
                 rows[r][c] = value
@@ -344,9 +328,6 @@ class SymbolicMatrix:
             else:
                 rows[r][c] = MPoly.const(nv, value)
         return cls(dim, params, rows)
-
-    def instantiate(self, point: list[Fraction]) -> Matrix:
-        return Matrix.from_rows([[p.evaluate(point) for p in row] for row in self.entries])
 
 
 class FamilyReport(NamedTuple):
@@ -510,10 +491,6 @@ class EnumerationResult(NamedTuple):
     kind_label: str
     solutions: list[tuple[int, ...]]
     nodes: int  # search nodes visited
-
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
 
 
 def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int, ...]]]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Algebra, _nonzero_columns
+from .algebra import Algebra, _nonzero_columns, _require_square
 from .errors import InputError
 from .exactlin import Matrix, kron
 
@@ -138,26 +138,25 @@ def product_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> list[tuple[str, Matr
             ("left-right-commute", left.mul(id_right).sub(right.mul(id_left).mul(swap)))]
 
 
-class RNRepresentationReport(NamedTuple):
-    violations: tuple[ConditionViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+RNRepresentationReport = ProfileReport  # the xi/P conditions report like one bimodule profile
 
 
-def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentationReport:
-    """Evaluate the four xi/P compatibility conditions on basis elements."""
+def _operator_module(a: Algebra, p: Matrix, m: Bimodule) -> tuple[Matrix, Matrix]:
+    """The cochains L and R of m, once m acts on a, p is an operator on a and m carries xi."""
     if m.dim_a != a.dim:
         raise InputError("action count != algebra dimension")
-    if p.rows != a.dim or p.cols != a.dim:
-        raise InputError("operator shape != algebra dimension")
+    _require_square(a, p)
     if m.xi is None:
         raise InputError("bimodule carries no xi")
+    return _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
+
+
+def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> ProfileReport:
+    """Evaluate the four xi/P compatibility conditions on basis elements."""
+    left, right = _operator_module(a, p, m)
     xi, ida, idv = m.xi, Matrix.identity(a.dim), Matrix.identity(m.dim_v)
     p_xi, p_id = kron([p, xi]), kron([p, idv])
-    left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
-    return RNRepresentationReport(_block_violations(a, m, [
+    return ProfileReport(_block_violations(a, m, [
         (1, [("xi-left-intertwine", xi.mul(left).sub(left.mul(p_xi))),
              ("xi-right-intertwine", xi.mul(right).sub(right.mul(p_xi)))]),
         (2, [("left-operator-exchange", left.mul(kron([p, left])).sub(
@@ -168,8 +167,7 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> RNRepresentat
 
 def regular_representation(a: Algebra, p: Matrix) -> Bimodule:
     """V = A with L = mu and R = mu sigma, rho = Id, xi = P; nothing is validated."""
-    if p.rows != a.dim or p.cols != a.dim:
-        raise InputError("operator shape != algebra dimension")
+    _require_square(a, p)
     return Bimodule(a.dim, _actions(a.mu, a.dim, a.dim),
                     _actions(a.mu.mul(_swap(a.dim)), a.dim, a.dim),
                     rho=Matrix.identity(a.dim), xi=p)
@@ -180,12 +178,11 @@ def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], l
 
     As cochains, L' = L (Id (x) xi) - xi L + L (P (x) Id_V), and R' the same way.
     """
-    if m.xi is None:
-        raise InputError("bimodule carries no xi")
+    cochains = _operator_module(a, p, m)
     xi, ida, idv = m.xi, Matrix.identity(a.dim), Matrix.identity(m.dim_v)
     id_xi, p_id = kron([ida, xi]), kron([p, idv])
     return tuple(_actions(c.mul(id_xi).sub(xi.mul(c)).add(c.mul(p_id)), a.dim, m.dim_v)
-                 for c in (_cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)))
+                 for c in cochains)
 
 
 def induce_representation(a: Algebra, p: Matrix, m: Bimodule) -> Bimodule:

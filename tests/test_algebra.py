@@ -19,7 +19,7 @@ from rnalg.algebra import (KIND_NIJENHUIS, KIND_REYNOLDS, KIND_RN, Algebra, Oper
                            classify_square, modified_rota_baxter, parse_kind,
                            rota_baxter, star_product)
 from rnalg.audit import operator_fixtures
-from rnalg.catalog import catalog, get_algebra, operator
+from rnalg.catalog import catalog, operator
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix, qstr
 from rnalg.representation import regular_representation
@@ -78,7 +78,7 @@ def test_trunc3_truncation():
 
 
 def test_single_constant_mutations_break_associativity():
-    bad = get_algebra("leftunit2")
+    bad = catalog()["leftunit2"]
     mutated = Algebra.from_sparse(bad.dim, [(0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 1, 1)])
     report = check_associative(mutated)
     assert not report.passed

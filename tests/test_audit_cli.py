@@ -557,6 +557,23 @@ def test_cli_budget_exhaustion_exits_three(files, capsys):
     assert _run(capsys, ["--budget", "32", *argv])[0] == 0
 
 
+def test_cli_refuses_a_dim_one_complex_past_the_degree_cap(files, capsys, monkeypatch):
+    # on zero1 every cochain space has one coordinate, so only the fixed degree cap,
+    # which the budget does not move, stops the cubic growth of delta_n and psi_n
+    monkeypatch.setenv("RN_BUDGET", str(10 ** 12))
+    zero1, zero = str(files["dir"] / "zero1.json"), str(files["dir"] / "zero.json")
+    fileio.write_json(zero1, fileio.dump_algebra(CAT["zero1"]))
+    fileio.write_json(zero, fileio.dump_linop(Matrix.zeros(1, 1)))
+    for argv in (["cohomology", zero1, zero, "--max-degree", "100000"],
+                 ["--budget", str(10 ** 12), "cohomology", zero1, zero, "--max-degree", "221"]):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, argv)
+        assert code == 3 and out == ""
+        assert ("budget exhausted: cochain stage: degree 223 needs 50176 Kronecker factor "
+                "products, cap 50000") in err
+        assert time.perf_counter() - start < 1
+
+
 def test_cli_groebner_budget_exhaustion_exits_three(files, capsys):
     code, out, _ = _run(capsys, ["solve", files["pair3"], "--kind", "rn", "--groebner"])
     assert code == 0

@@ -289,6 +289,25 @@ def test_cohomology_budget_guards_two_degrees_past_the_top():
         ComplexBuilder(a, p, m, budget=b.amb(2)).delta_square(1)
 
 
+def test_the_degree_cap_bounds_dim_one_and_leaves_dim_two_to_the_budget():
+    # zero1 keeps one coordinate per degree, so the fixed cap on (n + 1)^2 is what refuses
+    a, p = CAT["zero1"], Matrix.zeros(1, 1)
+    m = regular_representation(a, p)
+    b = ComplexBuilder(a, p, m, budget=1)
+    b._guard(222)
+    cap = r"^cochain stage: degree 223 needs 50176 Kronecker factor products, cap 50000$"
+    with pytest.raises(BudgetError, match=cap):
+        b._guard(223)
+    with pytest.raises(BudgetError, match=cap):
+        cohomology_dims(a, p, m, 10 ** 9)
+    # at dimA >= 2 the coordinate budget refuses first, here even at 10^60
+    for name in ("leftunit2", "pair3", "mat2", "trunc3"):
+        a, p = CAT[name], Matrix.zeros(CAT[name].dim, CAT[name].dim)
+        for budget in (None, 10 ** 60):
+            with pytest.raises(BudgetError, match=r"^cochain space at degree \d+ needs "):
+                cohomology_dims(a, p, regular_representation(a, p), 10 ** 9, budget)
+
+
 def test_psi_is_identity_then_zero_at_identity_operator():
     b = _builder("leftunit2", [[1, 0], [0, 1]])
     assert b.psi(1).eq(Matrix.identity(4))

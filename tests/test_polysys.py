@@ -78,6 +78,12 @@ def test_mpoly_evaluation_is_a_ring_homomorphism(point):
     assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
 
+def holds_at(system, m: Matrix) -> bool:
+    """Does every polynomial of system vanish at the entries of m, in the order of P_r_c?"""
+    point = [m.at(r, c) for r in range(m.rows) for c in range(m.cols)]
+    return all(p.evaluate(point) == 0 for p in system.polynomials())
+
+
 def test_entry_variables_row_major_names():
     assert entry_variables(2) == ["P_0_0", "P_0_1", "P_1_0", "P_1_1"]
 
@@ -85,7 +91,7 @@ def test_entry_variables_row_major_names():
 def test_identity_system_size_for_pair3():
     system = build_identity_system(CAT["pair3"], KIND_RN)
     assert len(system.polynomials()) == 52
-    assert system.max_total_degree() == 3
+    assert max(p.total_degree() for p in system.polynomials()) == 3
     assert system.variables == entry_variables(3)
 
 
@@ -99,7 +105,11 @@ def test_system_agrees_with_direct_check_on_fixed_points():
         ([[0, 1, 0], [0, 0, 0], [0, 1, 0]], False),
     ]:
         p = operator(rows)
-        assert system.holds_at(p) == expected
+        assert holds_at(system, p) == expected
+        # a point is a family with no parameters
+        point = SymbolicMatrix.build(3, [], {(r, c): x for r, row in enumerate(rows)
+                                             for c, x in enumerate(row)})
+        assert verify_family(system, point).passed == expected
         assert check_operator(a, p, KIND_RN).passed == expected
 
 
@@ -112,7 +122,7 @@ def test_system_agreement_property_on_random_rationals():
             p = Matrix.from_rows(
                 [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(2)]
                  for _ in range(2)])
-            assert system.holds_at(p) == check_operator(a, p, kind).passed
+            assert holds_at(system, p) == check_operator(a, p, kind).passed
 
 
 def test_family_residuals_for_middle_column_family():
@@ -134,7 +144,7 @@ def test_family_single_parameter_on_first_column_passes():
 
 def test_symbolic_matrix_instantiation_matches_direct_matrix():
     family = SymbolicMatrix.build(2, ["t"], {(0, 0): "t", (1, 1): Fraction(3)})
-    m = family.instantiate([Fraction(1, 2)])
+    m = Matrix.from_rows([[x.evaluate([Fraction(1, 2)]) for x in row] for row in family.entries])
     assert m.eq(Matrix.from_rows([[Fraction(1, 2), Fraction(0)],
                                   [Fraction(0), Fraction(3)]]))
 
@@ -152,8 +162,8 @@ def test_symbolic_matrix_instantiation_refuses_floats_and_bools():
     family = SymbolicMatrix.build(1, ["t"], {(0, 0): "t"})
     for x in (0.1, False):
         with pytest.raises(InputError, match="not an exact rational"):
-            family.instantiate([x])
-    assert family.instantiate(["1/10"]).at(0, 0) == Fraction(1, 10)
+            family.entries[0][0].evaluate([x])
+    assert family.entries[0][0].evaluate(["1/10"]) == Fraction(1, 10)
 
 
 def test_groebner_textbook_circle_and_line():

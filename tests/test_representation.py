@@ -9,6 +9,7 @@ import pytest
 
 from rnalg.audit import build_fixtures
 from rnalg.catalog import catalog, operator
+from rnalg.cohomology import ComplexBuilder
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix
 from rnalg.representation import (Bimodule, BimoduleReport, RNRepresentationReport,
@@ -205,12 +206,20 @@ def test_rn_operator_can_fail_the_intertwine_condition():
     assert "xi-left-intertwine" in {v.condition for v in report.violations}
 
 
-def test_check_rn_representation_requires_xi():
-    a = CAT["leftunit2"]
-    regular = regular_representation(a, _zero(2))
-    m = Bimodule(2, regular.left, regular.right)
-    with pytest.raises(InputError):
-        check_rn_representation(a, _zero(2), m)
+_LEFTUNIT2 = regular_representation(CAT["leftunit2"], _zero(2))
+
+
+@pytest.mark.parametrize("consumer", [ComplexBuilder, check_rn_representation,
+                                      induced_actions, induce_representation],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p, m, message", [
+    (_zero(2), Bimodule(2, _LEFTUNIT2.left, _LEFTUNIT2.right), "carries no xi"),
+    (_zero(2), regular_representation(CAT["pair3"], _zero(3)), "action count"),
+    (Matrix.zeros(2, 3), _LEFTUNIT2, "operator is 2x3"),
+], ids=["no-xi", "action-count", "non-square-operator"])
+def test_every_consumer_of_an_operator_module_refuses_a_broken_one(consumer, p, m, message):
+    with pytest.raises(InputError, match=message):
+        consumer(CAT["leftunit2"], p, m)
 
 
 def test_induced_actions_formula_on_fixed_instance():
