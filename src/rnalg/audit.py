@@ -39,7 +39,6 @@ VERSION = "0.1.0"
 
 VERDICT_CONFIRMED = "confirmed-on-instances"
 VERDICT_REFUTED = "refuted-by-counterexample"
-VERDICT_MIXED = "instance-dependent"
 VERDICT_NOT_EVALUABLE = "not-evaluable"
 
 
@@ -110,12 +109,14 @@ def operator_fixtures() -> dict[str, list[tuple[str, Matrix]]]:
 
 
 def build_fixtures(extra_algebras: dict[str, Algebra] | None = None) -> dict:
-    """Catalog algebras plus their operator fixtures; extras get zero and id."""
+    """Catalog algebras and their operator fixtures; associative new extras get zero and id."""
     algebras = dict(catalog())
     operators = operator_fixtures()
     for name, a in (extra_algebras or {}).items():
         if name in algebras:
             raise InputError(f"fixture name {name!r} collides with the catalog")
+        if not a.is_associative():
+            raise InputError(f"fixture {name!r}: algebra is not associative")
         algebras[name] = a
         operators[name] = [("zero", Matrix.zeros(a.dim, a.dim)),
                            ("id", Matrix.identity(a.dim))]

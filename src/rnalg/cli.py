@@ -106,17 +106,16 @@ def _condition_violations(violations) -> list[dict]:
 
 
 def _bimodule_for(args, a, p):
-    from .representation import regular_representation
+    from .representation import _operator_module, regular_representation
 
-    if args.rep is not None:
-        m = _load(args.rep, fileio.load_bimodule)
-        if m.dim_a != a.dim:
-            raise InputError(f"{args.rep}: bimodule action count differs from "
-                             "the algebra dimension")
-        if m.xi is None:
-            raise InputError(f"{args.rep}: bimodule file carries no xi operator")
+    if args.rep is None:
+        return regular_representation(a, p)
+
+    def load(data):
+        m = fileio.load_bimodule(data)
+        _operator_module(a, p, m)
         return m
-    return regular_representation(a, p)
+    return _load(args.rep, load)
 
 
 def _cmd_check_assoc(args) -> int:

@@ -29,10 +29,10 @@ i-th dimA x 1 basis column and Id^k the identity on k tensor factors of A,
             + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
 
 By Hochschild's theorem (Ann. Math. 46, 1945) delta_(n+1) delta_n = 0 when
-mu is associative and the actions satisfy the bimodule axioms with rho = Id
-(the standard profile of representation.check_bimodule).  delta_square then
-returns the zero matrix without building delta_(n+1); for any other input it
-is the explicit product, so a failed axiom shows as a nonzero composite.
+mu is associative and the actions satisfy the bimodule axioms
+(representation.check_bimodule).  delta_square then returns the zero matrix
+without building delta_(n+1); for any other input it is the explicit
+product, so a failed axiom shows as a nonzero composite.
 
 With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
@@ -180,7 +180,7 @@ class ComplexBuilder:
 
     @functools.cached_property
     def _hochschild(self) -> bool:
-        """Is mu associative, with actions that pass the standard bimodule profile?"""
+        """Is mu associative, with actions that satisfy the bimodule axioms?"""
         return self.a.is_associative() and check_bimodule(self.a, self.m).passed_standard
 
     def delta_square(self, n: int) -> Matrix:

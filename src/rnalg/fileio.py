@@ -163,8 +163,6 @@ def dump_bimodule(m: Bimodule) -> dict:
         "l": [matrix_to_json(x) for x in m.left],
         "r": [matrix_to_json(x) for x in m.right],
     }
-    if not m.rho.eq(Matrix.identity(m.dim_v)):
-        out["rho"] = matrix_to_json(m.rho)
     if m.xi is not None:
         out["xi"] = matrix_to_json(m.xi)
     return out
@@ -174,12 +172,12 @@ def load_bimodule(data) -> Bimodule:
     from .representation import Bimodule
 
     dim_v = _require_int(data, "dimV", "bimodule")
+    if "rho" in data:
+        raise InputError("bimodule: unsupported key 'rho'")
     left = [matrix_from_json(x, "bimodule l") for x in _require_list(data, "l", "bimodule")]
     right = [matrix_from_json(x, "bimodule r") for x in _require_list(data, "r", "bimodule")]
-    rho = data.get("rho")
     xi = data.get("xi")
     return Bimodule(dim_v, left, right,
-                    rho=matrix_from_json(rho, "bimodule rho") if rho is not None else None,
                     xi=matrix_from_json(xi, "bimodule xi") if xi is not None else None)
 
 

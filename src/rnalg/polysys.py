@@ -147,14 +147,15 @@ class MPoly:
         """Substitute images[i] for variable i; result lives in the target space."""
         if len(images) != self.nvars:
             raise InputError("one image required per variable")
-        out = MPoly(target_nvars)
+        out: dict = {}
         for m, c in self.terms.items():
             term = MPoly.const(target_nvars, c)
             for i, e in enumerate(m):
                 for _ in range(e):
                     term = term * images[i]
-            out = out + term
-        return out
+            for mono, x in term.terms.items():
+                out[mono] = out.get(mono, 0) + x
+        return MPoly(target_nvars, out)
 
     def key(self):
         return tuple(sorted(((m, (c.numerator, c.denominator))

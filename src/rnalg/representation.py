@@ -1,14 +1,14 @@
 """Bimodules over structure-constant algebras and operator-compatible actions.
 
-A bimodule is (V, l, r, rho) with one left-action and one right-action
-matrix per algebra basis element, and each action is one cochain
-A (x) V -> V: L = [l_0 | ... | l_{d-1}], whose column i dimV + v is
-l_i(e_v), and R the same way, so l(P(a)) is L (P (x) Id_V).  Every axiom
-and condition is one residual cochain in L, R, mu, rho, xi and the swap
-S = sigma (x) Id_V, sigma(e_i (x) e_j) = e_j (x) e_i; its nonzero blocks of
-dimV columns, at index i or (i, j), are the violations.  Validation reports
-the axioms with the given twist rho and the standard profile, rho = Id.  The
-regular representation is (mu, mu sigma) with rho = Id and xi = P.
+A bimodule is (V, l, r, xi) with one left-action and one right-action
+matrix per algebra basis element and an operator xi on V, and each action
+is one cochain A (x) V -> V: L = [l_0 | ... | l_{d-1}], whose column
+i dimV + v is l_i(e_v), and R the same way, so l(P(a)) is L (P (x) Id_V).
+Every axiom and condition is one residual cochain in L, R, mu, xi and the
+swap S = sigma (x) Id_V, sigma(e_i (x) e_j) = e_j (x) e_i; its nonzero
+blocks of dimV columns, at index i or (i, j), are the violations.
+Validation reports the three bimodule axioms as the standard profile.  The
+regular representation is (mu, mu sigma) with xi = P.
 Constructors only build modules: the validators run where a caller asks.
 """
 
@@ -24,7 +24,7 @@ from .exactlin import Matrix, kron
 
 class Bimodule:
     def __init__(self, dim_v: int, left: list[Matrix], right: list[Matrix],
-                 rho: Matrix | None = None, xi: Matrix | None = None):
+                 xi: Matrix | None = None):
         if dim_v < 0:
             raise InputError("module dimension must be >= 0")
         for m in list(left) + list(right):
@@ -33,14 +33,10 @@ class Bimodule:
         if len(left) != len(right):
             raise InputError("left/right action counts differ")
         if not left:
-            # refused before the default rho: only a dimV x dimV action bounds dimV by input size
             raise InputError("a bimodule needs one action per algebra basis element")
         self.dim_v = dim_v
         self.left = list(left)
         self.right = list(right)
-        self.rho = rho if rho is not None else Matrix.identity(dim_v)
-        if self.rho.rows != dim_v or self.rho.cols != dim_v:
-            raise InputError("rho must be dimV x dimV")
         self.xi = xi
         if xi is not None and (xi.rows != dim_v or xi.cols != dim_v):
             raise InputError("xi must be dimV x dimV")
@@ -88,7 +84,6 @@ class ProfileReport(NamedTuple):
 
 
 class BimoduleReport(NamedTuple):
-    with_rho: ProfileReport
     standard: ProfileReport
 
     @property
@@ -104,41 +99,27 @@ def _block_violations(a: Algebra, m: Bimodule, groups) -> tuple[ConditionViolati
 
 
 def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
-    """Evaluate the bimodule axioms with the given rho and with rho = Id."""
+    """Evaluate the three bimodule axioms."""
     if m.dim_a != a.dim:
         raise InputError("action count != algebra dimension")
-    ida = Matrix.identity(a.dim)
-    left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
-
-    def profile(rho: Matrix) -> ProfileReport:
-        id_rho = kron([ida, rho])
-        return ProfileReport(_block_violations(a, m, [
-            (1, [("rho-left-commute", rho.mul(left).sub(left.mul(id_rho))),
-                 ("rho-right-commute", rho.mul(right).sub(right.mul(id_rho)))]),
-            (2, product_axioms(a, m, rho))]))
-    idv = Matrix.identity(m.dim_v)
-    standard = profile(idv)
-    return BimoduleReport(standard if m.rho == idv else profile(m.rho), standard)
+    return BimoduleReport(ProfileReport(_block_violations(a, m, [(2, product_axioms(a, m))])))
 
 
-def product_axioms(a: Algebra, m: Bimodule, rho: Matrix) -> list[tuple[str, Matrix]]:
-    """The residual cochains A (x) A (x) V -> V of the axioms on products, with twist rho.
+def product_axioms(a: Algebra, m: Bimodule) -> list[tuple[str, Matrix]]:
+    """The residual cochains A (x) A (x) V -> V of the bimodule axioms.
 
-      left-action-multiplicative       L (mu (x) rho) - L (Id (x) L)
-      right-action-antimultiplicative  R (mu (x) rho) - R (Id (x) R) S
+      left-action-multiplicative       L (mu (x) Id_V) - L (Id (x) L)
+      right-action-antimultiplicative  R (mu (x) Id_V) - R (Id (x) R) S
       left-right-commute               L (Id (x) R) - R (Id (x) L) S
     """
     ida, swap = Matrix.identity(a.dim), _swap(a.dim, m.dim_v)
     left, right = _cochain(m.left, m.dim_v), _cochain(m.right, m.dim_v)
     id_left, id_right = kron([ida, left]), kron([ida, right])
-    mu_rho = kron([a.mu, rho])
-    return [("left-action-multiplicative", left.mul(mu_rho).sub(left.mul(id_left))),
+    mu_id = kron([a.mu, Matrix.identity(m.dim_v)])
+    return [("left-action-multiplicative", left.mul(mu_id).sub(left.mul(id_left))),
             ("right-action-antimultiplicative",
-             right.mul(mu_rho).sub(right.mul(id_right).mul(swap))),
+             right.mul(mu_id).sub(right.mul(id_right).mul(swap))),
             ("left-right-commute", left.mul(id_right).sub(right.mul(id_left).mul(swap)))]
-
-
-RNRepresentationReport = ProfileReport  # the xi/P conditions report like one bimodule profile
 
 
 def _operator_module(a: Algebra, p: Matrix, m: Bimodule) -> tuple[Matrix, Matrix]:
@@ -166,11 +147,10 @@ def check_rn_representation(a: Algebra, p: Matrix, m: Bimodule) -> ProfileReport
 
 
 def regular_representation(a: Algebra, p: Matrix) -> Bimodule:
-    """V = A with L = mu and R = mu sigma, rho = Id, xi = P; nothing is validated."""
+    """V = A with L = mu and R = mu sigma, xi = P; nothing is validated."""
     _require_square(a, p)
     return Bimodule(a.dim, _actions(a.mu, a.dim, a.dim),
-                    _actions(a.mu.mul(_swap(a.dim)), a.dim, a.dim),
-                    rho=Matrix.identity(a.dim), xi=p)
+                    _actions(a.mu.mul(_swap(a.dim)), a.dim, a.dim), xi=p)
 
 
 def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], list[Matrix]]:
@@ -188,7 +168,7 @@ def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], l
 def induce_representation(a: Algebra, p: Matrix, m: Bimodule) -> Bimodule:
     """Build the induced bimodule from the twisted actions.
 
-    The input must already pass the standard bimodule profile and the xi
+    The input must already pass the bimodule axioms and the xi
     conditions.  The result is not validated: the induced actions are a
     definition, so a caller that relies on their validity checks them with
     check_bimodule and check_rn_representation.
@@ -197,4 +177,4 @@ def induce_representation(a: Algebra, p: Matrix, m: Bimodule) -> Bimodule:
         raise InputError("input bimodule fails the standard profile")
     if not check_rn_representation(a, p, m).passed:
         raise InputError("input bimodule fails the xi compatibility conditions")
-    return Bimodule(m.dim_v, *induced_actions(a, p, m), rho=m.rho, xi=m.xi)
+    return Bimodule(m.dim_v, *induced_actions(a, p, m), xi=m.xi)

@@ -28,7 +28,7 @@ from rnalg.cli import main
 from rnalg.deformation import FormalIso, TruncatedDeformation
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix, from_cols
-from rnalg.algebra import parse_kind
+from rnalg.algebra import Algebra, parse_kind
 from rnalg.polysys import build_identity_system
 from rnalg.representation import Bimodule, regular_representation
 
@@ -151,6 +151,8 @@ def test_fixture_extension_and_collision():
     assert [label for label, _ in fx["operators"]["ext"]] == ["zero", "id"]
     with pytest.raises(InputError):
         build_fixtures({"pair3": CAT["pair3"]})
+    with pytest.raises(InputError, match="fixture 'nonassoc': algebra is not associative"):
+        build_fixtures({"nonassoc": Algebra.from_sparse(2, [(0, 0, 1, 1), (1, 1, 0, 1)])})
 
 
 def test_unknown_claim_lookup_raises(report):
@@ -491,13 +493,27 @@ def test_cli_input_errors_exit_two(files, capsys, tmp_path):
         assert "error" in err, name
 
 
+_REP_FILE = fileio.dump_bimodule(regular_representation(CAT["leftunit2"], Matrix.zeros(2, 2)))
+_REP_REFUSALS = {
+    "rho": ({**_REP_FILE, "rho": _REP_FILE["xi"]}, "bimodule: unsupported key 'rho'"),
+    "action-count": (fileio.dump_bimodule(regular_representation(CAT["pair3"],
+                                                                 Matrix.zeros(3, 3))),
+                     "action count != algebra dimension"),
+    "no-xi": ({k: v for k, v in _REP_FILE.items() if k != "xi"}, "bimodule carries no xi"),
+}
+_REP_COMMANDS = [["check-rep", "leftunit2", "zero2", "--rep"],
+                 ["cohomology", "leftunit2", "zero2", "--max-degree", "2", "--rep"]]
+
+
 @pytest.mark.parametrize("doc, argv, message", [
     ({"dim": 2}, ["check-assoc"], "algebra: missing key 'c'"),
     ({"dim": 2}, ["check-op", "leftunit2", "--kind", "rn"], "operator: missing key 'matrix'"),
     ({"l": []}, ["check-rep", "leftunit2", "zero2", "--rep"], "bimodule: missing key 'dimV'"),
     ({"order": 1}, ["deform", "check", "leftunit2"], "deformation: missing key 'nu'"),
     ({"order": 1}, ["deform", "equiv", "leftunit2", "triv", "triv"], "iso: missing key 'phi'"),
-], ids=["algebra", "operator", "bimodule", "deformation", "iso"])
+    *[(doc, argv, message) for doc, message in _REP_REFUSALS.values() for argv in _REP_COMMANDS],
+], ids=["algebra", "operator", "bimodule", "deformation", "iso",
+        *[f"{case}-{argv[0]}" for case in _REP_REFUSALS for argv in _REP_COMMANDS]])
 def test_cli_schema_errors_name_the_file(files, capsys, tmp_path, doc, argv, message):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -514,9 +530,8 @@ def test_cli_schema_errors_name_the_file(files, capsys, tmp_path, doc, argv, mes
 
 @pytest.mark.parametrize("command", [["check-rep"], ["cohomology", "--max-degree", "2"]],
                          ids=["check-rep", "cohomology"])
-def test_cli_refuses_a_bimodule_without_actions_before_building_rho(files, capsys, tmp_path,
-                                                                     command):
-    # 40 bytes naming dimV = 10^9 and no actions: the default rho would be 10^9 x 10^9
+def test_cli_refuses_a_bimodule_without_actions_at_once(files, capsys, tmp_path, command):
+    # 40 bytes naming dimV = 10^9 and no actions: nothing dimV-sized may be built
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dimV": 10 ** 9, "l": [], "r": []}), encoding="utf-8")
     start = time.perf_counter()
@@ -533,6 +548,17 @@ def test_cli_audit_schema_error_names_the_fixture_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {tmp_path / 'bad.json'}: algebra: missing key 'c'\n"
+
+
+def test_cli_audit_refuses_a_non_associative_fixture_by_name(capsys, tmp_path):
+    # e0 e0 = e1 and e1 e1 = e0: (e0 e0) e1 = e0 but e0 (e0 e1) = 0
+    (tmp_path / "skew.json").write_text(json.dumps({"dim": 2, "c": [[0, 0, 1, "1"],
+                                                                   [1, 1, 0, "1"]]}),
+                                        encoding="utf-8")
+    code, out, err = _run(capsys, ["audit", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: fixture 'skew': algebra is not associative\n"
 
 
 def test_cli_usage_errors_exit_two(files):

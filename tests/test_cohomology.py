@@ -226,7 +226,7 @@ _ONE_DEFECT = (
 def test_delta_square_equals_the_explicit_product_when_one_defect_is_nonzero():
     for name, a, left, right, broken in _ONE_DEFECT:
         m = Bimodule(left[0].rows, left, right, xi=Matrix.identity(left[0].rows))
-        defects = dict(product_axioms(a, m, m.rho), associator=associator(a))
+        defects = dict(product_axioms(a, m), associator=associator(a))
         assert [k for k, x in defects.items() if not x.is_zero()] == [broken], name
         b = ComplexBuilder(a, Matrix.zeros(a.dim, a.dim), m)
         _assert_delta_square_is_the_product(b, range(4), name)
@@ -234,7 +234,7 @@ def test_delta_square_equals_the_explicit_product_when_one_defect_is_nonzero():
     # a non-associative product with its regular actions breaks all four
     a = _ONE_DEFECT[-1][1]
     m = regular_representation(a, Matrix.zeros(2, 2))
-    assert not any(x.is_zero() for _, x in product_axioms(a, m, m.rho))
+    assert not any(x.is_zero() for _, x in product_axioms(a, m))
     _assert_delta_square_is_the_product(ComplexBuilder(a, Matrix.zeros(2, 2), m), range(4),
                                         "nonassoc2-regular")
 
@@ -251,18 +251,6 @@ def test_delta_square_never_builds_the_next_differential(monkeypatch):
     built.clear()
     cohomology_dims(a, p, regular_representation(a, p), 2)
     assert 3 not in built and max(built) == 2
-    # a twist rho that fails rho-right-commute: the standard profile, which
-    # is all the Hochschild differential reads, still passes
-    reg = regular_representation(a, p)
-    m = Bimodule(2, reg.left, reg.right, rho=operator([[1, 1], [0, 1]]), xi=p)
-    report = check_bimodule(a, m)
-    assert report.passed_standard
-    assert "rho-right-commute" in {v.condition for v in report.with_rho.violations}
-    b = ComplexBuilder(a, p, m)
-    built.clear()
-    for n in range(3):
-        assert b.delta_square(n).is_zero(), n
-        assert n + 1 not in built, n
     # off a bimodule the composite is the product, so delta_(n+1) is built
     for name, alg, left, right, _ in _ONE_DEFECT:
         b = ComplexBuilder(alg, Matrix.zeros(alg.dim, alg.dim),

@@ -142,18 +142,34 @@ def test_cli_help_raises_no_warning():
 KEPT_WITHOUT_CALLER = {"claim", "first_violation", "dump_linop", "evaluate"}
 
 
+def _module_level_names(tree: ast.Module):
+    """The Name nodes that a module's top-level assignments bind."""
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node
+
+
 def test_every_function_method_and_class_has_a_caller_in_src():
-    # a name counts as called if src/ reads it as a name or an attribute; public names and
-    # the names the benchmark's tracer wraps or counts are called from outside the package
+    # a name counts as called if src/ reads it as a name, an attribute or an imported name;
+    # public names and the names the benchmark's tracer wraps or counts are called from
+    # outside the package.  Module-level assignments count as definitions too.
     defined, read = [], set()
     for path in sorted(Path(rnalg.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(node.id, f"{path.name}:{node.lineno}") for node in _module_level_names(tree)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((node.name, f"{path.name}:{node.lineno}"))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rpartition(".")[2])
     tracer = _load_tracer()
     traced = {qual.rpartition(".")[2] for table in (tracer.TARGETS, tracer.COUNTED)
               for _, qual in table.values()}

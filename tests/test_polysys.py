@@ -78,6 +78,26 @@ def test_mpoly_evaluation_is_a_ring_homomorphism(point):
     assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
 
+def _random_mpoly(rng: random.Random, nvars: int) -> MPoly:
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+    return MPoly(nvars, {tuple(rng.randrange(3) for _ in range(nvars)): rng.choice(coeffs)
+                         for _ in range(rng.randrange(5))})
+
+
+def test_compose_equals_evaluating_the_images():
+    rng = random.Random(20261020)
+    for k in range(4):
+        for _ in range(60):
+            f = _random_mpoly(rng, rng.randrange(4))
+            images = [_random_mpoly(rng, k) for _ in range(f.nvars)]
+            composed = f.compose(images, k)
+            assert composed.nvars == k
+            _assert_stored_form([composed])
+            for _ in range(3):
+                x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
+                assert composed.evaluate(x) == f.evaluate([g.evaluate(x) for g in images])
+
+
 def holds_at(system, m: Matrix) -> bool:
     """Does every polynomial of system vanish at the entries of m, in the order of P_r_c?"""
     point = [m.at(r, c) for r in range(m.rows) for c in range(m.cols)]
