@@ -28,11 +28,10 @@ i-th dimA x 1 basis column and Id^k the identity on k tensor factors of A,
   delta_n = sum_i e_i (x) Id^n (x) l_i + sum_s (-1)^s Id^(s-1) (x) mu^T (x) Id^(n-s) (x) Id_V
             + (-1)^(n+1) Id^n (x) [r_0; ...; r_(dimA-1)]      (right actions stacked).
 
-By Hochschild's theorem (Ann. Math. 46, 1945) delta_(n+1) delta_n = 0 when
-mu is associative and the actions satisfy the bimodule axioms
-(representation.check_bimodule).  delta_square then returns the zero matrix
-without building delta_(n+1); for any other input it is the explicit
-product, so a failed axiom shows as a nonzero composite.
+A complex is built only on a bimodule over an associative algebra
+(representation._require_bimodule refuses anything else, naming the first
+failed axiom), so by Hochschild's theorem (Ann. Math. 46, 1945)
+delta_(n+1) delta_n = 0 and its blocks below are zero matrices, never built.
 
 With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
@@ -41,7 +40,7 @@ assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
   d_(n+1) d_n = [[delta_(n+1) delta_n, 0], [-Psi_n, partial_n partial_(n-1) R_(n-1)]],
   d_1 d_0 = [[delta_1 delta_0], [-Psi_0]],  Psi_n = psi_(n+1) delta_n - partial_n psi_n.
 
-Nothing here assumes the combined complex squares to zero: composites are
+Nothing here assumes the combined complex squares to zero: Psi_n is
 computed exactly, outputs stay in ambient coordinates, and non-closure of
 the constrained subspace under partial/psi is reported, never projected
 away.  Quotient dimensions are refused wherever the residuals do not
@@ -57,7 +56,7 @@ from typing import NamedTuple
 from .algebra import Algebra
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
-from .representation import Bimodule, _operator_module, check_bimodule
+from .representation import Bimodule, _operator_module, _require_bimodule
 
 
 def flatten(m: Matrix) -> list[Fraction]:
@@ -84,6 +83,7 @@ class ComplexBuilder:
 
     def __init__(self, a: Algebra, p: Matrix, m: Bimodule, budget: int | None = None):
         _operator_module(a, p, m)
+        _require_bimodule(a, m)
         self.a = a
         self.p = p
         self.m = m
@@ -92,7 +92,6 @@ class ComplexBuilder:
         self._psi: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
         self._d: dict[int, Matrix] = {}
-        self._delta2: dict[int, Matrix] = {}
         self._psi_delta: dict[int, Matrix] = {}
 
     def amb(self, n: int) -> int:
@@ -178,21 +177,6 @@ class ComplexBuilder:
     def domain_dim(self, n: int) -> int:
         return self.amb(n) + (self.rno_basis(n - 1).cols if n else 0)
 
-    @functools.cached_property
-    def _hochschild(self) -> bool:
-        """Is mu associative, with actions that satisfy the bimodule axioms?"""
-        return self.a.is_associative() and check_bimodule(self.a, self.m).passed_standard
-
-    def delta_square(self, n: int) -> Matrix:
-        """delta_(n+1) delta_n on ambient C^n: zero on a bimodule, else the explicit product."""
-        if n not in self._delta2:
-            self._guard(n + 2)
-            if n < 0:
-                raise InputError("degree must be >= 0")
-            self._delta2[n] = (Matrix.zeros(self.amb(n + 2), self.amb(n)) if self._hochschild
-                               else self.delta(n + 1).mul(self.delta(n)))
-        return self._delta2[n]
-
     def psi_delta_residual(self, n: int) -> Matrix:
         """psi_(n+1) delta_n - partial_n psi_n on ambient C^n."""
         if n not in self._psi_delta:
@@ -202,8 +186,11 @@ class ComplexBuilder:
 
     def d_square_residual(self, n: int) -> Matrix:
         """d_(n+1) . d_n on the restricted domain, in ambient output coordinates."""
-        return _blocks(self.delta_square(n), self.psi_delta_residual(n).scale(-1),
-                       self.delta_square(n - 1).mul(self.rno_basis(n - 1)) if n else None)
+        self._guard(n + 2)  # the delta^2 blocks are zero, but their rows index C^(n+2)
+        return _blocks(Matrix.zeros(self.amb(n + 2), self.amb(n)),
+                       self.psi_delta_residual(n).scale(-1),
+                       Matrix.zeros(self.amb(n + 1), self.rno_basis(n - 1).cols)
+                       if n else None)
 
     def image_closed(self, n: int) -> bool:
         """Does the image of d_n land back in C^(n+1)_A (+) C^n_RNO?"""
@@ -254,11 +241,12 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     H^n is reported only when the composite into degree n vanishes, the
     image of d_(n-1) closes inside the stated codomain, and the composite
     leaving degree n vanishes as well; otherwise the raw kernel and image
-    dimensions are kept and the degree is flagged inconsistent.  Residual
-    flags at degree n cover the composites leaving degree n, so the budget
-    must admit the cochain space at degree max_n + 2, which is built only
-    when the input is not a bimodule over an associative algebra.  Every
-    degree up to max_n + 2 is guarded before any rank is taken.
+    dimensions are kept and the degree is flagged inconsistent.  The
+    delta2 and partial2 flags read true by Hochschild's theorem.  Residual
+    flags at degree n cover the composites leaving degree n, whose codomain
+    is indexed at degree n + 2, so the budget must admit the cochain space
+    at degree max_n + 2.  Every degree up to max_n + 2 is guarded before
+    any rank is taken.
     """
     if max_n < 1:
         raise InputError("max degree must be >= 1")
@@ -267,21 +255,15 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
         b._guard(n)
     degrees = range(max_n + 1)
     ranks = {n: rank(b.d(n)) for n in degrees}
-    delta2 = {n: b.delta_square(n) for n in degrees}
-    psi_delta = {n: b.psi_delta_residual(n) for n in degrees}
     d2 = {n: b.d_square_residual(n) for n in degrees}
     reports = []
     for n in degrees:
         dim_space = b.domain_dim(n)
         dim_z = dim_space - ranks[n]
         dim_b = ranks[n - 1] if n >= 1 else 0
-        # partial is delta, so partial_n partial_(n-1) is delta2 one degree down
-        residuals = {"delta2": delta2[n],
-                     "partial2": delta2[n - 1] if n >= 1 else None,
-                     "psi_delta": psi_delta[n],
-                     "d2": d2[n]}
-        residual_zero = {name: mat is None or mat.is_zero()
-                         for name, mat in residuals.items()}
+        residuals = {"psi_delta": b.psi_delta_residual(n), "d2": d2[n]}
+        residual_zero = {"delta2": True, "partial2": True,
+                         **{name: mat.is_zero() for name, mat in residuals.items()}}
         consistent = residual_zero["d2"]
         if n >= 1:
             consistent = consistent and d2[n - 1].is_zero() and b.image_closed(n - 1)

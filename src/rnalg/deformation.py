@@ -228,15 +228,6 @@ class FormalIso:
         self.dim = dim
         self.phi = tuple(phi)
 
-    @classmethod
-    def identity(cls, dim: int, order: int) -> "FormalIso":
-        return cls(order, [Matrix.identity(dim)] + [Matrix.zeros(dim, dim)] * order)
-
-    def coefficient(self, k: int) -> Matrix:
-        if 0 <= k <= self.order:
-            return self.phi[k]
-        return Matrix.zeros(self.dim, self.dim)
-
     def inverse_coefficients(self) -> list[Matrix]:
         """chi_k with (sum phi_i t^i)(sum chi_j t^j) = Id up to t^order."""
         ident = Matrix.identity(self.dim * (self.order + 1))

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import NamedTuple
 
-from .algebra import (Algebra, OperatorKind, _component_identities,
+from .algebra import (Algebra, OperatorKind, _component_identities, _require_associative,
                       identity_residual)
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
 from .exactlin import Entry, _canon
@@ -275,8 +275,7 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
     if dim ** 5 > DEFAULT_BUDGET:  # a fixed cap: the budget bounds the later stages
         raise BudgetError(f"identity system stage: dim {dim} needs {dim ** 5} coefficients "
                           f"(dim^3 residuals x dim^2 unknowns), cap {DEFAULT_BUDGET}")
-    if not a.is_associative():
-        raise InputError("algebra is not associative")
+    _require_associative(a)
     cols = _sym_columns(dim)
     basis = [[MPoly.const(n, 1 if r == i else 0) for r in range(dim)] for i in range(dim)]
     pairs: dict = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import Algebra, _nonzero_columns, _require_square
+from .algebra import Algebra, _nonzero_columns, _require_associative, _require_square
 from .errors import InputError
 from .exactlin import Matrix, kron
 
@@ -105,6 +105,14 @@ def check_bimodule(a: Algebra, m: Bimodule) -> BimoduleReport:
     return BimoduleReport(ProfileReport(_block_violations(a, m, [(2, product_axioms(a, m))])))
 
 
+def _require_bimodule(a: Algebra, m: Bimodule) -> None:
+    """Refuse unless a is associative and m satisfies the three bimodule axioms."""
+    _require_associative(a)
+    first = next(iter(check_bimodule(a, m).standard.violations), None)
+    if first is not None:
+        raise InputError(f"not a bimodule: {first.condition} fails at {first.indices}")
+
+
 def product_axioms(a: Algebra, m: Bimodule) -> list[tuple[str, Matrix]]:
     """The residual cochains A (x) A (x) V -> V of the bimodule axioms.
 
@@ -168,13 +176,13 @@ def induced_actions(a: Algebra, p: Matrix, m: Bimodule) -> tuple[list[Matrix], l
 def induce_representation(a: Algebra, p: Matrix, m: Bimodule) -> Bimodule:
     """Build the induced bimodule from the twisted actions.
 
-    The input must already pass the bimodule axioms and the xi
-    conditions.  The result is not validated: the induced actions are a
-    definition, so a caller that relies on their validity checks them with
-    check_bimodule and check_rn_representation.
+    The input must already be a bimodule over an associative algebra
+    (refused as _require_bimodule words it, naming the first failed axiom)
+    and pass the xi conditions.  The result is not validated: the induced
+    actions are a definition, so a caller that relies on their validity
+    checks them with check_bimodule and check_rn_representation.
     """
-    if not check_bimodule(a, m).passed_standard:
-        raise InputError("input bimodule fails the standard profile")
+    _require_bimodule(a, m)
     if not check_rn_representation(a, p, m).passed:
         raise InputError("input bimodule fails the xi compatibility conditions")
     return Bimodule(m.dim_v, *induced_actions(a, p, m), xi=m.xi)

@@ -31,6 +31,7 @@ from rnalg.exactlin import Matrix, from_cols
 from rnalg.algebra import Algebra, parse_kind
 from rnalg.polysys import build_identity_system
 from rnalg.representation import Bimodule, regular_representation
+from test_deformation import _identity_iso
 
 Q = Fraction
 CAT = catalog()
@@ -264,7 +265,7 @@ def files(tmp_path):
         "proj_e1": dump("proj_e1.json", fileio.dump_linop(operator([[0, 0], [0, 1]]))),
         "triv": dump("triv.json", fileio.dump_deformation(
             TruncatedDeformation.constant(a, Matrix.zeros(2, 2), 2))),
-        "iso_id": dump("iso_id.json", fileio.dump_iso(FormalIso.identity(2, 2))),
+        "iso_id": dump("iso_id.json", fileio.dump_iso(_identity_iso(2, 2))),
     }
     bad = fileio.dump_algebra(a)
     bad["c"].append([0, 0, 1, "1"])
@@ -401,14 +402,9 @@ def test_cli_cohomology_table(files, capsys):
     assert [d["dimH"] for d in doc["degrees"]] == [None, None, 0]
 
 
-# sha256 of the table below; no benchmark workload reaches a module that is
-# not a bimodule, so this pin is what shows a change to that path
-NON_BIMODULE_SHA256 = "c7380aca6e505ea5873cfe0a5beafff4bb7228fae8cd0ceef276a973b660bc59"
-
-
-def test_cli_cohomology_on_a_non_bimodule_is_pinned(tmp_path, capsys):
+def test_cli_cohomology_refuses_a_non_bimodule(files, tmp_path, capsys):
     # two orthogonal idempotents, e_0 acting on the left as 2 Id: only
-    # left-action-multiplicative fails, so every delta^2 is the explicit product
+    # left-action-multiplicative fails, so no complex is built on it
     docs = {"alg": {"dim": 2, "c": [[0, 0, 0, "1"], [1, 1, 1, "1"]]},
             "op": fileio.dump_linop(operator([[1, 0], [0, 0]])),
             "rep": {"dimV": 2, "l": [[["2", "0"], ["0", "2"]], [["0", "0"], ["0", "0"]]],
@@ -417,11 +413,20 @@ def test_cli_cohomology_on_a_non_bimodule_is_pinned(tmp_path, capsys):
     for name, doc in docs.items():
         paths[name] = str(tmp_path / f"{name}.json")
         fileio.write_json(paths[name], doc)
-    code, out, _ = _run(capsys, ["cohomology", paths["alg"], paths["op"],
-                                 "--rep", paths["rep"], "--max-degree", "3"])
-    assert code == 0
-    assert not all(d["residual_zero"]["delta2"] for d in json.loads(out)["degrees"])
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NON_BIMODULE_SHA256
+    code, out, err = _run(capsys, ["cohomology", paths["alg"], paths["op"],
+                                   "--rep", paths["rep"], "--max-degree", "3"])
+    assert (code, out) == (2, "")
+    assert err == "error: not a bimodule: left-action-multiplicative fails at (0, 0)\n"
+    # check-rep still reports the same file as a failed check
+    code, out, _ = _run(capsys, ["check-rep", paths["alg"], paths["op"], "--rep", paths["rep"]])
+    assert code == 1
+    assert [v["condition"] for v in json.loads(out)["standard_profile"]["violations"]] == [
+        "left-action-multiplicative"]
+    # on a non-associative algebra the regular actions are refused before any axiom
+    for argv in (["cohomology", files["bad"], files["zero2"], "--max-degree", "2"],
+                 ["deform", "rigidity", files["bad"], files["zero2"]]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: algebra is not associative\n"), argv
 
 
 def test_cli_deform_check(files, capsys):
@@ -656,7 +661,7 @@ def test_cli_refuses_a_deformation_order_past_the_series_cap(files, capsys, monk
         fileio.write_json(paths[order], fileio.dump_deformation(
             TruncatedDeformation.constant(a, Matrix.zeros(2, 2), order)))
     iso = str(files["dir"] / "iso600.json")
-    fileio.write_json(iso, fileio.dump_iso(FormalIso.identity(2, 600)))
+    fileio.write_json(iso, fileio.dump_iso(_identity_iso(2, 600)))
     code, out, _ = _run(capsys, ["deform", "check", files["leftunit2"], paths[17]])
     assert code == 0 and json.loads(out)["passed"] is True
     code, out, err = _run(capsys, ["deform", "check", files["leftunit2"], paths[18]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from rnalg.algebra import Algebra, associator
 from rnalg.audit import operator_fixtures
 from rnalg.catalog import catalog, operator
 from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
-from rnalg.errors import BudgetError
+from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix, rank
 from rnalg.representation import (Bimodule, check_bimodule, product_axioms,
                                   regular_representation)
@@ -153,28 +154,41 @@ def test_kronecker_delta_equals_index_formula_on_non_integral_actions():
         assert b.delta(n + 1).mul(b.delta(n)).is_zero(), n
 
 
-def _assert_delta_square_is_the_product(b, degrees, tag):
+def _assert_delta_squared_is_the_zero_block(b, degrees, tag):
+    # Hochschild's theorem, checked: the explicit product delta_(n+1) delta_n is zero, and it
+    # is the top-left amb(n+2) x amb(n) block of d_square_residual(n)
     for n in degrees:
-        fast, slow = b.delta_square(n), b.delta(n + 1).mul(b.delta(n))
-        assert (fast.rows, fast.cols) == (slow.rows, slow.cols) == (b.amb(n + 2), b.amb(n)), tag
-        assert fast.entries == slow.entries, (tag, n)
+        slow, d2 = b.delta(n + 1).mul(b.delta(n)), b.d_square_residual(n)
+        assert (slow.rows, slow.cols) == (b.amb(n + 2), b.amb(n)), tag
+        assert (d2.rows, d2.cols) == (b.amb(n + 2) + b.amb(n + 1), b.domain_dim(n)), tag
+        block = {(i, j): x for (i, j), x in d2.entries.items() if i < slow.rows and j < slow.cols}
+        assert slow.is_zero() and block == slow.entries, (tag, n)
 
 
-def test_delta_square_equals_the_explicit_product_on_fixtures():
+def test_delta_squared_is_the_zero_block_of_the_residual_on_fixtures():
     for name, ops in operator_fixtures().items():
         a = CAT[name]
         for label, p in ops:
             b = ComplexBuilder(a, p, regular_representation(a, p))
-            _assert_delta_square_is_the_product(b, range(2 if name == "mat2" else 3), (name, label))
+            _assert_delta_squared_is_the_zero_block(b, range(2 if name == "mat2" else 3),
+                                                    (name, label))
 
 
-def test_delta_square_equals_the_explicit_product_on_basis_changed_copies():
+def test_delta_squared_is_the_zero_block_of_the_residual_on_basis_changed_copies():
     for name, a in CAT.items():
         t, tinv = _unimodular(a.dim, random.Random(name))
         copy = _change_basis(a, t, tinv)
         p = Matrix.zeros(a.dim, a.dim)
         b = ComplexBuilder(copy, p, regular_representation(copy, p))
-        _assert_delta_square_is_the_product(b, range(2 if name == "mat2" else 3), name)
+        _assert_delta_squared_is_the_zero_block(b, range(2 if name == "mat2" else 3), name)
+
+
+def _refusal(a, m):
+    """The message a complex on (a, m) is refused with: its first failed axiom."""
+    if not a.is_associative():
+        return "algebra is not associative"
+    first = check_bimodule(a, m).standard.violations[0]
+    return f"not a bimodule: {first.condition} fails at {first.indices}"
 
 
 def _random_matrix(rng, rows, cols):
@@ -182,16 +196,23 @@ def _random_matrix(rng, rows, cols):
                                for i in range(rows) for j in range(cols) if rng.random() < 0.6})
 
 
-def test_delta_square_equals_the_explicit_product_on_random_non_bimodules():
+def test_complex_on_random_non_bimodules_is_refused():
+    # no draw is a bimodule over an associative algebra; both kinds of refusal occur
     rng = random.Random(17)
+    refused = set()
     for da, dv in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2), (3, 1)):
         for _ in range(3):
             a = Algebra(da, _random_matrix(rng, da, da * da))
             m = Bimodule(dv, [_random_matrix(rng, dv, dv) for _ in range(da)],
                          [_random_matrix(rng, dv, dv) for _ in range(da)], xi=Matrix.identity(dv))
-            b = ComplexBuilder(a, Matrix.identity(da), m)
-            _assert_delta_square_is_the_product(b, [n for n in range(4) if b.amb(n + 2) <= 512],
-                                                (da, dv))
+            assert not (a.is_associative() and check_bimodule(a, m).passed_standard), (da, dv)
+            message = re.escape(_refusal(a, m))
+            with pytest.raises(InputError, match=rf"^{message}$"):
+                ComplexBuilder(a, Matrix.identity(da), m)
+            with pytest.raises(InputError, match=rf"^{message}$"):
+                cohomology_dims(a, Matrix.identity(da), m, 1)
+            refused.add(_refusal(a, m).partition(":")[0])
+    assert refused == {"algebra is not associative", "not a bimodule"}
 
 
 def _op(*rows):
@@ -223,43 +244,35 @@ _ONE_DEFECT = (
 )
 
 
-def test_delta_square_equals_the_explicit_product_when_one_defect_is_nonzero():
+def test_complex_is_refused_when_one_defect_is_nonzero():
     for name, a, left, right, broken in _ONE_DEFECT:
         m = Bimodule(left[0].rows, left, right, xi=Matrix.identity(left[0].rows))
         defects = dict(product_axioms(a, m), associator=associator(a))
         assert [k for k, x in defects.items() if not x.is_zero()] == [broken], name
-        b = ComplexBuilder(a, Matrix.zeros(a.dim, a.dim), m)
-        _assert_delta_square_is_the_product(b, range(4), name)
-        assert not b.delta_square(2).is_zero(), name
+        message = ("algebra is not associative" if broken == "associator"
+                   else rf"not a bimodule: {broken} fails at \(\d+, \d+\)")
+        with pytest.raises(InputError, match=rf"^{message}$"):
+            ComplexBuilder(a, Matrix.zeros(a.dim, a.dim), m)
     # a non-associative product with its regular actions breaks all four
     a = _ONE_DEFECT[-1][1]
     m = regular_representation(a, Matrix.zeros(2, 2))
     assert not any(x.is_zero() for _, x in product_axioms(a, m))
-    _assert_delta_square_is_the_product(ComplexBuilder(a, Matrix.zeros(2, 2), m), range(4),
-                                        "nonassoc2-regular")
+    with pytest.raises(InputError, match=r"^algebra is not associative$"):
+        ComplexBuilder(a, Matrix.zeros(2, 2), m)
 
 
-def test_delta_square_never_builds_the_next_differential(monkeypatch):
+def test_d_square_residual_never_builds_the_next_differential(monkeypatch):
     built = []
     delta = ComplexBuilder.delta
     monkeypatch.setattr(ComplexBuilder, "delta", lambda self, n: built.append(n) or delta(self, n))
     b = _builder("trunc3", [[0] * 3 for _ in range(3)])
     for n in range(3):
-        b.delta_square(n)
+        b.d_square_residual(n)
         assert n + 1 not in built, n
     a, p = CAT["leftunit2"], Matrix.zeros(2, 2)
     built.clear()
     cohomology_dims(a, p, regular_representation(a, p), 2)
     assert 3 not in built and max(built) == 2
-    # off a bimodule the composite is the product, so delta_(n+1) is built
-    for name, alg, left, right, _ in _ONE_DEFECT:
-        b = ComplexBuilder(alg, Matrix.zeros(alg.dim, alg.dim),
-                           Bimodule(left[0].rows, left, right, xi=Matrix.identity(left[0].rows)))
-        for n in range(3):
-            built.clear()
-            fast = b.delta_square(n)
-            assert n + 1 in built, (name, n)
-            assert fast.entries == b.delta(n + 1).mul(b.delta(n)).entries, (name, n)
 
 
 def test_cohomology_budget_guards_two_degrees_past_the_top():
@@ -274,7 +287,7 @@ def test_cohomology_budget_guards_two_degrees_past_the_top():
             cohomology_dims(a, p, m, top, budget=b.amb(top + 1))
         assert cohomology_dims(a, p, m, top, budget=b.amb(top + 2)) == cohomology_dims(a, p, m, top)
     with pytest.raises(BudgetError, match=r"^cochain space at degree 3 needs 16 coordinates"):
-        ComplexBuilder(a, p, m, budget=b.amb(2)).delta_square(1)
+        ComplexBuilder(a, p, m, budget=b.amb(2)).d_square_residual(1)
 
 
 def test_the_degree_cap_bounds_dim_one_and_leaves_dim_two_to_the_budget():

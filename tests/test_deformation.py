@@ -35,6 +35,11 @@ Q = Fraction
 CAT = catalog()
 
 
+def _identity_iso(dim, order):
+    """Id + 0 t + ... + 0 t^order."""
+    return FormalIso(order, [Matrix.identity(dim)] + [Matrix.zeros(dim, dim)] * order)
+
+
 def _from_table(table):
     """The coefficient matrix of a dense table: column i dim + j holds table[i][j]."""
     return from_cols([vec for row in table for vec in row])
@@ -153,9 +158,9 @@ def test_zero_dimensional_data_is_refused():
 def test_formal_iso_requires_identity_leading_term():
     with pytest.raises(InputError):
         FormalIso(1, [Matrix.zeros(2, 2), Matrix.identity(2)])
-    iso = FormalIso.identity(2, 3)
-    assert iso.coefficient(0) == Matrix.identity(2)
-    assert iso.coefficient(7).is_zero()
+    iso = _identity_iso(2, 3)
+    assert iso.phi[0] == Matrix.identity(2)
+    assert all(x.is_zero() for x in iso.phi[1:])
 
 
 def _inverse(iso):
@@ -177,8 +182,7 @@ def test_inverse_coefficients_follow_geometric_series():
     assert chi[2] == phi.mul(phi)
     assert chi[3] == phi.mul(phi).mul(phi).scale(-1)
     comp = _compose(iso, _inverse(iso))
-    ident = FormalIso.identity(2, 3)
-    assert all(comp.coefficient(k) == ident.coefficient(k) for k in range(4))
+    assert comp.phi == _identity_iso(2, 3).phi
 
 
 def _sample_deformation_and_iso():
