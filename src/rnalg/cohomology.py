@@ -71,23 +71,30 @@ def unflatten(coords: list[Fraction], rows: int) -> Matrix:
 
 def _blocks(top_left: Matrix, bottom_left: Matrix,
             bottom_right: Matrix | None) -> Matrix:
-    """[[top_left, 0], [bottom_left, bottom_right]]; no second column if bottom_right is None."""
-    if bottom_right is None:
-        return top_left.vstack(bottom_left)
-    top = top_left.hstack(Matrix.zeros(top_left.rows, bottom_right.cols))
-    return top.vstack(bottom_left.hstack(bottom_right))
+    """[[top_left, 0], [-bottom_left, -bottom_right]] written into one dict, negated as copied;
+    no second column if bottom_right is None."""
+    top, left = top_left.rows, top_left.cols
+    out = dict(top_left.entries)
+    out.update(((top + i, j), -x) for (i, j), x in bottom_left.entries.items())
+    if bottom_right is not None:
+        out.update(((top + i, left + j), -x) for (i, j), x in bottom_right.entries.items())
+        left += bottom_right.cols
+    return Matrix(top + bottom_left.rows, left, out)
 
 
 class ComplexBuilder:
     """Caches the matrices of one (algebra, operator, bimodule) complex."""
 
-    def __init__(self, a: Algebra, p: Matrix, m: Bimodule, budget: int | None = None):
+    def __init__(self, a: Algebra, p: Matrix, m: Bimodule, budget: int | None = None,
+                 guard_to: int = -1):
         _operator_module(a, p, m)
-        _require_bimodule(a, m)
         self.a = a
         self.p = p
         self.m = m
         self.budget = resolve_budget(budget)
+        for n in range(guard_to + 1):  # before the unbudgeted axiom checks below
+            self._guard(n)
+        _require_bimodule(a, m)
         self._delta: dict[int, Matrix] = {}
         self._psi: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
@@ -158,8 +165,7 @@ class ComplexBuilder:
 
     def d_ambient(self, n: int) -> Matrix:
         """Combined differential on ambient (+) ambient coordinates."""
-        return _blocks(self.delta(n), self.psi(n).scale(-1),
-                       self.delta(n - 1).scale(-1) if n else None)
+        return _blocks(self.delta(n), self.psi(n), self.delta(n - 1) if n else None)
 
     def d(self, n: int) -> Matrix:
         """Combined differential restricted to its stated domain.
@@ -169,9 +175,8 @@ class ComplexBuilder:
         stay ambient so non-closure remains visible.
         """
         if n not in self._d:
-            self._d[n] = _blocks(
-                self.delta(n), self.psi(n).scale(-1),
-                self.delta(n - 1).mul(self.rno_basis(n - 1)).scale(-1) if n else None)
+            self._d[n] = _blocks(self.delta(n), self.psi(n),
+                                 self.delta(n - 1).mul(self.rno_basis(n - 1)) if n else None)
         return self._d[n]
 
     def domain_dim(self, n: int) -> int:
@@ -185,10 +190,14 @@ class ComplexBuilder:
         return self._psi_delta[n]
 
     def d_square_residual(self, n: int) -> Matrix:
-        """d_(n+1) . d_n on the restricted domain, in ambient output coordinates."""
+        """d_(n+1) . d_n on the restricted domain, in ambient output coordinates.
+
+        Zero but for its -Psi_n block at row offset amb(n + 2), which is how
+        cohomology_dims reads it without building it; the tests hold that
+        reading to this matrix.
+        """
         self._guard(n + 2)  # the delta^2 blocks are zero, but their rows index C^(n+2)
-        return _blocks(Matrix.zeros(self.amb(n + 2), self.amb(n)),
-                       self.psi_delta_residual(n).scale(-1),
+        return _blocks(Matrix.zeros(self.amb(n + 2), self.amb(n)), self.psi_delta_residual(n),
                        Matrix.zeros(self.amb(n + 1), self.rno_basis(n - 1).cols)
                        if n else None)
 
@@ -246,29 +255,30 @@ def cohomology_dims(a: Algebra, p: Matrix, m: Bimodule, max_n: int,
     flags at degree n cover the composites leaving degree n, whose codomain
     is indexed at degree n + 2, so the budget must admit the cochain space
     at degree max_n + 2.  Every degree up to max_n + 2 is guarded before
-    any rank is taken.
+    the associativity and bimodule checks and before any rank is taken.
+
+    d_(n+1) d_n is zero but for its -Psi_n block at row offset amb(n + 2)
+    (see d_square_residual), so its flag is Psi_n = 0 and its witness is
+    Psi_n's first nonzero moved down by amb(n + 2) and negated.
     """
     if max_n < 1:
         raise InputError("max degree must be >= 1")
-    b = ComplexBuilder(a, p, m, budget)
-    for n in range(max_n + 3):  # refuse before any rank, at the degree a build would stop
-        b._guard(n)
+    # refuse before any axiom check or rank, at the degree a build would stop
+    b = ComplexBuilder(a, p, m, budget, guard_to=max_n + 2)
     degrees = range(max_n + 1)
     ranks = {n: rank(b.d(n)) for n in degrees}
-    d2 = {n: b.d_square_residual(n) for n in degrees}
+    psi_delta = {n: b.psi_delta_residual(n) for n in degrees}
     reports = []
     for n in degrees:
         dim_space = b.domain_dim(n)
         dim_z = dim_space - ranks[n]
         dim_b = ranks[n - 1] if n >= 1 else 0
-        residuals = {"psi_delta": b.psi_delta_residual(n), "d2": d2[n]}
-        residual_zero = {"delta2": True, "partial2": True,
-                         **{name: mat.is_zero() for name, mat in residuals.items()}}
-        consistent = residual_zero["d2"]
-        if n >= 1:
-            consistent = consistent and d2[n - 1].is_zero() and b.image_closed(n - 1)
-        witnesses = {name: _first_nonzero(residuals[name])
-                     for name, zero in residual_zero.items() if not zero}
+        zero = psi_delta[n].is_zero()
+        residual_zero = {"delta2": True, "partial2": True, "psi_delta": zero, "d2": zero}
+        consistent = zero and (n == 0 or (psi_delta[n - 1].is_zero() and b.image_closed(n - 1)))
+        w = _first_nonzero(psi_delta[n])
+        witnesses = {} if zero else {"psi_delta": w, "d2": w._replace(row=w.row + b.amb(n + 2),
+                                                                      value=-w.value)}
         dim_h = dim_z - dim_b if consistent else None
         reports.append(DegreeReport(n, dim_space, dim_z, dim_b, dim_h,
                                     consistent, residual_zero, witnesses))

@@ -6,19 +6,22 @@ Kronecker sums and eliminations of integral matrices run on ints.
 Fraction is the public boundary: at, row_list, col_list, to_rows, apply,
 rref and solve return Fractions.  A Matrix is immutable by convention;
 from_rows, to_rows, row_list and col_list are the dense boundary.  One
-sparse row echelon serves rank, rref, kernel_basis and solve: it pivots
-each row on its leftmost nonzero column and keeps every pivot row fully
+sparse row echelon serves rref, kernel_basis and solve: it pivots each
+row on its leftmost nonzero column and keeps every pivot row fully
 reduced, so its rows are the unique reduced row echelon form.  Kernel
 bases and solutions read those rows and are canonical: the kernel is a
 sparse matrix with one column per free coordinate, carrying a 1 there
-and 0 in the other free coordinates.  kron_sum adds Kronecker products
-built from the nonzeros of their factors only.
+and 0 in the other free coordinates.  rank needs no canonical form: it
+eliminates forward only, fraction-free on primitive integer rows, over
+the shorter side.  kron_sum adds Kronecker products built from the
+nonzeros of their factors only, and mul sums into one accumulator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from functools import reduce
+from math import gcd, lcm, prod
 
 from .errors import InputError
 
@@ -145,13 +148,10 @@ class Matrix:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         right = other._row_dicts()
-        out = {}
-        for i, row in self._row_dicts().items():
-            acc: dict[int, Entry] = {}
-            for k, a in row.items():
-                for j, b in right.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.update(((i, j), x) for j, x in acc.items())
+        out: dict[tuple[int, int], Entry] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in right.get(k, {}).items():
+                out[i, j] = out.get((i, j), 0) + a * b
         return Matrix(self.rows, other.cols, out)
 
     def apply(self, vec: list[Fraction]) -> list[Fraction]:
@@ -277,8 +277,43 @@ def _echelon(m: Matrix) -> dict[int, dict[int, Entry]]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank: the pivot count of the sparse echelon."""
-    return len(_echelon(m))
+    """Exact rank by fraction-free forward elimination over the shorter side.
+
+    The rows (the columns of a tall m) are cleared of denominators, kept
+    primitive (content divided out) and taken sparsest first.  A row whose
+    leading column has a pivot row becomes a*row - b*pivot, a and b the two
+    leads over their gcd (compare Bareiss 1968); else it is that column's
+    pivot row.  There is no back-substitution.
+    """
+    tall = m.rows > m.cols
+    lines: dict[int, dict[int, Entry]] = {}
+    for (i, j), x in m.entries.items():
+        lines.setdefault(j if tall else i, {})[i if tall else j] = x
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(lines.values(), key=len):
+        den = 1
+        for x in row.values():
+            if x.__class__ is Fraction:
+                den = lcm(den, x.denominator)
+        if den != 1:
+            row = {j: (x * den).numerator for j, x in row.items()}
+        while row:
+            g = reduce(gcd, row.values())  # gcd(*values) retains memory per call on CPython 3.11
+            if g != 1:
+                row = {j: x // g for j, x in row.items()}
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = gcd(row[lead], pivot[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            _subtract(row, b, pivot)
+    return len(pivots)
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -10,12 +10,15 @@ from fractions import Fraction
 
 import pytest
 
+from rnalg import representation
 from rnalg.algebra import Algebra, associator
-from rnalg.audit import operator_fixtures
+from rnalg.audit import _COMPLEX_INSTANCES, operator_fixtures
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
+from rnalg.cohomology import (ComplexBuilder, _first_nonzero, cohomology_dims, flatten,
+                               unflatten)
+from rnalg.deformation import rigidity_report
 from rnalg.errors import BudgetError, InputError
-from rnalg.exactlin import Matrix, rank
+from rnalg.exactlin import Matrix, _echelon, rank
 from rnalg.representation import (Bimodule, check_bimodule, product_axioms,
                                   regular_representation)
 from test_algebra import _e
@@ -183,6 +186,56 @@ def test_delta_squared_is_the_zero_block_of_the_residual_on_basis_changed_copies
         _assert_delta_squared_is_the_zero_block(b, range(2 if name == "mat2" else 3), name)
 
 
+def _fixture_pairs_and_copies():
+    """(tag, algebra, operator) for every fixture pair and its basis-changed copy."""
+    for name, ops in operator_fixtures().items():
+        a = CAT[name]
+        t, tinv = _unimodular(a.dim, random.Random(name))
+        copy = _change_basis(a, t, tinv)
+        for label, p in ops:
+            yield (name, label), a, p
+            yield (name, label, "copy"), copy, Matrix.from_rows(tinv).mul(p).mul(Matrix.from_rows(t))
+
+
+def test_rank_of_every_fixture_differential_equals_the_echelon_pivot_count():
+    cases = [(tag, a, p, 4 if tag == ("mat2", "id") else 3)
+             for tag, a, p in _fixture_pairs_and_copies()]
+    for tag, a, p, top in cases:
+        b = ComplexBuilder(a, p, regular_representation(a, p))
+        for n in range(top + 1):
+            d = b.d(n)
+            assert rank(d) == len(_echelon(d)) == rank(d.transpose()), (tag, n)
+
+
+def test_d2_flags_and_witnesses_equal_those_read_off_the_residual():
+    # cohomology_dims reads d_(n+1) d_n off Psi_n without building it; the
+    # built matrix is the oracle
+    audited = {(name, label) for name, label in _COMPLEX_INSTANCES}
+    seen = set()
+    for tag, a, p in _fixture_pairs_and_copies():
+        top = 1 if tag[0] == "mat2" else 2
+        result = cohomology_dims(a, p, regular_representation(a, p), top)
+        b = ComplexBuilder(a, p, regular_representation(a, p))
+        for n in range(top + 1):
+            residual = b.d_square_residual(n)
+            report = result.at(n)
+            assert report.residual_zero["d2"] == residual.is_zero(), (tag, n)
+            assert report.witnesses.get("d2") == _first_nonzero(residual), (tag, n)
+            seen.add((tag[:2] in audited, residual.is_zero()))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_cohomology_dims_builds_no_residual_and_scales_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(ComplexBuilder, "d_square_residual", refuse)
+    monkeypatch.setattr(Matrix, "scale", refuse)
+    for name, label in _COMPLEX_INSTANCES:
+        a, p = CAT[name], dict(operator_fixtures()[name])[label]
+        cohomology_dims(a, p, regular_representation(a, p), 2)
+
+
 def _refusal(a, m):
     """The message a complex on (a, m) is refused with: its first failed axiom."""
     if not a.is_associative():
@@ -288,6 +341,21 @@ def test_cohomology_budget_guards_two_degrees_past_the_top():
         assert cohomology_dims(a, p, m, top, budget=b.amb(top + 2)) == cohomology_dims(a, p, m, top)
     with pytest.raises(BudgetError, match=r"^cochain space at degree 3 needs 16 coordinates"):
         ComplexBuilder(a, p, m, budget=b.amb(2)).d_square_residual(1)
+
+
+def test_budget_refuses_before_the_associativity_and_bimodule_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unbudgeted check ran before the budget")
+
+    a, p = CAT["mat2"], Matrix.zeros(4, 4)
+    m = regular_representation(a, p)
+    monkeypatch.setattr(representation, "check_bimodule", refuse)
+    monkeypatch.setattr(Algebra, "is_associative", refuse)
+    refused = r"^cochain space at degree 3 needs 256 coordinates, budget is 64$"
+    with pytest.raises(BudgetError, match=refused):
+        cohomology_dims(a, p, m, 1, budget=64)
+    with pytest.raises(BudgetError, match=r"^cochain space at degree 4 needs 1024 coordinates"):
+        rigidity_report(a, p, budget=256)
 
 
 def test_the_degree_cap_bounds_dim_one_and_leaves_dim_two_to_the_budget():

@@ -60,6 +60,32 @@ def test_rank_matches_naive_gaussian_oracle(rows):
     assert rank(m) == len(_naive_rref(m.to_rows())[1])
 
 
+# integers up to 10^12 and fractions with large parts, beside zeros and small values
+_wide_q = st.one_of(st.just(Fraction(0)), _small_q, st.integers(-10 ** 12, 10 ** 12).map(Fraction),
+                    st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 6))
+
+
+def _low_rank(draw_rows):
+    """Rows that are combinations of a few drawn rows, so elimination has to cancel."""
+    return st.tuples(draw_rows, st.lists(st.lists(_wide_q, min_size=1, max_size=4),
+                                         min_size=1, max_size=9)).map(
+        lambda t: [[sum((c * t[0][k][j] for k, c in enumerate(coeffs[:len(t[0])])), Fraction(0))
+                    for j in range(len(t[0][0]))] for coeffs in t[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    _matrix_strategy(4, max_rows=9, entries=_wide_q),               # tall
+    _matrix_strategy(9, max_rows=4, entries=_wide_q),               # wide
+    _matrix_strategy(6, max_rows=6, entries=_sparse_q),             # empty rows
+    _matrix_strategy(5, entries=st.just(Fraction(0))),              # all zero
+    _matrix_strategy(5, entries=st.fractions(max_denominator=97)),  # rational-heavy
+    _low_rank(_matrix_strategy(7, max_rows=3, entries=_wide_q))))
+def test_fraction_free_rank_equals_the_echelon_pivot_count(rows):
+    m = Matrix.from_rows(rows)
+    assert rank(m) == len(_echelon(m)) == rank(m.transpose())
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(_matrix_strategy(), _matrix_strategy(5, max_rows=12, entries=_sparse_q)))
 def test_rref_equals_naive_gauss_jordan(rows):
@@ -181,6 +207,21 @@ def test_sparse_operations_equal_dense_oracle(data):
     again = Matrix(a.rows, a.cols, dict(reversed(list(a.entries.items()))))
     assert again.eq(a) and again == a and hash(again) == hash(a)
     assert a.transpose().transpose() == a and hash(a.transpose().transpose()) == hash(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_three_dims.flatmap(lambda s: st.tuples(
+    _rows_of(s[0], s[1]), _rows_of(s[0], s[1]), _rows_of(s[1], s[2]), _rows_of(s[1], s[2]),
+    _small_q.filter(bool))))
+def test_product_cancellation_stores_no_zero_and_no_integral_fraction(data):
+    # [X | cX | Z] times [Y; -Y/c; W] is ZW: every XY term cancels, and the
+    # Fraction partial sums of rational terms may come out integral
+    x, z, y, w, c = data
+    left = Matrix.from_rows([u + [c * e for e in u] + v for u, v in zip(x, z)])
+    right = Matrix.from_rows(y + [[-e / c for e in u] for u in y] + w)
+    got = left.mul(right)
+    assert got.to_rows() == _d_mul(left.to_rows(), right.to_rows()) == _d_mul(z, w)
+    _assert_sparse(got)
 
 
 # non-unit pivots: 1 / lead on an int lead would be a float
