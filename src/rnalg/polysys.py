@@ -11,6 +11,11 @@ Coefficients are stored as exactlin stores matrix entries: an int if the
 value is integral and a Fraction only if it is not, so systems with
 integral coefficients run on ints.  Every true division goes through
 _quo, which divides exactly, so no float is ever made.
+
+_raw_residuals builds on coefficient dicts keyed by packed monomials
+(Monagan-Pearce): one int with a 2-bit exponent field per unknown, wide
+enough because residuals are at most cubic, so a product of monomials is
+an int sum.  The F_p search keeps its set variables as one bitmask.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import functools
 import heapq
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import NamedTuple
@@ -94,7 +100,9 @@ class MPoly:
         c = _canon(c)
         if not c:
             return MPoly(self.nvars)
-        return MPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        out = MPoly(self.nvars, {m: c * v for m, v in self.terms.items()})
+        out._lm = self._lm  # a unit keeps the leading monomial
+        return out
 
     def mul_term(self, mono: tuple[int, ...], coeff: Entry) -> "MPoly":
         if not coeff:
@@ -124,10 +132,13 @@ class MPoly:
         """Integer coefficients, content 1, positive leading coefficient."""
         if self.is_zero():
             return self
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        num = gcd(*(c.numerator for c in self.terms.values()))
-        factor = _quo(den if self.leading_coeff() > 0 else -den, num)
-        return self if factor == 1 else self.scale(factor)
+        # reduce: lcm(*generator) holds memory per call on CPython 3.11 until a full
+        # collection; the initial values make gcd run on one term, so -x gets content 1
+        den = functools.reduce(lcm, [c.denominator for c in self.terms.values()], 1)
+        num = functools.reduce(gcd, [c.numerator for c in self.terms.values()], 0)
+        if self.leading_coeff() < 0:
+            den = -den
+        return self if den == num else self.scale(_quo(den, num))
 
     def evaluate(self, point: list[Fraction]) -> Fraction:
         """The value at point, whose coordinates are rationals; floats and bools are refused."""
@@ -222,45 +233,52 @@ class PolySystem:
 
 
 class _Vec(list):
-    """A coordinate vector of MPolys with the add, sub and scale identity_residual uses."""
+    """A coordinate vector of coefficient dicts with the add, sub and scale
+    identity_residual uses; each op drops the zeros it makes, as MPoly does."""
 
     def add(self, other: list) -> "_Vec":
-        return _Vec(map(add, self, other))
+        return _Vec(map(_merge, self, other, repeat(1)))
 
     def sub(self, other: list) -> "_Vec":
-        return _Vec(map(sub, self, other))
+        return _Vec(map(_merge, self, other, repeat(-1)))
 
     def scale(self, c) -> "_Vec":
-        return _Vec(x.scale(c) for x in self)
+        c = _canon(c)
+        return _Vec({m: c * v for m, v in x.items()} if c else {} for x in self)
 
 
-def _sym_columns(dim: int) -> list[list[MPoly]]:
-    n = dim * dim
-    return [[MPoly.var(n, r * dim + c) for r in range(dim)] for c in range(dim)]
+def _merge(x: dict, y: dict, sign: int) -> dict:
+    # x + sign * y
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _pruned(out)
 
 
-def _sym_apply(dim: int, vec: list[MPoly]) -> _Vec:
-    # coordinate r of P(vec) is the sum over c of P_r_c * vec[c]
-    out: list[dict] = [{} for _ in range(dim)]
-    for c, x in enumerate(vec):
-        for m, v in x.terms.items():
-            for r, acc in enumerate(out):
-                i = r * dim + c
-                mi = m[:i] + (m[i] + 1,) + m[i + 1:]
-                acc[mi] = acc.get(mi, 0) + v
-    return _Vec(MPoly(dim * dim, t) for t in out)
+def _pruned(terms: dict) -> dict:
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _sym_mult(pairs: dict, x: list[MPoly], y: list[MPoly]) -> _Vec:
+def _sym_apply(units: list[list[int]], vec: list[dict]) -> _Vec:
+    # coordinate r of P(vec) is the sum over c of P_r_c * vec[c]; units[c][r] packs P_r_c
+    out: list[dict] = [{} for _ in vec]
+    for x, unit in zip(vec, units):
+        for m, v in x.items():
+            for acc, u in zip(out, unit):
+                acc[m + u] = acc.get(m + u, 0) + v
+    return _Vec(map(_pruned, out))
+
+
+def _sym_mult(pairs: dict, x: list[dict], y: list[dict]) -> _Vec:
     # pairs maps (i, j) to the (k, c_ij^k) of mu's nonzeros; each x[i]*y[j] is formed once
     out: list[dict] = [{} for _ in x]
     for (i, j), consts in pairs.items():
-        for m1, c1 in x[i].terms.items():
-            for m2, c2 in y[j].terms.items():
-                m, c = tuple(map(add, m1, m2)), c1 * c2
+        for m1, c1 in x[i].items():
+            for m2, c2 in y[j].items():
+                m, c = m1 + m2, c1 * c2
                 for k, cv in consts:
                     out[k][m] = out[k].get(m, 0) + c * cv
-    return _Vec(MPoly(x[0].nvars, t) for t in out)
+    return _Vec(map(_pruned, out))
 
 
 def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
@@ -268,7 +286,8 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
 
     Order is pair-major (i, j lexicographic), then identity, then output
     coordinate.  Coefficients are those the structure constants and the
-    weight give, neither normalized nor pruned.
+    weight give, neither normalized nor pruned.  Each distinct packed
+    monomial is unpacked to an exponent tuple once.
     """
     dim = a.dim
     n = dim * dim
@@ -276,18 +295,24 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
         raise BudgetError(f"identity system stage: dim {dim} needs {dim ** 5} coefficients "
                           f"(dim^3 residuals x dim^2 unknowns), cap {DEFAULT_BUDGET}")
     _require_associative(a)
-    cols = _sym_columns(dim)
-    basis = [[MPoly.const(n, 1 if r == i else 0) for r in range(dim)] for i in range(dim)]
+    units = [[1 << 2 * (r * dim + c) for r in range(dim)] for c in range(dim)]
+    cols = [[{u: 1} for u in unit] for unit in units]
+    basis = [[{0: 1} if r == i else {} for r in range(dim)] for i in range(dim)]
     pairs: dict = {}
     for (k, ij), v in a.mu.entries.items():
         pairs.setdefault(divmod(ij, dim), []).append((k, v))
     mul = functools.partial(_sym_mult, pairs)
-    apply = functools.partial(_sym_apply, dim)
-    return [SystemPolynomial(i, j, k, ident, poly)
-            for i in range(dim) for j in range(dim)
-            for ident in _component_identities(kind)
-            for k, poly in enumerate(identity_residual(ident, kind.weight, mul, apply,
-                                                       basis[i], basis[j], cols[i], cols[j]))]
+    apply = functools.partial(_sym_apply, units)
+    residuals = [(i, j, k, ident, terms)
+                 for i in range(dim) for j in range(dim)
+                 for ident in _component_identities(kind)
+                 for k, terms in enumerate(identity_residual(ident, kind.weight, mul, apply,
+                                                             basis[i], basis[j], cols[i],
+                                                             cols[j]))]
+    exponents = {m: tuple(m >> s & 3 for s in range(0, 2 * n, 2))
+                 for m in set().union(*(r[4] for r in residuals))}
+    return [SystemPolynomial(i, j, k, ident, MPoly(n, {exponents[m]: c for m, c in terms.items()}))
+            for i, j, k, ident, terms in residuals]
 
 
 def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
@@ -541,23 +566,24 @@ def _search_mod_p(compiled: list, n: int, p: int,
     The search is depth first.  A residual is tested once its last variable is
     set; one of degree 1 in its only free variable x forces x = -b/a for a unit
     a, and needs b = 0 when a = 0 (forward checking, Knuth TAOCP 4B, 7.2.2).
-    It keeps (x, a mod p, b), so the test when x is set is (a*x + b) % p == 0.
-    That is exact because the trail is undone last in, first out: while x is
-    free the residual's other variables hold the values a and b came from, and
-    an undo that frees one of them first raises its free count to two, so
-    (x, a, b) is computed again before it is read.  Nodes are consistent
-    partial assignments, and BudgetError stops the search once they exceed
-    the cap.
+    The free variables are a bitmask: residual r's are mask[r] & unset, so a
+    step sets or clears one bit of unset and updates no residual.  It keeps
+    (x, a mod p, b), so the test when x is set is (a*x + b) % p == 0.  That is
+    exact because the trail is undone last in, first out: while x is free the
+    residual's other variables hold the values a and b came from, and an undo
+    that frees one of them first leaves two free, so (x, a, b) is computed
+    again before it is read.  Nodes are consistent partial assignments, and
+    BudgetError stops the search once they exceed the cap.
     """
     vars_of = [{i for _, f in terms for i in f} for terms in compiled]
-    linear = [{i for i in vs if all(f.count(i) < 2 for _, f in terms)}
+    mask = [sum(1 << i for i in vs) for vs in vars_of]
+    linear = [sum(1 << i for i in vs if all(f.count(i) < 2 for _, f in terms))
               for vs, terms in zip(vars_of, compiled)]
     occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
     order = _search_order(vars_of, occ)
-    val, free, trail, solutions, nodes = [None] * n, [len(vs) for vs in vars_of], [], [], 0
-    unset = [sum(vs) for vs in vars_of]  # the sum of each residual's free variables
+    val, trail, solutions, nodes, unset = [None] * n, [], [], 0, (1 << n) - 1
     slot: list = [None] * len(compiled)  # (x, a, b) while the residual is a*x + b, x free
-    split: dict = {}  # (r, x) -> the terms of residual r with x (x taken out), and without
+    split: list[dict] = [{} for _ in compiled]  # x -> r's terms with x (x taken out), without
 
     def value(terms) -> int:
         total = 0
@@ -567,37 +593,43 @@ def _search_mod_p(compiled: list, n: int, p: int,
             total += c
         return total
 
-    def examine(r: int, forced: list) -> bool:
-        # residual r has at most one free variable x; if it is linear in x, it is a*x + b
-        if not free[r]:
-            s = slot[r]
-            return (s[1] * val[s[0]] + s[2] if s else value(compiled[r])) % p == 0
-        x = unset[r]
-        if x not in linear[r]:
-            slot[r] = None
-            return True  # tested once x is set
-        if (r, x) not in split:
-            split[r, x] = ([(c, tuple(i for i in f if i != x)) for c, f in compiled[r] if x in f],
-                           [t for t in compiled[r] if x not in t[1]])
-        with_x, without = split[r, x]
-        a, b = value(with_x) % p, value(without)
-        slot[r] = (x, a, b)
-        if a:
-            forced.append((x, -b * pow(a, -1, p) % p))
-        return a != 0 or b % p == 0
+    def settle(rs, forced: list) -> bool:
+        # test each residual of rs with one free variable or none, and queue the values it
+        # forces; a value forced twice is checked by the residual that forced it, now complete
+        for r in rs:
+            rest = mask[r] & unset
+            if rest & (rest - 1):
+                continue
+            if not rest:
+                s = slot[r]
+                if (s[1] * val[s[0]] + s[2] if s else value(compiled[r])) % p:
+                    return False
+            elif rest & linear[r]:  # r is a*x + b
+                x = rest.bit_length() - 1
+                if x not in split[r]:
+                    split[r][x] = ([(c, tuple(i for i in f if i != x))
+                                    for c, f in compiled[r] if x in f],
+                                   [t for t in compiled[r] if x not in t[1]])
+                with_x, without = split[r][x]
+                a, b = value(with_x) % p, value(without)
+                slot[r] = (x, a, b)
+                if a:
+                    forced.append((x, -b * pow(a, -1, p) % p))
+                elif b % p:
+                    return False
+            else:
+                slot[r] = None  # tested once x is set
+        return True
 
     def propagate(forced: list) -> bool:
-        # set each forced value and test the residuals it leaves with one free variable or
-        # none; a value forced twice is checked by the residual that forced it, now complete
+        nonlocal unset
         while forced:
             x, v = forced.pop()
             if val[x] is None:
                 val[x] = v
                 trail.append(x)
-                for r in occ[x]:
-                    free[r] -= 1
-                    unset[r] -= x
-                if not all(examine(r, forced) for r in occ[x] if free[r] < 2):
+                unset ^= 1 << x
+                if not settle(occ[x], forced):
                     return False
         return True
 
@@ -613,16 +645,13 @@ def _search_mod_p(compiled: list, n: int, p: int,
         return [(k, v, len(trail)) for v in range(p)] if k < n else []
 
     forced: list = []
-    root = all(examine(r, forced) for r in range(len(compiled)) if free[r] < 2)
-    stack = visit(0) if root and propagate(forced) else []
+    stack = visit(0) if settle(range(len(compiled)), forced) and propagate(forced) else []
     while stack:  # depth first, without recursion: a branch is (level, value, trail length)
         k, v, mark = stack.pop()
         while len(trail) > mark:
             x = trail.pop()
             val[x] = None
-            for r in occ[x]:
-                free[r] += 1
-                unset[r] += x
+            unset |= 1 << x
         if propagate([(order[k], v)]):
             stack += visit(k + 1)
     return sorted(solutions), nodes
@@ -661,12 +690,32 @@ class LinearReduction(NamedTuple):
     inconsistent: bool
 
 
+def _substitute(var: int, powers: list[MPoly], q: MPoly) -> MPoly:
+    """q with powers[1], which is free of var, put for var, with its terms in the order
+    MPoly.compose gives them; powers[e] is its e-th power and grows one product at a time."""
+    out: dict = {}
+    for m, c in q.terms.items():
+        e = m[var]
+        if not e:
+            out[m] = out.get(m, 0) + c
+            continue
+        while len(powers) <= e:
+            powers.append(powers[-1] * powers[1])
+        base = m[:var] + (0,) + m[var + 1:]
+        for mono, x in powers[e].terms.items():
+            mono = tuple(map(add, base, mono))
+            out[mono] = out.get(mono, 0) + c * x
+    return MPoly(q.nvars, out)
+
+
 def linear_reduce(polys: list[MPoly]) -> LinearReduction:
     """Solve degree-1 members for their leading variables and substitute.
 
     Repeats until no linear polynomial remains.  Returns the accumulated
     substitutions var -> affine polynomial plus the remaining higher-degree
     (or constant, if the system is inconsistent) residual polynomials.
+    Members are told apart by their terms; key() orders them only where the
+    order is read, to pick the target and to sort the residual.
     """
     if not polys:
         return LinearReduction([], [], False)
@@ -675,7 +724,7 @@ def linear_reduce(polys: list[MPoly]) -> LinearReduction:
     for p in polys:
         q = p.normalized()
         if not q.is_zero():
-            work[q.key()] = q
+            work[frozenset(q.terms.items())] = q
     constraints: dict[int, MPoly] = {}
     while True:
         linear = [q for q in work.values() if q.total_degree() == 1]
@@ -683,20 +732,18 @@ def linear_reduce(polys: list[MPoly]) -> LinearReduction:
             break
         target = min(linear, key=MPoly.key)
         lm = target.leading_monomial()
-        var = next(i for i, e in enumerate(lm) if e)
+        var = lm.index(1)
         lc = target.terms[lm]
         rhs = (MPoly(nv, {lm: lc}) - target).scale(_quo(1, lc))
-        images = [MPoly.var(nv, i) for i in range(nv)]
-        images[var] = rhs
-        constraints = {v: r.compose(images, nv) for v, r in constraints.items()}
+        put = functools.partial(_substitute, var, [MPoly.const(nv, 1), rhs])
+        constraints = {v: put(r) for v, r in constraints.items()}
         constraints[var] = rhs
         new_work = {}
         for q in work.values():
-            if q is target:
-                continue
-            s = q.compose(images, nv).normalized()
-            if not s.is_zero():
-                new_work[s.key()] = s
+            if q is not target:
+                s = put(q).normalized()
+                if not s.is_zero():
+                    new_work[frozenset(s.terms.items())] = s
         work = new_work
     residual = sorted(work.values(), key=MPoly.key)
     inconsistent = any(r.total_degree() == 0 for r in residual)

@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_operator, parse_kind,
-                           rota_baxter)
+from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, _component_identities,
+                           check_operator, identity_residual, parse_kind, rota_baxter)
 from rnalg.catalog import catalog, operator
 from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
 from rnalg.fileio import enumeration_result_dict
-from rnalg.polysys import (MPoly, SymbolicMatrix, _compile_mod_p, _raw_residuals,
-                           _search_mod_p, _search_order, build_identity_system,
+from rnalg.polysys import (MPoly, SymbolicMatrix, SystemPolynomial, _compile_mod_p,
+                           _raw_residuals, _search_mod_p, _search_order, build_identity_system,
                            entry_variables,
                            enumerate_mod_p, groebner_basis, linear_reduce,
                            verify_family)
@@ -63,6 +66,30 @@ def test_mpoly_normalized_strips_content_and_sign():
     p = x * MPoly.const(1, Fraction(-4, 6)) + MPoly.const(1, Fraction(-2, 3))
     n = p.normalized()
     assert n.format(["x"]) == "x + 1"
+    # the content of a single term is the absolute value of its numerator
+    assert MPoly(2, {(1, 0): -3}).normalized() == MPoly.var(2, 0)
+    assert MPoly(2, {(0, 2): Fraction(-2, 3)}).normalized() == MPoly(2, {(0, 2): 1})
+
+
+def test_repeated_normalization_leaves_traced_memory_flat():
+    # lcm(*generator) and gcd(*generator) held memory on every call until a full collection;
+    # with the collector off it piled up, over 0.7 MB in 30 rounds of these residuals
+    polys = [e.poly for kind in ("rn", "reynolds", "rb:1", "mrb:1")
+             for e in _raw_residuals(CAT["mat2"], parse_kind(kind))]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for rounds in (10, 30):
+            for _ in range(rounds):
+                for q in polys:
+                    q.normalized()
+            traced = tracemalloc.get_traced_memory()[0]
+            if rounds == 10:
+                before = traced
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert traced - before < 1024
 
 
 @settings(max_examples=40, deadline=None)
@@ -569,10 +596,10 @@ def _reference_search(compiled: list, n: int, p: int, cap: int):
     return sorted(solutions), nodes
 
 
-def _random_compiled(rng: random.Random, n: int, p: int) -> list:
-    """Residuals as _compile_mod_p makes them, of degree <= 3, squares and constants included,
-    with a duplicate residual and two residuals that force one entry to different values.
-    Most residuals vanish at one random point, so most systems have solutions."""
+def _random_compiled(rng: random.Random, n: int, p: int, degree: int = 3) -> list:
+    """Residuals as _compile_mod_p makes them, of degree <= degree, squares and constants
+    included, with a duplicate residual and two residuals that force one entry to different
+    values.  Most residuals vanish at one random point, so most systems have solutions."""
     g, x = rng.sample(range(n), 2)
     z = [rng.randrange(p) for _ in range(n)]
     z[g] = 0
@@ -580,7 +607,8 @@ def _random_compiled(rng: random.Random, n: int, p: int) -> list:
     def residual():
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            terms[tuple(sorted(rng.choices(range(n), k=rng.randint(1, 3))))] = rng.randrange(1, p)
+            terms[tuple(sorted(rng.choices(range(n), k=rng.randint(1, degree))))] = (
+                rng.randrange(1, p))
         at_z = sum(c * math.prod(z[i] for i in f) for f, c in terms.items())
         terms[()] = (rng.random() < 0.1) - at_z
         return [(c % p, f) for f, c in terms.items() if c % p]
@@ -597,12 +625,44 @@ def _random_compiled(rng: random.Random, n: int, p: int) -> list:
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_search_equals_the_full_scan_and_visits_the_reference_nodes(p):
     rng = random.Random(f"search:{p}")
-    for _ in range({2: 60, 3: 50, 5: 25}[p]):
+    degrees = set()
+    # the degree-3 systems, then 20 of degree up to 5: the search assumes no degree bound
+    for degree in [3] * {2: 60, 3: 50, 5: 25}[p] + [5] * 20:
         n = rng.randint(2, 6 if p < 5 else 5)
-        compiled = _random_compiled(rng, n, p)
+        compiled = _random_compiled(rng, n, p, degree)
+        degrees |= {len(f) for terms in compiled for _, f in terms}
         solutions, nodes = _search_mod_p(compiled, n, p, 10 ** 6)
         assert solutions == _scan(compiled, n, p)
         assert (solutions, nodes) == _reference_search(compiled, n, p, 10 ** 6)
+    assert {4, 5} <= degrees
+
+
+def _wide_compiled(rng: random.Random, n: int, p: int) -> list:
+    """Residuals over n variables that vanish at one random point: x_i + c x_j x_k + d for
+    each i > 0 with j < i, so most entries are forced, and n // 10 cubic ones, shuffled."""
+    z = [rng.randrange(p) for _ in range(n)]
+
+    def vanishing(terms):
+        terms.append((-sum(c * math.prod(z[i] for i in f) for c, f in terms), ()))
+        return [(c % p, f) for c, f in terms if c % p]
+
+    compiled = [vanishing([(1, (i,)), (rng.randrange(1, p),
+                                       tuple(sorted((rng.randrange(i), rng.randrange(n)))))])
+                for i in range(1, n)]
+    compiled += [vanishing([(rng.randrange(1, p), tuple(sorted(rng.choices(range(n), k=3))))
+                            for _ in range(2)]) for _ in range(n // 10)]
+    rng.shuffle(compiled)
+    return compiled
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_search_past_a_machine_word_of_variables_visits_the_reference_nodes(p):
+    # 100 variables: the set-variable bitmask is wider than 64 bits
+    for seed in range(3):
+        compiled = _wide_compiled(random.Random(f"wide:{p}:{seed}"), 100, p)
+        solutions, nodes = _search_mod_p(compiled, 100, p, 10 ** 6)
+        assert solutions and nodes > 50
+        assert (solutions, nodes) == _reference_search(compiled, 100, p, 10 ** 6)
 
 
 @pytest.mark.parametrize("name,p,nodes", [("mat2", 2, 404), ("mat2", 3, 2899),
@@ -688,3 +748,142 @@ def test_linear_reduce_detects_inconsistency():
     one = MPoly.const(1, 1)
     reduction = linear_reduce([x - one, x])
     assert reduction.inconsistent
+
+
+class _MPolyVec(list):
+    """A coordinate vector of MPolys, one MPoly per coordinate of every operation."""
+
+    def add(self, other):
+        return _MPolyVec(map(add, self, other))
+
+    def sub(self, other):
+        return _MPolyVec(map(sub, self, other))
+
+    def scale(self, c):
+        return _MPolyVec(x.scale(c) for x in self)
+
+
+def _mpoly_residuals(a: Algebra, kind) -> list:
+    """The identity residuals built on vectors of MPolys with exponent tuples throughout."""
+    dim, n = a.dim, a.dim ** 2
+    pairs: dict = {}
+    for (k, ij), v in a.mu.entries.items():
+        pairs.setdefault(divmod(ij, dim), []).append((k, v))
+
+    def mul(x, y):
+        out = [{} for _ in x]
+        for (i, j), consts in pairs.items():
+            for m1, c1 in x[i].terms.items():
+                for m2, c2 in y[j].terms.items():
+                    m, c = tuple(map(add, m1, m2)), c1 * c2
+                    for k, cv in consts:
+                        out[k][m] = out[k].get(m, 0) + c * cv
+        return _MPolyVec(MPoly(n, t) for t in out)
+
+    def apply(vec):
+        out = [{} for _ in range(dim)]
+        for c, x in enumerate(vec):
+            for m, v in x.terms.items():
+                for r, acc in enumerate(out):
+                    i = r * dim + c
+                    mi = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    acc[mi] = acc.get(mi, 0) + v
+        return _MPolyVec(MPoly(n, t) for t in out)
+
+    cols = [[MPoly.var(n, r * dim + c) for r in range(dim)] for c in range(dim)]
+    basis = [[MPoly.const(n, int(r == i)) for r in range(dim)] for i in range(dim)]
+    return [SystemPolynomial(i, j, k, ident, poly)
+            for i in range(dim) for j in range(dim)
+            for ident in _component_identities(kind)
+            for k, poly in enumerate(identity_residual(ident, kind.weight, mul, apply,
+                                                       basis[i], basis[j], cols[i], cols[j]))]
+
+
+def _compose_linear_reduce(polys: list[MPoly]):
+    """linear_reduce by MPoly.compose: every round sends each member through the images of
+    all variables, and members are told apart by key().  Returns comparable fields."""
+    if not polys:
+        return [], [], False
+    nv = polys[0].nvars
+    work = {q.key(): q for q in (p.normalized() for p in polys) if not q.is_zero()}
+    constraints: dict = {}
+    while True:
+        linear = [q for q in work.values() if q.total_degree() == 1]
+        if not linear:
+            break
+        target = min(linear, key=MPoly.key)
+        lm = target.leading_monomial()
+        var = next(i for i, e in enumerate(lm) if e)
+        lc = target.terms[lm]
+        rhs = (MPoly(nv, {lm: lc}) - target).scale(Fraction(1) / lc)
+        images = [MPoly.var(nv, i) for i in range(nv)]
+        images[var] = rhs
+        constraints = {v: r.compose(images, nv) for v, r in constraints.items()}
+        constraints[var] = rhs
+        work = {s.key(): s for s in (q.compose(images, nv).normalized()
+                                     for q in work.values() if q is not target)
+                if not s.is_zero()}
+    residual = sorted(work.values(), key=MPoly.key)
+    return ([(v, list(r.terms.items())) for v, r in sorted(constraints.items())],
+            [list(r.terms.items()) for r in residual],
+            any(r.total_degree() == 0 for r in residual))
+
+
+def _reduction_fields(reduction) -> tuple:
+    """Every field of a LinearReduction, with the terms of each polynomial in order."""
+    return ([(v, list(r.terms.items())) for v, r in reduction.constraints],
+            [list(r.terms.items()) for r in reduction.residual], reduction.inconsistent)
+
+
+def _entry_fields(entries) -> list:
+    """Every field of each SystemPolynomial, with the terms in insertion order."""
+    return [(e.i, e.j, e.coord, e.identity, e.poly.nvars, list(e.poly.terms.items()))
+            for e in entries]
+
+
+def _oracle_algebras() -> dict:
+    """The catalog, a unimodular change of basis of each, and each in the basis e_i / 2."""
+    out = {}
+    for name, a in CAT.items():
+        out[name] = a
+        out[name + "-moved"] = _change_basis(a, *_unimodular(a.dim, random.Random(name)))
+        out[name + "-halved"] = _halved(a)
+    return out
+
+
+ORACLE_ALGEBRAS = _oracle_algebras()
+ORACLE_KINDS = KINDS + ("rb:1/2", "mrb:-2/3")
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_identity_systems_equal_the_mpoly_vector_builder(name):
+    a = ORACLE_ALGEBRAS[name]
+    for kind in map(parse_kind, ORACLE_KINDS):
+        expected = _mpoly_residuals(a, kind)
+        raw = _raw_residuals(a, kind)
+        assert _entry_fields(raw) == _entry_fields(expected), kind
+        assert all(type(m) is tuple and len(m) == a.dim ** 2
+                   for e in raw for m in e.poly.terms), kind
+        system = build_identity_system(a, kind)
+        assert _entry_fields(system.entries) == _entry_fields(
+            [e._replace(poly=e.poly.normalized()) for e in expected if not e.poly.is_zero()])
+        assert _reduction_fields(linear_reduce(system.polynomials())) == (
+            _compose_linear_reduce(system.polynomials())), kind
+
+
+@st.composite
+def _reducible_systems(draw):
+    # linear members next to members with exponents up to 3, so rhs^e is expanded for e > 1
+    nvars = draw(st.integers(1, 4))
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from((1, 2, 3)))
+    affine = [tuple(int(i == j) for i in range(nvars)) for j in range(nvars + 1)]
+    member = st.one_of(
+        st.dictionaries(st.sampled_from(affine), coeffs, min_size=1, max_size=3),
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), coeffs, max_size=5))
+    return [MPoly(nvars, t) for t in draw(st.lists(member, min_size=1, max_size=6))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reducible_systems())
+def test_linear_reduce_equals_the_compose_reduction(polys):
+    assert _reduction_fields(linear_reduce(polys)) == _compose_linear_reduce(polys)
