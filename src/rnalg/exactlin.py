@@ -6,14 +6,13 @@ Kronecker sums and eliminations of integral matrices run on ints.
 Fraction is the public boundary: at, row_list, col_list, to_rows, apply,
 rref and solve return Fractions.  A Matrix is immutable by convention;
 from_rows, to_rows, row_list and col_list are the dense boundary.  One
-sparse row echelon serves rref, kernel_basis and solve: it pivots each
-row on its leftmost nonzero column and keeps every pivot row fully
-reduced, so its rows are the unique reduced row echelon form.  Kernel
-bases and solutions read those rows and are canonical: the kernel is a
-sparse matrix with one column per free coordinate, carrying a 1 there
-and 0 in the other free coordinates.  rank needs no canonical form: it
-eliminates forward only, fraction-free on primitive integer rows, over
-the shorter side.  kron_sum adds Kronecker products built from the
+elimination serves all solvers: _forward eliminates forward only,
+fraction-free on primitive integer rows, and rank counts its pivots over
+the shorter side.  _echelon back-substitutes on those rows into the unique
+reduced row echelon form, which rref, kernel_basis and solve read, so
+kernel bases and solutions are canonical: the kernel is a sparse matrix
+with one column per free coordinate, carrying a 1 there and 0 in the
+other free coordinates.  kron_sum adds Kronecker products built from the
 nonzeros of their factors only, and mul sums into one accumulator.
 """
 
@@ -246,51 +245,17 @@ def _subtract(row: dict[int, Entry], f: Entry, pivot_row: dict[int, Entry]) -> N
             del row[j]
 
 
-def _echelon(m: Matrix) -> dict[int, dict[int, Entry]]:
-    """Reduced row echelon form of m as {pivot column: reduced row}.
+def _forward(lines, width: int) -> dict[int, dict[int, int]]:
+    """Fraction-free forward elimination: {leading column: primitive integer row}.
 
-    Each row of m is reduced by the pivot rows found so far; if anything
-    is left, it is scaled to a leading 1 in its leftmost column and that
-    column is cleared from the earlier pivot rows.  Every pivot row is
-    therefore zero in every other pivot column, and the pivot rows are
-    the nonzero rows of the unique RREF.
+    The rows are cleared of denominators, kept primitive (content divided
+    out) and taken sparsest first.  A row whose leading column has a pivot
+    row becomes a*row - b*pivot, a and b the two leads over their gcd
+    (compare Bareiss 1968); else it is that column's pivot row.  Stops at
+    width pivots.  The given rows may be changed in place.
     """
-    pivots: dict[int, dict[int, Entry]] = {}
-    for _, row in sorted(m._row_dicts().items()):
-        # a pivot row is zero in the other pivot columns, so subtracting it
-        # leaves the other pivot entries of row as they were
-        for j in [j for j in row if j in pivots]:
-            _subtract(row, row[j], pivots[j])
-        if not row:
-            continue
-        lead = min(row)
-        inv = _canon(Fraction(1, row[lead]))
-        row = {j: _canon(inv * x) for j, x in row.items()}
-        for other in pivots.values():
-            f = other.get(lead)
-            if f:
-                _subtract(other, f, row)
-        pivots[lead] = row
-        if len(pivots) == m.cols:
-            break
-    return pivots
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank by fraction-free forward elimination over the shorter side.
-
-    The rows (the columns of a tall m) are cleared of denominators, kept
-    primitive (content divided out) and taken sparsest first.  A row whose
-    leading column has a pivot row becomes a*row - b*pivot, a and b the two
-    leads over their gcd (compare Bareiss 1968); else it is that column's
-    pivot row.  There is no back-substitution.
-    """
-    tall = m.rows > m.cols
-    lines: dict[int, dict[int, Entry]] = {}
-    for (i, j), x in m.entries.items():
-        lines.setdefault(j if tall else i, {})[i if tall else j] = x
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(lines.values(), key=len):
+    for row in sorted(lines, key=len):
         den = 1
         for x in row.values():
             if x.__class__ is Fraction:
@@ -313,7 +278,40 @@ def rank(m: Matrix) -> int:
             if a != 1:
                 row = {j: a * x for j, x in row.items()}
             _subtract(row, b, pivot)
-    return len(pivots)
+        if len(pivots) == width:
+            break
+    return pivots
+
+
+def _echelon(m: Matrix) -> dict[int, dict[int, Entry]]:
+    """Reduced row echelon form of m as {pivot column: reduced row}.
+
+    _forward gives one row per pivot column, zero left of it.  Going from
+    the rightmost pivot leftwards, the finished pivot rows to the right
+    clear their columns from each row, which is then scaled to a leading 1.
+    Every pivot row is therefore zero in every other pivot column, and the
+    pivot rows are the nonzero rows of the unique RREF.
+    """
+    pivots = _forward(m._row_dicts().values(), m.cols)
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        # a finished row is zero in the other pivot columns, so subtracting it
+        # leaves the other pivot entries of row as they were
+        for j in [j for j in row if j != p and j in pivots]:
+            _subtract(row, row[j], pivots[j])
+        if row[p] != 1:
+            inv = _canon(Fraction(1, row[p]))
+            pivots[p] = {j: _canon(inv * x) for j, x in row.items()}
+    return pivots
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank: the pivot count of _forward over the shorter side of m."""
+    tall = m.rows > m.cols
+    lines: dict[int, dict[int, Entry]] = {}
+    for (i, j), x in m.entries.items():
+        lines.setdefault(j if tall else i, {})[i if tall else j] = x
+    return len(_forward(lines.values(), min(m.rows, m.cols)))
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:

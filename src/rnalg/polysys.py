@@ -74,19 +74,10 @@ class MPoly:
         return not self.terms
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return MPoly(self.nvars, out)
+        return MPoly(self.nvars, _merge(self.terms, other.terms, 1))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return MPoly(self.nvars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MPoly(self.nvars, _merge(self.terms, other.terms, -1))
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         out: dict = {}
@@ -105,8 +96,6 @@ class MPoly:
         return out
 
     def mul_term(self, mono: tuple[int, ...], coeff: Entry) -> "MPoly":
-        if not coeff:
-            return MPoly(self.nvars)
         return MPoly(self.nvars, {tuple(map(add, m, mono)): c * coeff
                                   for m, c in self.terms.items()})
 
@@ -178,9 +167,6 @@ class MPoly:
 
     def __eq__(self, other):
         return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset((m, c) for m, c in self.terms.items())))
 
     def format(self, names: list[str]) -> str:
         if self.is_zero():

@@ -29,7 +29,7 @@ from rnalg.deformation import FormalIso, TruncatedDeformation
 from rnalg.errors import InputError
 from rnalg.exactlin import Matrix, from_cols
 from rnalg.algebra import Algebra, parse_kind
-from rnalg.polysys import build_identity_system
+from rnalg.polysys import build_identity_system, linear_reduce
 from rnalg.representation import Bimodule, regular_representation
 from test_deformation import _identity_iso
 
@@ -353,6 +353,26 @@ def test_cli_solve_modes(files, capsys):
     assert "inconsistent" in json.loads(out)
 
 
+@pytest.mark.parametrize("algebra, count", [("leftunit2", 2), ("pair3", 5)])
+def test_cli_solve_linear_renders_the_constraints(files, capsys, algebra, count):
+    # only the modified Rota-Baxter kinds leave constraints on these algebras
+    code, out, _ = _run(capsys, ["solve", files[algebra], "--kind", "mrb:1", "--linear"])
+    assert code == 0
+    system = build_identity_system(CAT[algebra], parse_kind("mrb:1"))
+    reduction, names = linear_reduce(system.polynomials()), list(system.variables)
+    assert len(reduction.constraints) == count
+    assert json.loads(out) == {
+        "check": "linear-reduction",
+        "inconsistent": reduction.inconsistent,
+        "constraints": [{"variable": names[i], "equals": p.format(names)}
+                        for i, p in reduction.constraints],
+        "residual": [p.format(names) for p in reduction.residual],
+    }
+    if algebra == "leftunit2":
+        assert json.loads(out)["constraints"] == [{"variable": "P_0_0", "equals": "-1"},
+                                                  {"variable": "P_0_1", "equals": "0"}]
+
+
 def test_cli_solve_mod_does_not_build_the_rational_system(files, capsys, monkeypatch):
     # the enumeration reduces the raw residuals itself; the system over Q is unused there
     def refuse(*args):
@@ -566,6 +586,32 @@ def test_cli_audit_refuses_a_non_associative_fixture_by_name(capsys, tmp_path):
     assert err == "error: fixture 'skew': algebra is not associative\n"
 
 
+def test_cli_audit_skips_files_that_are_not_json(capsys, tmp_path):
+    fileio.write_json(str(tmp_path / "ext.json"), fileio.dump_algebra(CAT["zero1"]))
+    code, alone, err = _run(capsys, ["audit", str(tmp_path)])
+    assert (code, err) == (0, "")
+    # read as a fixture it would be refused: it is not JSON
+    (tmp_path / "notes.txt").write_text("{not json", encoding="utf-8")
+    assert _run(capsys, ["audit", str(tmp_path)]) == (0, alone, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "leftunit2", "--kind", "rb:1/2", "--mod", "2"], "weight 1/2 is not defined mod 2"),
+    (["audit", "/nonexistent"], "/nonexistent: not a directory"),
+    (["cohomology", "leftunit2", "zero2", "--regular", "--max-degree", "0"],
+     "max degree must be >= 1"),
+    (["deform", "equiv", "leftunit2", "order1", "triv", "iso_id"], "deformation orders differ"),
+    (["deform", "equiv", "leftunit2", "triv", "triv", "iso3"], "dimension mismatch"),
+], ids=["weight-mod-p", "fixdir", "max-degree", "deformation-orders", "iso-dimension"])
+def test_cli_refusals_name_the_cause(files, capsys, argv, message):
+    files = {**files,
+             "order1": str(files["dir"] / "order1.json"), "iso3": str(files["dir"] / "iso3.json")}
+    fileio.write_json(files["order1"], fileio.dump_deformation(
+        TruncatedDeformation.constant(CAT["leftunit2"], Matrix.zeros(2, 2), 1)))
+    fileio.write_json(files["iso3"], fileio.dump_iso(_identity_iso(3, 2)))
+    assert _run(capsys, [files.get(x, x) for x in argv]) == (2, "", f"error: {message}\n")
+
+
 def test_cli_usage_errors_exit_two(files):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -694,6 +740,35 @@ def test_cli_markdown_output(files, capsys):
                                  files["leftunit2"]])
     assert code == 0
     assert out.lstrip().startswith("#")
+
+
+def _md_keys(value, depth=0):
+    """The "- key:" prefix of every key of a JSON report at its nesting depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for k, v in items:
+        if isinstance(value, dict) or isinstance(v, (dict, list)):
+            yield "  " * depth + f"- {k}:"
+        if isinstance(v, dict) or (isinstance(v, list) and any(isinstance(x, (dict, list))
+                                                               for x in v)):
+            yield from _md_keys(v, depth + 1)
+
+
+@pytest.mark.parametrize("argv, nested", [
+    (["check-rep", "leftunit2", "zero2", "--regular"], "  - violations:"),  # a dict in a dict
+    (["cohomology", "leftunit2", "zero2", "--regular", "--max-degree", "2"],
+     "    - residual_zero:"),  # a list of dicts
+], ids=["check-rep", "cohomology"])
+def test_cli_markdown_lists_every_nested_key(files, capsys, argv, nested):
+    argv = [files.get(x, x) for x in argv]
+    code, out, _ = _run(capsys, argv)
+    doc = json.loads(out)
+    del doc["check"]
+    md_code, text, _ = _run(capsys, ["--out-format", "markdown", *argv])
+    assert code == md_code == 0
+    prefixes = list(_md_keys(doc))
+    assert nested in prefixes
+    for prefix in prefixes:
+        assert "\n" + prefix in text, prefix
 
 
 # ---------------------------------------------------------------------------
