@@ -24,13 +24,13 @@ from .algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, check_associative,
                       check_morphism, check_operator, classify_square,
                       parse_kind, star_product)
 from .catalog import catalog, operator
-from .cohomology import ComplexBuilder, _first_nonzero, flatten
+from .cohomology import ComplexBuilder, _first_nonzero
 from .deformation import (FormalIso, TruncatedDeformation, check_deformation,
                           check_equivalence, cocycle_reports, infinitesimal_cocycle,
                           order1_pair, order1_system, rigidity_report,
                           same_cohomology_class, transport)
 from .errors import InputError
-from .exactlin import Matrix, kernel_basis, qstr
+from .exactlin import Matrix, flatten, kernel_basis, qstr
 from .polysys import SymbolicMatrix, build_identity_system, enumerate_mod_p, verify_family
 from .representation import (check_bimodule, check_rn_representation,
                              induce_representation, regular_representation)

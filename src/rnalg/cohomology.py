@@ -4,9 +4,10 @@ A cochain is a Matrix; its coordinates are its stacked columns.  An
 n-cochain f: A^n -> V is the dimV x dimA^n Matrix whose column offset(I)
 holds f(e_i1, ..., e_in), with multi-indices ordered lexicographically,
 i1 most significant: offset(I) = ((i1 * dimA + i2) * dimA + ...).  The
-algebra's product mu is the 2-cochain of A with values in A.  flatten
-stacks the columns into one vector of length dimV * dimA^n, so the flat
-position of (I, v) is offset(I) * dimV + v, and unflatten inverts it.
+algebra's product mu is the 2-cochain of A with values in A.
+exactlin.flatten stacks the columns into one vector of length dimV * dimA^n,
+so the flat position of (I, v) is offset(I) * dimV + v, and
+exactlin.unflatten inverts it.
 
 The Hochschild differential delta and the restricted differential share
 one formula; the restricted one acts on the constrained subspace whose
@@ -55,18 +56,8 @@ from typing import NamedTuple
 
 from .algebra import Algebra
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
-from .exactlin import Matrix, from_cols, kernel_basis, kron_sum, rank
+from .exactlin import Matrix, kernel_basis, kron_sum, rank
 from .representation import Bimodule, _operator_module, _require_bimodule
-
-
-def flatten(m: Matrix) -> list[Fraction]:
-    """The coordinates of the cochain m: its columns stacked in order."""
-    return [x for j in range(m.cols) for x in m.col_list(j)]
-
-
-def unflatten(coords: list[Fraction], rows: int) -> Matrix:
-    """The cochain with rows values per multi-index whose coordinates are coords."""
-    return from_cols([coords[k:k + rows] for k in range(0, len(coords), rows)])
 
 
 def _blocks(top_left: Matrix, bottom_left: Matrix,
@@ -99,7 +90,6 @@ class ComplexBuilder:
         self._psi: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
         self._d: dict[int, Matrix] = {}
-        self._psi_delta: dict[int, Matrix] = {}
 
     def amb(self, n: int) -> int:
         return self.m.dim_v * self.a.dim ** n
@@ -111,10 +101,9 @@ class ComplexBuilder:
         if (n + 1) ** 2 > DEFAULT_BUDGET:
             raise BudgetError(f"cochain stage: degree {n} needs {(n + 1) ** 2} Kronecker factor "
                               f"products, cap {DEFAULT_BUDGET}")
-        size = self.amb(n)
-        if size > self.budget:
-            raise BudgetError(
-                f"cochain space at degree {n} needs {size} coordinates, budget is {self.budget}")
+        if self.amb(n) > self.budget:
+            raise BudgetError(f"cochain stage: degree {n} needs {self.amb(n)} coordinates, "
+                              f"budget {self.budget}")
 
     def delta(self, n: int) -> Matrix:
         """Hochschild differential C^n -> C^(n+1) on ambient coordinates."""
@@ -184,10 +173,7 @@ class ComplexBuilder:
 
     def psi_delta_residual(self, n: int) -> Matrix:
         """psi_(n+1) delta_n - partial_n psi_n on ambient C^n."""
-        if n not in self._psi_delta:
-            self._psi_delta[n] = self.psi(n + 1).mul(self.delta(n)).sub(
-                self.delta(n).mul(self.psi(n)))
-        return self._psi_delta[n]
+        return self.psi(n + 1).mul(self.delta(n)).sub(self.delta(n).mul(self.psi(n)))
 
     def d_square_residual(self, n: int) -> Matrix:
         """d_(n+1) . d_n on the restricted domain, in ambient output coordinates.

@@ -32,10 +32,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import NIJENHUIS, REYNOLDS, Algebra, _nonzero_columns, identity_residual
-from .cohomology import ComplexBuilder, cohomology_dims, flatten, unflatten
 from .errors import DEFAULT_BUDGET, BudgetError, InputError
-from .exactlin import Matrix, from_cols, kron_sum, solve
-from .representation import regular_representation
+from .exactlin import Matrix, flatten, from_cols, kron_sum, solve, unflatten
+# cohomology and representation are imported where they run: check and equiv load neither
 
 CONVENTION_NOTE = ("averaged-compatibility tail: the subtracted quartic sum "
                    "runs over all index splits i+j+k+l = n")
@@ -347,6 +346,9 @@ def cocycle_reports(a: Algebra, p: Matrix, vectors) -> list[CocycleReport]:
     as a nonzero image rather than being masked.  The constraint and the
     differential are built once for all vectors.
     """
+    from .cohomology import ComplexBuilder
+    from .representation import regular_representation
+
     b = ComplexBuilder(a, p, regular_representation(a, p))
     constraint, differential, split = b.rno_constraint(1), b.d_ambient(2), b.amb(2)
     reports = []
@@ -383,12 +385,12 @@ def same_cohomology_class(a: Algebra, p: Matrix, d1: TruncatedDeformation,
         raise InputError("dimension mismatch")
     if d1.order < 1 or d2.order < 1:
         raise InputError("need order >= 1")
-    m = regular_representation(a, p)
-    b = ComplexBuilder(a, p, m)
+    from .cohomology import ComplexBuilder
+    from .representation import regular_representation
+
+    b = ComplexBuilder(a, p, regular_representation(a, p))
     diff = [x - y for x, y in zip(_pair_vector(d1, 1), _pair_vector(d2, 1))]
-    split = b.amb(2)
-    constraint = b.rno_constraint(1)
-    in_domain = all(not x for x in constraint.apply(diff[split:]))
+    in_domain = not any(b.rno_constraint(1).apply(diff[b.amb(2):]))
     witness = solve(b.d(1), diff)
     return ClassComparison(in_domain, witness is not None and in_domain,
                            tuple(witness) if witness is not None else None)
@@ -409,8 +411,10 @@ def rigidity_report(a: Algebra, p: Matrix, budget: int | None = None) -> Rigidit
     "inconclusive", never "flexible", since a nonzero class is only a
     candidate direction, not a certified deformation.
     """
-    m = regular_representation(a, p)
-    result = cohomology_dims(a, p, m, 2, budget)
+    from .cohomology import cohomology_dims
+    from .representation import regular_representation
+
+    result = cohomology_dims(a, p, regular_representation(a, p), 2, budget)
     r1 = result.at(1).residual_zero["d2"]
     r2 = result.at(2).residual_zero["d2"]
     dim_h2 = result.at(2).dim_h

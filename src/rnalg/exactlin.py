@@ -5,7 +5,8 @@ an int if the entry is integral and else a Fraction, so products,
 Kronecker sums and eliminations of integral matrices run on ints.
 Fraction is the public boundary: at, row_list, col_list, to_rows, apply,
 rref and solve return Fractions.  A Matrix is immutable by convention;
-from_rows, to_rows, row_list and col_list are the dense boundary.  One
+from_rows, to_rows, row_list and col_list are the dense boundary, and
+flatten and unflatten the cochain layout (columns stacked in order).  One
 elimination serves all solvers: _forward eliminates forward only,
 fraction-free on primitive integer rows, and rank counts its pivots over
 the shorter side.  _echelon back-substitutes on those rows into the unique
@@ -207,6 +208,16 @@ def from_cols(cols: list[list[Fraction]]) -> Matrix:
             raise InputError("ragged columns")
         entries.update(((i, j), x) for i, x in enumerate(c) if x)
     return Matrix(n, len(cols), entries)
+
+
+def flatten(m: Matrix) -> list[Fraction]:
+    """The coordinates of the cochain m: its columns stacked in order."""
+    return [x for j in range(m.cols) for x in m.col_list(j)]
+
+
+def unflatten(coords: list[Fraction], rows: int) -> Matrix:
+    """The cochain with rows values per multi-index whose coordinates are coords."""
+    return from_cols([coords[k:k + rows] for k in range(0, len(coords), rows)])
 
 
 def kron(mats: list[Matrix]) -> Matrix:

@@ -15,7 +15,10 @@ _quo, which divides exactly, so no float is ever made.
 _raw_residuals builds on coefficient dicts keyed by packed monomials
 (Monagan-Pearce): one int with a 2-bit exponent field per unknown, wide
 enough because residuals are at most cubic, so a product of monomials is
-an int sum.  The F_p search keeps its set variables as one bitmask.
+an int sum, and returns those dicts.  build_identity_system is where they
+become exponent tuples (once per distinct monomial) and MPolys; the F_p
+search compiles the dicts directly, and keeps its set variables as one
+bitmask.
 """
 
 from __future__ import annotations
@@ -267,16 +270,16 @@ def _sym_mult(pairs: dict, x: list[dict], y: list[dict]) -> _Vec:
     return _Vec(map(_pruned, out))
 
 
-def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
+def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[tuple[int, int, int, str, dict]]:
     """Residuals (lhs - rhs) of the identity over symbolic entries, as computed.
 
-    Order is pair-major (i, j lexicographic), then identity, then output
-    coordinate.  Coefficients are those the structure constants and the
-    weight give, neither normalized nor pruned.  Each distinct packed
-    monomial is unpacked to an exponent tuple once.
+    Each is (i, j, coord, identity, terms), with terms the coefficient dict
+    identity_residual leaves, keyed by packed monomials.  Order is pair-major
+    (i, j lexicographic), then identity, then output coordinate.  Coefficients
+    are those the structure constants and the weight give, neither normalized
+    nor pruned.
     """
     dim = a.dim
-    n = dim * dim
     if dim ** 5 > DEFAULT_BUDGET:  # a fixed cap: the budget bounds the later stages
         raise BudgetError(f"identity system stage: dim {dim} needs {dim ** 5} coefficients "
                           f"(dim^3 residuals x dim^2 unknowns), cap {DEFAULT_BUDGET}")
@@ -289,26 +292,23 @@ def _raw_residuals(a: Algebra, kind: OperatorKind) -> list[SystemPolynomial]:
         pairs.setdefault(divmod(ij, dim), []).append((k, v))
     mul = functools.partial(_sym_mult, pairs)
     apply = functools.partial(_sym_apply, units)
-    residuals = [(i, j, k, ident, terms)
-                 for i in range(dim) for j in range(dim)
-                 for ident in _component_identities(kind)
-                 for k, terms in enumerate(identity_residual(ident, kind.weight, mul, apply,
-                                                             basis[i], basis[j], cols[i],
-                                                             cols[j]))]
-    exponents = {m: tuple(m >> s & 3 for s in range(0, 2 * n, 2))
-                 for m in set().union(*(r[4] for r in residuals))}
-    return [SystemPolynomial(i, j, k, ident, MPoly(n, {exponents[m]: c for m, c in terms.items()}))
-            for i, j, k, ident, terms in residuals]
+    return [(i, j, k, ident, terms)
+            for i in range(dim) for j in range(dim)
+            for ident in _component_identities(kind)
+            for k, terms in enumerate(identity_residual(ident, kind.weight, mul, apply,
+                                                        basis[i], basis[j], cols[i], cols[j]))]
 
 
 def build_identity_system(a: Algebra, kind: OperatorKind) -> PolySystem:
     """Normalized polynomial residuals of the identity; zero ones are pruned."""
-    entries = []
-    for e in _raw_residuals(a, kind):
-        poly = e.poly.normalized()
-        if not poly.is_zero():
-            entries.append(SystemPolynomial(e.i, e.j, e.coord, e.identity, poly))
-    return PolySystem(a.dim, kind, entries)
+    n = a.dim * a.dim
+    residuals = _raw_residuals(a, kind)
+    exponents = {m: tuple(m >> s & 3 for s in range(0, 2 * n, 2))
+                 for m in set().union(*(r[4] for r in residuals))}
+    entries = (SystemPolynomial(i, j, k, ident,
+                                MPoly(n, {exponents[m]: c for m, c in terms.items()}).normalized())
+               for i, j, k, ident, terms in residuals)
+    return PolySystem(a.dim, kind, [e for e in entries if not e.poly.is_zero()])
 
 
 class SymbolicMatrix:
@@ -504,19 +504,16 @@ class EnumerationResult(NamedTuple):
     nodes: int  # search nodes visited
 
 
-def _compile_mod_p(polys: list[MPoly], p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
-    # every denominator is prime to p, so each coefficient has an image in F_p;
-    # a monomial becomes its variable indices, each repeated by its exponent
-    compiled = []
-    for poly in polys:
-        terms = []
-        for m, c in poly.terms.items():
-            cm = c.numerator * pow(c.denominator, -1, p) % p
-            if cm:
-                terms.append((cm, tuple(i for i, ex in enumerate(m) for _ in range(ex))))
-        if terms:
-            compiled.append(terms)
-    return compiled
+def _compile_mod_p(polys: list[dict], n: int, p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    # polys are _raw_residuals' dicts over n unknowns; every denominator is prime to p and is
+    # inverted once (1 for an int), and each packed monomial becomes its variable indices,
+    # each repeated by its exponent, once
+    factors = {m: tuple(i for i in range(n) for _ in range(m >> 2 * i & 3))
+               for m in set().union(*polys)}
+    inverse = {d: pow(d, -1, p) for d in {c.denominator for poly in polys for c in poly.values()}}
+    compiled = ([(cm, factors[m]) for m, c in poly.items()
+                 if (cm := c.numerator * inverse[c.denominator] % p)] for poly in polys)
+    return [terms for terms in compiled if terms]
 
 
 def _search_order(vars_of: list[set[int]], occ: list[list[int]]) -> list[int]:
@@ -660,8 +657,9 @@ def enumerate_mod_p(a: Algebra, kind: OperatorKind, p: int) -> EnumerationResult
     undefined = [v for *_, v in a.triples() if v.denominator % p == 0]
     if undefined:
         raise InputError(f"structure constant {undefined[0]} is not defined mod {p}")
-    compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
-    solutions, nodes = _search_mod_p(compiled, a.dim * a.dim, p, resolve_budget())
+    n = a.dim * a.dim
+    compiled = _compile_mod_p([terms for *_, terms in _raw_residuals(a, kind)], n, p)
+    solutions, nodes = _search_mod_p(compiled, n, p, resolve_budget())
     return EnumerationResult(p, a.dim, kind.label(), solutions, nodes)
 
 

@@ -28,7 +28,7 @@ from rnalg.algebra import (
 )
 from rnalg.audit import audit_report_dict, operator_fixtures, replay_counterexample, run_audit
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import ComplexBuilder, unflatten
+from rnalg.cohomology import ComplexBuilder
 from rnalg.deformation import (
     FormalIso,
     TruncatedDeformation,
@@ -37,7 +37,7 @@ from rnalg.deformation import (
     same_cohomology_class,
     transport,
 )
-from rnalg.exactlin import Matrix, from_cols
+from rnalg.exactlin import Matrix, from_cols, unflatten
 from rnalg.fileio import canonical_json
 from rnalg.polysys import SymbolicMatrix, build_identity_system, enumerate_mod_p, verify_family
 from rnalg.representation import regular_representation

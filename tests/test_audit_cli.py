@@ -630,7 +630,7 @@ def test_cli_budget_exhaustion_exits_three(files, capsys):
     argv = ["cohomology", files["leftunit2"], files["zero2"], "--regular", "--max-degree", "2"]
     code, _, err = _run(capsys, ["--budget", "16", *argv])
     assert code == 3
-    assert "cochain space at degree 4 needs 32 coordinates, budget is 16" in err
+    assert "cochain stage: degree 4 needs 32 coordinates, budget 16" in err
     assert _run(capsys, ["--budget", "32", *argv])[0] == 0
 
 

@@ -14,11 +14,10 @@ from rnalg import representation
 from rnalg.algebra import Algebra, associator
 from rnalg.audit import _COMPLEX_INSTANCES, operator_fixtures
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import (ComplexBuilder, _first_nonzero, cohomology_dims, flatten,
-                               unflatten)
+from rnalg.cohomology import ComplexBuilder, _first_nonzero, cohomology_dims
 from rnalg.deformation import rigidity_report
 from rnalg.errors import BudgetError, InputError
-from rnalg.exactlin import Matrix, _echelon, rank
+from rnalg.exactlin import Matrix, _echelon, flatten, rank, unflatten
 from rnalg.representation import (Bimodule, check_bimodule, product_axioms,
                                   regular_representation)
 from test_algebra import _e
@@ -334,12 +333,12 @@ def test_cohomology_budget_guards_two_degrees_past_the_top():
     m = regular_representation(a, p)
     b = ComplexBuilder(a, p, m)
     for top in (1, 2, 3):
-        with pytest.raises(BudgetError, match=rf"^cochain space at degree {top + 2} needs "
-                                              rf"{b.amb(top + 2)} coordinates, budget is "
+        with pytest.raises(BudgetError, match=rf"^cochain stage: degree {top + 2} needs "
+                                              rf"{b.amb(top + 2)} coordinates, budget "
                                               rf"{b.amb(top + 1)}$"):
             cohomology_dims(a, p, m, top, budget=b.amb(top + 1))
         assert cohomology_dims(a, p, m, top, budget=b.amb(top + 2)) == cohomology_dims(a, p, m, top)
-    with pytest.raises(BudgetError, match=r"^cochain space at degree 3 needs 16 coordinates"):
+    with pytest.raises(BudgetError, match=r"^cochain stage: degree 3 needs 16 coordinates"):
         ComplexBuilder(a, p, m, budget=b.amb(2)).d_square_residual(1)
 
 
@@ -351,10 +350,10 @@ def test_budget_refuses_before_the_associativity_and_bimodule_checks(monkeypatch
     m = regular_representation(a, p)
     monkeypatch.setattr(representation, "check_bimodule", refuse)
     monkeypatch.setattr(Algebra, "is_associative", refuse)
-    refused = r"^cochain space at degree 3 needs 256 coordinates, budget is 64$"
+    refused = r"^cochain stage: degree 3 needs 256 coordinates, budget 64$"
     with pytest.raises(BudgetError, match=refused):
         cohomology_dims(a, p, m, 1, budget=64)
-    with pytest.raises(BudgetError, match=r"^cochain space at degree 4 needs 1024 coordinates"):
+    with pytest.raises(BudgetError, match=r"^cochain stage: degree 4 needs 1024 coordinates"):
         rigidity_report(a, p, budget=256)
 
 
@@ -373,7 +372,8 @@ def test_the_degree_cap_bounds_dim_one_and_leaves_dim_two_to_the_budget():
     for name in ("leftunit2", "pair3", "mat2", "trunc3"):
         a, p = CAT[name], Matrix.zeros(CAT[name].dim, CAT[name].dim)
         for budget in (None, 10 ** 60):
-            with pytest.raises(BudgetError, match=r"^cochain space at degree \d+ needs "):
+            with pytest.raises(BudgetError,
+                               match=r"^cochain stage: degree \d+ needs \d+ coordinates, "):
                 cohomology_dims(a, p, regular_representation(a, p), 10 ** 9, budget)
 
 

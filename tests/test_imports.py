@@ -46,6 +46,12 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("layers")
     fileio.write_json(str(path / "pair3.json"), fileio.dump_algebra(catalog()["pair3"]))
     fileio.write_json(str(path / "zero3.json"), fileio.dump_linop(Matrix.zeros(3, 3)))
+    from rnalg.deformation import FormalIso, TruncatedDeformation
+
+    constant = TruncatedDeformation.constant(catalog()["pair3"], Matrix.zeros(3, 3), 1)
+    fileio.write_json(str(path / "constant.json"), fileio.dump_deformation(constant))
+    identity = FormalIso(1, [Matrix.identity(3), Matrix.zeros(3, 3)])
+    fileio.write_json(str(path / "identity.json"), fileio.dump_iso(identity))
     return path
 
 
@@ -69,6 +75,24 @@ def test_algebra_commands_load_only_the_base_layers(workdir, argv):
 def test_solve_mod_loads_polysys_and_no_other_layer(workdir):
     modules = _loaded(workdir, ["solve", "pair3.json", "--kind", "rn", "--mod", "2"])
     assert modules == sorted(EVERY_COMMAND + ["rnalg.polysys"])
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["solve", "pair3.json", "--kind", "rn"], ["polysys"]),
+    (["solve", "pair3.json", "--kind", "rn", "--linear"], ["polysys"]),
+    (["solve", "pair3.json", "--kind", "rn", "--groebner"], ["polysys"]),
+    (["check-rep", "pair3.json", "zero3.json", "--regular"], ["representation"]),
+    (["cohomology", "pair3.json", "zero3.json", "--regular", "--max-degree", "1"],
+     ["cohomology", "representation"]),
+    (["deform", "check", "pair3.json", "constant.json"], ["deformation"]),
+    (["deform", "equiv", "pair3.json", "constant.json", "constant.json", "identity.json"],
+     ["deformation"]),
+    (["deform", "rigidity", "pair3.json", "zero3.json"],
+     ["cohomology", "deformation", "representation"]),
+], ids=["solve", "solve-linear", "solve-groebner", "check-rep", "cohomology", "deform-check",
+        "deform-equiv", "deform-rigidity"])
+def test_each_command_loads_the_layers_it_runs_and_no_other(workdir, argv, layers):
+    assert _loaded(workdir, argv) == sorted(EVERY_COMMAND + [f"rnalg.{m}" for m in layers])
 
 
 def test_audit_loads_every_module(workdir):

@@ -20,6 +20,7 @@ from rnalg.algebra import (KIND_NIJENHUIS, KIND_RN, Algebra, _component_identiti
 from rnalg.catalog import catalog, operator
 from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix
+from rnalg import polysys
 from rnalg.fileio import enumeration_result_dict
 from rnalg.polysys import (MPoly, SymbolicMatrix, SystemPolynomial, _compile_mod_p,
                            _raw_residuals, _search_mod_p, _search_order, build_identity_system,
@@ -35,6 +36,16 @@ def _assert_stored_form(polys) -> None:
     for p in polys:
         for c in p.terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c)
+
+
+def _raw_polys(a: Algebra, kind) -> list[SystemPolynomial]:
+    """_raw_residuals with each packed monomial unpacked to its exponent tuple, as MPolys."""
+    n = a.dim ** 2
+    shifts = range(0, 2 * n, 2)
+    return [SystemPolynomial(i, j, k, ident,
+                             MPoly(n, {tuple(m >> s & 3 for s in shifts): c
+                                       for m, c in terms.items()}))
+            for i, j, k, ident, terms in _raw_residuals(a, kind)]
 
 
 def test_mpoly_binomial_square():
@@ -75,7 +86,7 @@ def test_repeated_normalization_leaves_traced_memory_flat():
     # lcm(*generator) and gcd(*generator) held memory on every call until a full collection;
     # with the collector off it piled up, over 0.7 MB in 30 rounds of these residuals
     polys = [e.poly for kind in ("rn", "reynolds", "rb:1", "mrb:1")
-             for e in _raw_residuals(CAT["mat2"], parse_kind(kind))]
+             for e in _raw_polys(CAT["mat2"], parse_kind(kind))]
     gc.disable()
     tracemalloc.start()
     try:
@@ -392,9 +403,24 @@ def test_enumeration_mod_2_on_pair3():
     assert (0, 0, 0, 0, 0, 0, 0, 0, 1) in sols
 
 
+def _compile_terms(polys: list[MPoly], p: int) -> list:
+    """The per-term compile: each term of each MPoly, numerator times the inverse of its
+    denominator mod p, with its exponent tuple as variable indices repeated by exponent."""
+    compiled = []
+    for poly in polys:
+        terms = []
+        for m, c in poly.terms.items():
+            cm = c.numerator * pow(c.denominator, -1, p) % p
+            if cm:
+                terms.append((cm, tuple(i for i, ex in enumerate(m) for _ in range(ex))))
+        if terms:
+            compiled.append(terms)
+    return compiled
+
+
 def _naive_mod_p(a, kind, p) -> list[tuple[int, ...]]:
     """The full scan: test every compiled residual at every point of F_p^(dim^2)."""
-    return _scan(_compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p), a.dim * a.dim, p)
+    return _scan(_compile_terms([e.poly for e in _raw_polys(a, kind)], p), a.dim * a.dim, p)
 
 
 def _scan(compiled, n, p) -> list[tuple[int, ...]]:
@@ -501,7 +527,7 @@ def _quadratic_search_order(vars_of: list[set[int]], occ: list[list[int]]) -> li
 def test_search_order_equals_the_quadratic_rescan(name):
     a, n = CAT[name], CAT[name].dim ** 2
     for kind, p in itertools.product(map(parse_kind, KINDS), (2, 3, 5)):
-        compiled = _compile_mod_p([e.poly for e in _raw_residuals(a, kind)], p)
+        compiled = _compile_mod_p([t for *_, t in _raw_residuals(a, kind)], n, p)
         vars_of = [{i for _, f in terms for i in f} for terms in compiled]
         occ = [[r for r, vs in enumerate(vars_of) if x in vs] for x in range(n)]
         order = _search_order(vars_of, occ)
@@ -694,10 +720,48 @@ def test_enumeration_with_non_integral_structure_constants_equals_the_full_scan(
 
 
 @pytest.mark.parametrize("name", [*CAT, "leftunit2-halved"])
+def test_packed_compile_equals_the_per_term_compile(name):
+    # every (kind, p) that enumerate_mod_p accepts: its residuals, terms, coefficients and
+    # factor tuples, in order, are those of the MPoly terms compiled one by one
+    a = LEFTUNIT2_HALVED if name == "leftunit2-halved" else CAT[name]
+    accepted = 0
+    for kind in map(parse_kind, ORACLE_KINDS):
+        raw = _raw_residuals(a, kind)
+        polys = [e.poly for e in _raw_polys(a, kind)]
+        for p in (2, 3, 5):
+            if any(v.denominator % p == 0 for *_, v in a.triples()) or (
+                    kind.weight is not None and kind.weight.denominator % p == 0):
+                with pytest.raises(InputError, match=f"not defined mod {p}"):
+                    enumerate_mod_p(a, kind, p)
+                continue
+            accepted += 1
+            compiled = _compile_mod_p([t for *_, t in raw], a.dim ** 2, p)
+            assert compiled == _compile_terms(polys, p), (kind, p)
+    # of the 27, rb:1/2 is refused at 2 and mrb:-2/3 at 3, and every halved system at 2
+    assert accepted == (17 if a is LEFTUNIT2_HALVED else 25)
+
+
+def test_enumeration_builds_no_mpoly(monkeypatch):
+    # the F_p path compiles _raw_residuals' packed dicts; only the system over Q makes MPolys
+    cases = [(CAT["pair3"], KIND_RN, 2), (CAT["leftunit2"], parse_kind("reynolds"), 5),
+             (LEFTUNIT2_HALVED, parse_kind("rb:1/2"), 3)]
+    expected = [enumerate_mod_p(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an MPoly was built")
+
+    monkeypatch.setattr(polysys, "MPoly", refuse)
+    assert [enumerate_mod_p(*case) for case in cases] == expected
+    assert [r.solutions for r in expected] == [_naive_mod_p(*case) for case in cases]
+    with pytest.raises(AssertionError, match="an MPoly was built"):
+        build_identity_system(*cases[0][:2])
+
+
+@pytest.mark.parametrize("name", [*CAT, "leftunit2-halved"])
 def test_systems_and_linear_reductions_keep_the_stored_form(name):
     a = LEFTUNIT2_HALVED if name == "leftunit2-halved" else CAT[name]
     for kind in map(parse_kind, KINDS):
-        raw = [e.poly for e in _raw_residuals(a, kind)]
+        raw = [e.poly for e in _raw_polys(a, kind)]
         system = build_identity_system(a, kind)
         reduction = linear_reduce(system.polynomials())
         _assert_stored_form(raw + system.polynomials() + reduction.residual
@@ -860,7 +924,7 @@ def test_identity_systems_equal_the_mpoly_vector_builder(name):
     a = ORACLE_ALGEBRAS[name]
     for kind in map(parse_kind, ORACLE_KINDS):
         expected = _mpoly_residuals(a, kind)
-        raw = _raw_residuals(a, kind)
+        raw = _raw_polys(a, kind)
         assert _entry_fields(raw) == _entry_fields(expected), kind
         assert all(type(m) is tuple and len(m) == a.dim ** 2
                    for e in raw for m in e.poly.terms), kind
