@@ -33,6 +33,11 @@ A complex is built only on a bimodule over an associative algebra
 (representation._require_bimodule refuses anything else, naming the first
 failed axiom), so by Hochschild's theorem (Ann. Math. 46, 1945)
 delta_(n+1) delta_n = 0 and its blocks below are zero matrices, never built.
+delta_n depends only on (A, l, r), not on P or xi, so every builder on one
+algebra and one pair of actions shares one table of delta_n, and the axiom
+checks run once for it.  The table lives exactly as long as the algebra,
+holds only what a builder within its own budget built, and each builder
+still guards its own budget before it reads the table.
 
 With R_n the constrained basis (one vector per column) the combined complex is
 assembled from blocks (d_ambient(n) is d_n without the factor R_(n-1)):
@@ -51,6 +56,7 @@ vanish.
 from __future__ import annotations
 
 import functools
+import weakref
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -58,6 +64,11 @@ from .algebra import Algebra
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, resolve_budget
 from .exactlin import Matrix, kernel_basis, kron_sum, rank
 from .representation import Bimodule, _operator_module, _require_bimodule
+
+
+# algebra -> {(dimV, left actions, right actions): {n: delta_n}}, shared by every builder on a
+# bimodule that passed _require_bimodule; an entry goes when its algebra is collected
+_DELTAS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _blocks(top_left: Matrix, bottom_left: Matrix,
@@ -85,9 +96,13 @@ class ComplexBuilder:
         self.budget = resolve_budget(budget)
         for n in range(guard_to + 1):  # before the unbudgeted axiom checks below
             self._guard(n)
-        _require_bimodule(a, m)
-        self._delta: dict[int, Matrix] = {}
+        key = (m.dim_v, tuple(m.left), tuple(m.right))
+        self._delta: dict[int, Matrix] | None = _DELTAS.get(a, {}).get(key)
+        if self._delta is None:
+            _require_bimodule(a, m)
+            self._delta = _DELTAS.setdefault(a, {})[key] = {}
         self._psi: dict[int, Matrix] = {}
+        self._constraint: dict[int, Matrix] = {}
         self._rno: dict[int, Matrix] = {}
         self._d: dict[int, Matrix] = {}
 
@@ -106,12 +121,12 @@ class ComplexBuilder:
                               f"budget {self.budget}")
 
     def delta(self, n: int) -> Matrix:
-        """Hochschild differential C^n -> C^(n+1) on ambient coordinates."""
-        if n in self._delta:
-            return self._delta[n]
+        """Hochschild differential C^n -> C^(n+1) on ambient coordinates, shared per (a, l, r)."""
         if n < 0:
             raise InputError("degree must be >= 0")
-        self._guard(n + 1)
+        self._guard(n + 1)  # before the lookup: another builder's budget may have admitted n
+        if n in self._delta:
+            return self._delta[n]
         da, dv = self.a.dim, self.m.dim_v
         ida, idv = Matrix.identity(da), Matrix.identity(dv)
         mu_t = self.a.mu.transpose()
@@ -138,13 +153,13 @@ class ComplexBuilder:
 
     def rno_constraint(self, n: int) -> Matrix:
         """Operator whose kernel is the first-slot constrained subspace."""
-        self._guard(n)
-        if n == 0:
-            return Matrix.zeros(0, self.amb(0))
-        da_id = Matrix.identity(self.a.dim)
-        return kron_sum([(1, [self.p.transpose()] + [da_id] * (n - 1)
-                          + [Matrix.identity(self.m.dim_v)]),
-                         (-1, [da_id] * n + [self.m.xi])])
+        if n not in self._constraint:
+            self._guard(n)
+            da_id, dv_id = Matrix.identity(self.a.dim), Matrix.identity(self.m.dim_v)
+            self._constraint[n] = kron_sum(
+                [(1, [self.p.transpose()] + [da_id] * (n - 1) + [dv_id]),
+                 (-1, [da_id] * n + [self.m.xi])]) if n else Matrix.zeros(0, self.amb(0))
+        return self._constraint[n]
 
     def rno_basis(self, n: int) -> Matrix:
         """Canonical basis of the constrained subspace, one vector per column."""

@@ -147,6 +147,8 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not (self.entries and other.entries):
+            return Matrix(self.rows, other.cols, {})
         right = other._row_dicts()
         out: dict[tuple[int, int], Entry] = {}
         for (i, k), a in self.entries.items():
@@ -274,10 +276,11 @@ def _forward(lines, width: int) -> dict[int, dict[int, int]]:
         if den != 1:
             row = {j: (x * den).numerator for j, x in row.items()}
         while row:
-            g = reduce(gcd, row.values())  # gcd(*values) retains memory per call on CPython 3.11
-            if g != 1:
-                row = {j: x // g for j, x in row.items()}
             lead = min(row)
+            if row[lead] not in (1, -1):  # a row that leads with 1 or -1 is primitive
+                g = reduce(gcd, row.values())  # gcd(*values) retains memory per call on 3.11
+                if g != 1:
+                    row = {j: x // g for j, x in row.items()}
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from rnalg import representation
+from rnalg import cohomology, representation
 from rnalg.algebra import Algebra, associator
 from rnalg.audit import _COMPLEX_INSTANCES, operator_fixtures
 from rnalg.catalog import catalog, operator
-from rnalg.cohomology import ComplexBuilder, _first_nonzero, cohomology_dims
+from rnalg.cohomology import _DELTAS, ComplexBuilder, _first_nonzero, cohomology_dims
 from rnalg.deformation import rigidity_report
 from rnalg.errors import BudgetError, InputError
-from rnalg.exactlin import Matrix, _echelon, flatten, rank, unflatten
+from rnalg.exactlin import Matrix, _echelon, flatten, kron_sum, rank, unflatten
 from rnalg.representation import (Bimodule, check_bimodule, product_axioms,
                                   regular_representation)
 from test_algebra import _e
@@ -346,15 +348,18 @@ def test_budget_refuses_before_the_associativity_and_bimodule_checks(monkeypatch
     def refuse(*args):
         raise AssertionError("unbudgeted check ran before the budget")
 
-    a, p = CAT["mat2"], Matrix.zeros(4, 4)
-    m = regular_representation(a, p)
+    # on a fresh algebra, and on one whose regular bimodule already has a shared delta table
+    fresh, cached, p = catalog()["mat2"], catalog()["mat2"], Matrix.zeros(4, 4)
+    ComplexBuilder(cached, p, regular_representation(cached, p)).delta(1)
+    assert cached in _DELTAS and fresh not in _DELTAS
     monkeypatch.setattr(representation, "check_bimodule", refuse)
     monkeypatch.setattr(Algebra, "is_associative", refuse)
     refused = r"^cochain stage: degree 3 needs 256 coordinates, budget 64$"
-    with pytest.raises(BudgetError, match=refused):
-        cohomology_dims(a, p, m, 1, budget=64)
-    with pytest.raises(BudgetError, match=r"^cochain stage: degree 4 needs 1024 coordinates"):
-        rigidity_report(a, p, budget=256)
+    for a in (fresh, cached):
+        with pytest.raises(BudgetError, match=refused):
+            cohomology_dims(a, p, regular_representation(a, p), 1, budget=64)
+        with pytest.raises(BudgetError, match=r"^cochain stage: degree 4 needs 1024 coordinates"):
+            rigidity_report(a, p, budget=256)
 
 
 def test_the_degree_cap_bounds_dim_one_and_leaves_dim_two_to_the_budget():
@@ -538,6 +543,95 @@ def test_budget_cap_raises_budget_error():
     p = Matrix.zeros(4, 4)
     with pytest.raises(BudgetError):
         ComplexBuilder(a, p, regular_representation(a, p), budget=10).delta(2)
+
+
+def _docstring_delta(a, m, n):
+    """delta_n as the module docstring writes it: one sum of Kronecker products."""
+    ida, idv, dv = Matrix.identity(a.dim), Matrix.identity(m.dim_v), m.dim_v
+    stacked = Matrix(a.dim * dv, dv, {(t * dv + i, j): x for t, r in enumerate(m.right)
+                                      for (i, j), x in r.entries.items()})
+    return kron_sum(
+        [(1, [Matrix(a.dim, 1, {(i, 0): 1})] + [ida] * n + [l]) for i, l in enumerate(m.left)]
+        + [((-1) ** s, [ida] * (s - 1) + [a.mu.transpose()] + [ida] * (n - s) + [idv])
+           for s in range(1, n + 1)]
+        + [((-1) ** (n + 1), [ida] * n + [stacked])])
+
+
+def test_the_shared_delta_equals_the_docstring_formula_after_other_operators():
+    # delta_n reads only (A, l, r), so the builders for every operator on one algebra share
+    # one table: later builders read the matrices the first one built
+    fixtures = operator_fixtures()
+    for name, a in catalog().items():
+        ops = [p for _, p in fixtures[name]]
+        built = [ComplexBuilder(a, ops[0], regular_representation(a, ops[0])).delta(n)
+                 for n in range(4)]
+        for p in ops[1:]:
+            ComplexBuilder(a, p, regular_representation(a, p)).psi_delta_residual(2)
+        b = ComplexBuilder(a, ops[-1], regular_representation(a, ops[-1]))
+        assert len(_DELTAS[a]) == 1, name
+        for n in range(4):
+            assert b.delta(n) is built[n], (name, n)
+            assert b.delta(n) == _docstring_delta(a, b.m, n), (name, n)
+
+
+def test_a_cached_delta_is_still_refused_past_a_builders_budget():
+    a, p = catalog()["mat2"], Matrix.zeros(4, 4)
+    m = regular_representation(a, p)
+    refused = r"^cochain stage: degree 3 needs 256 coordinates, budget 10$"
+    with pytest.raises(BudgetError, match=refused):
+        ComplexBuilder(a, p, m, budget=10).delta(2)
+    ComplexBuilder(a, p, m).delta(2)
+    assert 2 in next(iter(_DELTAS[a].values()))
+    with pytest.raises(BudgetError, match=refused):
+        ComplexBuilder(a, p, m, budget=10).delta(2)
+
+
+def test_a_failing_bimodule_beside_a_cached_one_is_refused_every_time_and_adds_no_entry():
+    a, p = catalog()["leftunit2"], Matrix.zeros(2, 2)
+    reg = regular_representation(a, p)
+    ComplexBuilder(a, p, reg).delta(1)
+    # l(e0) is idempotent and e0 e0 = e0, so doubling the left actions breaks l(ab) = l(a) l(b)
+    bad = Bimodule(2, [x.scale(2) for x in reg.left], reg.right, xi=p)
+    message = _refusal(a, bad)
+    assert message.startswith("not a bimodule: left-action-multiplicative fails at")
+    for _ in range(3):
+        with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+            ComplexBuilder(a, p, bad)
+        assert list(_DELTAS[a]) == [(2, tuple(reg.left), tuple(reg.right))]
+
+
+def test_the_shared_table_goes_with_its_algebra():
+    a, p = catalog()["trunc3"], Matrix.zeros(3, 3)
+    b = ComplexBuilder(a, p, regular_representation(a, p))
+    b.delta(2)
+    alive = weakref.ref(a)
+    gc.collect()
+    before = len(_DELTAS)
+    assert a in _DELTAS
+    del a, b
+    gc.collect()
+    assert alive() is None and len(_DELTAS) == before - 1
+
+
+def test_a_rigidity_sweep_checks_the_bimodule_once_and_builds_each_delta_once(monkeypatch):
+    checks, built = [], []
+    check, kron = representation.check_bimodule, cohomology.kron_sum
+
+    def counted_kron_sum(terms):
+        out = kron(terms)
+        if out.rows != out.cols:  # psi_n and the constraint are square, delta_n is not
+            built.append((out.rows, out.cols))
+        return out
+
+    monkeypatch.setattr(representation, "check_bimodule",
+                        lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(cohomology, "kron_sum", counted_kron_sum)
+    a, ops = catalog()["pair3"], operator_fixtures()["pair3"]
+    assert len(ops) == 7
+    for _, p in ops:
+        rigidity_report(a, p)
+    assert len(checks) == 1
+    assert sorted(built) == [(3 ** (n + 2), 3 ** (n + 1)) for n in range(3)]
 
 
 def test_psi_storage_is_linear_in_the_cochain_dimension():

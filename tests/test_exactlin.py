@@ -306,6 +306,19 @@ def test_matrix_algebra_basics():
     assert a.apply([Fraction(1), Fraction(0)]) == [Fraction(1), Fraction(3)]
 
 
+def test_a_product_with_an_empty_factor_is_the_zero_of_the_product_shape():
+    a = Matrix.from_rows([[1, 2, 0], [0, Fraction(1, 2), 3]])
+    empty_pairs = ((a, Matrix.zeros(3, 4)), (Matrix.zeros(5, 2), a),
+                   (Matrix.zeros(1, 0), Matrix.zeros(0, 3)))
+    for left, right in empty_pairs:
+        got = left.mul(right)
+        assert (got.rows, got.cols, got.entries) == (left.rows, right.cols, {})
+    # the shape check comes first, also when a factor is empty
+    for left, right in ((a, Matrix.zeros(2, 2)), (Matrix.zeros(2, 4), a)):
+        with pytest.raises(InputError, match="^cannot multiply"):
+            left.mul(right)
+
+
 def test_hstack_vstack_shapes_and_entries():
     a = Matrix.identity(2)
     z = Matrix.zeros(2, 1)
