@@ -206,7 +206,8 @@ def _run_star_morphism(inputs: dict) -> dict:
 def _run_verify_family(inputs: dict) -> dict:
     a = fileio.load_algebra(inputs["algebra"])
     params = list(inputs["family"]["params"])
-    assign = {(r, c): name for r, c, name in inputs["family"]["assign"]}
+    # each [row, col, name] entry; a malformed one reaches build's key check
+    assign = {tuple(entry[:-1]): entry[-1] for entry in inputs["family"]["assign"]}
     fam = SymbolicMatrix.build(a.dim, params, assign)
     system = build_identity_system(a, parse_kind(inputs["kind"]))
     rep = verify_family(system, fam)

@@ -7,14 +7,13 @@ A deformation of order N is a pair of polynomial families
 
 with nu_0 the base multiplication and P_0 the base operator.  Each nu_k is
 stored as Algebra.mu is: the dim x dim^2 Matrix whose column i dim + j
-holds nu_k(e_i, e_j), and each P_k is a dim x dim Matrix.  Together they
-are one algebra with one operator over Q[t]/(t^(N+1)): nu_t multiplies
-A[t]/(t^(N+1)), whose basis vector e_i t^k sits at index k dim + i, and P_t
-acts on it.  The three equations are associativity of nu_t and the
-Nijenhuis ("twisted compatibility") and Reynolds ("averaged
-compatibility") identities of P_t, each one cochain over A[t] evaluated on
-A through the inclusion iota: A -> A[t].  Rows n dim .. (n + 1) dim - 1 of
-a column are its t^n coefficient, the order-n equation at that basis tuple.
+holds nu_k(e_i, e_j), and each P_k is a dim x dim Matrix.  A series is its
+coefficient list, truncated at t^N: maps compose by convolution, and
+nu_t(f, g) is nu convolved with the sums of f_k (x) g_l.  The three
+equations are associativity of nu_t and the Nijenhuis ("twisted
+compatibility") and Reynolds ("averaged compatibility") identities of P_t,
+each one series of cochains evaluated on A through the inclusion
+iota = (Id, 0, ..., 0), whose t^n coefficient is the order-n equation.
 Coefficients whose indices sum to n land in t^n, so truncating at N is
 exact for every reported order.  Over Q[t] the Reynolds term
 P_t(nu_t(P_t a, P_t b)) is the quartic sum over all splits i+j+k+l = n,
@@ -22,13 +21,16 @@ the reading every order report records.
 
 Order 0 of the three equations is exactly the base structure check, so a
 valid deformation certifies its own base.  A formal isomorphism
-Id + phi_1 t + ... is an operator on the same space; equivalence,
-transport and inversion read t^n coefficients too.
+Id + phi_1 t + ... is a series of operators too.  A convolution takes
+O(N^2) products of dim-sized matrices; the fixed cap of loading an algebra
+file bounds that work before it starts, on the dimension dim (N + 1) of
+A[t]/(t^(N+1)), which its message names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from typing import NamedTuple
 
 from .algebra import NIJENHUIS, REYNOLDS, Algebra, _nonzero_columns, identity_residual
@@ -44,42 +46,44 @@ EQ_TWISTED = "twisted-compatibility"
 EQ_AVERAGED = "averaged-compatibility"
 
 
-def _series(coefficients, order: int) -> Matrix:
-    """sum_k t^k (x) c_k on A[t]/(t^(order+1)); coefficients past order drop out."""
-    # t^k on Q[t]/(t^(order+1)) sends t^r to t^(r+k)
-    return kron_sum([(1, [Matrix(order + 1, order + 1,
-                                 {(r + k, r): Fraction(1) for r in range(order + 1 - k)}), c])
-                     for k, c in enumerate(coefficients[:order + 1])])
+class Series(tuple):
+    """Coefficients c_0 .. c_N of sum c_k t^k, truncated at t^N; add and sub act coefficientwise."""
+
+    def add(self, other: "Series") -> "Series":
+        return Series(x.add(y) for x, y in zip(self, other))
+
+    def sub(self, other: "Series") -> "Series":
+        return Series(x.sub(y) for x, y in zip(self, other))
 
 
-def _inclusion(dim: int, order: int) -> Matrix:
-    """iota: A -> A[t]/(t^(order+1)), e_i -> e_i t^0."""
-    return Matrix(dim * (order + 1), dim, {(i, i): 1 for i in range(dim)})
+def _convolve(f, g) -> Series:
+    """The composite series: coefficient n is sum_{k+l=n} f_k g_l, truncated at the lower order."""
+    return Series(reduce(Matrix.add, (f[k].mul(g[n - k]) for k in range(n + 1)))
+                  for n in range(min(len(f), len(g))))
 
 
-def _coefficient(m: Matrix, k: int, dim: int) -> Matrix:
-    """The t^k coefficient of a map into A[t]: its rows k dim .. (k + 1) dim - 1."""
-    return Matrix(dim, m.cols, {(i - k * dim, j): x for (i, j), x in m.entries.items()
-                                if k * dim <= i < (k + 1) * dim})
+def _product(nu, f, g) -> Series:
+    """nu_t(f, g), whose column i g.cols + j is nu_t(f e_i, g e_j).
+
+    It is nu convolved with the series whose t^j coefficient is sum_{k+l=j} f_k (x) g_l.
+    """
+    return _convolve(nu, [kron_sum([(1, [f[k], g[j - k]]) for k in range(j + 1)])
+                          for j in range(min(len(f), len(g)))])
 
 
-def _series_algebra(nu, order: int) -> Algebra:
-    """A[t]/(t^(order+1)) with e_i t^k . e_j t^l = sum_m nu_m(e_i, e_j) t^(k+l+m)."""
-    dim = nu[0].rows
+def _padded(coefficients, order: int) -> tuple:
+    """The coefficients, then zero ones through t^order."""
+    zero = Matrix.zeros(coefficients[0].rows, coefficients[0].cols)
+    return tuple(coefficients) + (zero,) * (order + 1 - len(coefficients))
+
+
+def _require_series_cap(dim: int, order: int) -> None:
+    """The fixed cap of loading an algebra file, on the dimension of A[t]/(t^(order+1))."""
     size = dim * (order + 1)
-    if size ** 3 > DEFAULT_BUDGET:  # the fixed cap of loading an algebra file, on A[t]
+    if size ** 3 > DEFAULT_BUDGET:
         raise BudgetError(f"deformation series stage: dim {dim} at order {order} makes a dimension-"
                           f"{size} algebra, which needs {size ** 3} structure constants, "
                           f"cap {DEFAULT_BUDGET}")
-    entries = {}
-    for m, coefficient in enumerate(nu[:order + 1]):
-        nonzero = [(*divmod(ij, dim), r, x) for (r, ij), x in coefficient.entries.items()]
-        for k in range(order + 1 - m):
-            for l in range(order + 1 - m - k):
-                out = (k + l + m) * dim
-                for i, j, r, x in nonzero:
-                    entries[out + r, (k * dim + i) * size + l * dim + j] = x
-    return Algebra(size, Matrix(size, size * size, entries))
 
 
 class TruncatedDeformation:
@@ -107,8 +111,7 @@ class TruncatedDeformation:
     @classmethod
     def constant(cls, a: Algebra, p: Matrix, order: int) -> "TruncatedDeformation":
         """The deformation with all higher coefficients zero."""
-        return cls(order, [a.mu] + [Matrix.zeros(a.dim, a.dim * a.dim)] * order,
-                   [p] + [Matrix.zeros(a.dim, a.dim)] * order)
+        return cls(order, _padded([a.mu], order), _padded([p], order))
 
     def with_coefficient(self, k: int, nu_k: Matrix | None = None,
                          p_k: Matrix | None = None) -> "TruncatedDeformation":
@@ -162,26 +165,22 @@ def _at_order(groups, n: int, dim: int) -> tuple[EqViolation, ...]:
     """
     return tuple(EqViolation(eq, n, idx, res)
                  for arity, group in groups for idx, eq, (res,) in _nonzero_columns(
-                     [(eq, _coefficient(residual, n, dim)) for eq, residual in group], dim, arity))
+                     [(eq, residual[n]) for eq, residual in group], dim, arity))
 
 
 def _residual_series(d: TruncatedDeformation):
     """(arity, [(equation, residual), ...]) groups for the three identities over Q[t].
 
-    Each residual is one cochain over A[t] evaluated on A: the identity with
-    x = y = iota and P(x) = P(y) = P_t iota.  Associativity triples come
-    first in lexicographic (a, b, c) order, then per pair (a, b) the
-    twisted followed by the averaged residual.
+    Each residual is the identity at x = y = iota, where P_t iota = (P_0 .. P_N)
+    and nu_t(iota, iota) = (nu_0 .. nu_N).  Associativity triples come first in
+    (a, b, c) order, then per pair (a, b) the twisted and the averaged residual.
     """
-    at = _series_algebra(d.nu, d.order)
-    pt = _series(d.p, d.order)
-    iota = _inclusion(d.dim, d.order)
-    p_iota = pt.mul(iota)
-    ab = at.product(iota, iota)
-    twisted, averaged = (identity_residual(identity, None, at.product, pt.mul,
-                                           iota, iota, p_iota, p_iota)
+    _require_series_cap(d.dim, d.order)
+    iota = _padded([Matrix.identity(d.dim)], d.order)
+    mul, apply = partial(_product, d.nu), partial(_convolve, d.p)
+    twisted, averaged = (identity_residual(identity, None, mul, apply, iota, iota, d.p, d.p)
                          for identity in (NIJENHUIS, REYNOLDS))
-    return [(3, [(EQ_ASSOCIATIVITY, at.product(ab, iota).sub(at.product(iota, ab)))]),
+    return [(3, [(EQ_ASSOCIATIVITY, mul(d.nu, iota).sub(mul(iota, d.nu)))]),
             (2, [(EQ_TWISTED, twisted), (EQ_AVERAGED, averaged)])]
 
 
@@ -195,7 +194,7 @@ def order_residuals(d: TruncatedDeformation, n: int) -> list[Fraction]:
         raise InputError("order out of range")
     out = []
     for _, group in _residual_series(d):
-        blocks = [_coefficient(residual, n, d.dim) for _, residual in group]
+        blocks = [residual[n] for _, residual in group]
         out += [x for col in range(blocks[0].cols) for b in blocks for x in b.col_list(col)]
     return out
 
@@ -228,16 +227,15 @@ class FormalIso:
         self.phi = tuple(phi)
 
     def inverse_coefficients(self) -> list[Matrix]:
-        """chi_k with (sum phi_i t^i)(sum chi_j t^j) = Id up to t^order."""
-        ident = Matrix.identity(self.dim * (self.order + 1))
-        # Id - Phi_t has no t^0 term, so its (order+1)-th power vanishes and
-        # Phi_t^-1 = sum_k (Id - Phi_t)^k, summed here in Horner form
-        nilpotent = ident.sub(_series(self.phi, self.order))
-        inv = ident
-        for _ in range(self.order):
-            inv = ident.add(nilpotent.mul(inv))
-        inv = inv.mul(_inclusion(self.dim, self.order))
-        return [_coefficient(inv, k, self.dim) for k in range(self.order + 1)]
+        """chi_k with (sum phi_i t^i)(sum chi_j t^j) = Id up to t^order.
+
+        Since phi_0 = Id: chi_0 = Id and chi_n = -sum_{k=1..n} phi_k chi_{n-k}.
+        """
+        chi = [Matrix.identity(self.dim)]
+        for n in range(1, self.order + 1):
+            chi.append(reduce(Matrix.add, (self.phi[k].mul(chi[n - k])
+                                           for k in range(1, n + 1))).scale(-1))
+        return chi
 
 
 class EquivalenceReport(NamedTuple):
@@ -266,16 +264,13 @@ def check_equivalence(src: TruncatedDeformation, dst: TruncatedDeformation,
     if src.order != dst.order:
         raise InputError("deformation orders differ")
     order = min(src.order, iso.order)
-    dim = src.dim
-    at, at_dst = _series_algebra(src.nu, order), _series_algebra(dst.nu, order)
-    phi = _series(iso.phi, order)
-    iota = _inclusion(dim, order)
-    phi_iota = phi.mul(iota)
-    product = phi.mul(at_dst.product(iota, iota)).sub(at.product(phi_iota, phi_iota))
-    operator = phi.mul(_series(dst.p, order)).sub(_series(src.p, order).mul(phi)).mul(iota)
+    _require_series_cap(src.dim, order)
+    # every series stops at the lower order; Phi iota = phi, nu'_t(iota, iota) = nu'
+    product = _convolve(iso.phi, dst.nu).sub(_product(src.nu, iso.phi, iso.phi))
+    operator = _convolve(iso.phi, dst.p).sub(_convolve(src.p, iso.phi))
     groups = [(2, [(EQ_PRODUCT_TRANSPORT, product)]), (1, [(EQ_OPERATOR_TRANSPORT, operator)])]
     return EquivalenceReport(order, tuple(v for n in range(order + 1)
-                                          for v in _at_order(groups, n, dim)))
+                                          for v in _at_order(groups, n, src.dim)))
 
 
 def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
@@ -287,17 +282,14 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     """
     if iso.dim != d.dim:
         raise InputError("dimension mismatch")
-    order, dim = d.order, d.dim
-    at = _series_algebra(d.nu, order)
-    phi = _series(iso.phi, order)
+    order = d.order
+    _require_series_cap(d.dim, order)
+    phi = _padded(iso.phi, order)
     # chi_k depends on phi_0 .. phi_k only: invert no further than d's order
     k = min(iso.order, order)
-    chi = _series(FormalIso(k, iso.phi[:k + 1]).inverse_coefficients(), order)
-    phi_iota = phi.mul(_inclusion(dim, order))
-    nu = chi.mul(at.product(phi_iota, phi_iota))
-    p = chi.mul(_series(d.p, order)).mul(phi_iota)
-    return TruncatedDeformation(order, [_coefficient(nu, k, dim) for k in range(order + 1)],
-                                [_coefficient(p, k, dim) for k in range(order + 1)])
+    chi = _padded(FormalIso(k, iso.phi[:k + 1]).inverse_coefficients(), order)
+    return TruncatedDeformation(order, list(_convolve(chi, _product(d.nu, phi, phi))),
+                                list(_convolve(_convolve(chi, d.p), phi)))
 
 
 class CocycleReport(NamedTuple):

@@ -328,10 +328,16 @@ class SymbolicMatrix:
 
     @classmethod
     def build(cls, dim: int, params: list[str], assign: dict) -> "SymbolicMatrix":
-        """assign maps (row, col) to a parameter name, a rational, or an MPoly."""
+        """assign maps each (row, col) in range(dim) to a parameter name, a rational or an MPoly."""
         nv = len(params)
         rows = [[MPoly(nv) for _ in range(dim)] for _ in range(dim)]
-        for (r, c), value in assign.items():
+        for key, value in assign.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(type(i) is int and 0 <= i < dim for i in key)):
+                raise InputError(f"family entry {key!r}: not a (row, col) pair in range({dim})")
+            if isinstance(value, str) and value not in params:
+                raise InputError(f"family entry {key!r}: unknown parameter {value!r}")
+            r, c = key
             if isinstance(value, MPoly):
                 rows[r][c] = value
             elif isinstance(value, str):

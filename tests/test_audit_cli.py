@@ -32,6 +32,7 @@ from rnalg.algebra import Algebra, parse_kind
 from rnalg.polysys import build_identity_system, linear_reduce
 from rnalg.representation import Bimodule, regular_representation
 from test_deformation import _identity_iso
+from test_polysys import BAD_FAMILY_ENTRIES
 
 Q = Fraction
 CAT = catalog()
@@ -85,6 +86,21 @@ def test_every_counterexample_replays_exactly(report):
             assert out["matches"], (c.claim_id, ce["operation"])
             total += 1
     assert total == 33
+
+
+def test_replay_refuses_a_family_entry_out_of_range_or_unnamed(report):
+    record, = [ce for c in report.claims for ce in c.counterexamples
+               if ce["operation"] == "verify_family"]
+    assert replay_counterexample(record)["matches"]
+    for key, name, message in BAD_FAMILY_ENTRIES:
+        bad = copy.deepcopy(record)
+        bad["inputs"]["family"]["assign"][0] = [*key, name]
+        with pytest.raises(InputError, match=message):
+            replay_counterexample(bad)
+    # an entry without a name is refused by the same key check
+    bad["inputs"]["family"]["assign"][0] = [0, 1]
+    with pytest.raises(InputError, match=r"family entry \(0,\): not a \(row, col\) pair"):
+        replay_counterexample(bad)
 
 
 def test_counterexamples_are_self_contained(report):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,8 @@ from rnalg.catalog import catalog, operator
 from rnalg.deformation import (
     FormalIso,
     TruncatedDeformation,
-    _coefficient,
-    _inclusion,
+    _convolve,
     _pair_vector,
-    _series,
     check_deformation,
     check_equivalence,
     infinitesimal_cocycle,
@@ -27,7 +26,7 @@ from rnalg.deformation import (
     same_cohomology_class,
     transport,
 )
-from rnalg.errors import InputError
+from rnalg.errors import BudgetError, InputError
 from rnalg.exactlin import Matrix, from_cols
 from rnalg.fileio import dump_deformation, load_deformation
 
@@ -168,10 +167,9 @@ def _inverse(iso):
 
 
 def _compose(f, g):
-    """f after g, truncated at the lower order, as a product of series."""
-    order = min(f.order, g.order)
-    product = _series(f.phi, order).mul(_series(g.phi, order)).mul(_inclusion(f.dim, order))
-    return FormalIso(order, [_coefficient(product, k, f.dim) for k in range(order + 1)])
+    """f after g, truncated at the lower order, as the convolution of their series."""
+    composed = _convolve(f.phi, g.phi)
+    return FormalIso(len(composed) - 1, list(composed))
 
 
 def test_inverse_coefficients_follow_geometric_series():
@@ -466,7 +464,8 @@ def _report_rows(rep):
             for r in rep.orders]
 
 
-@pytest.mark.parametrize("dim,order", list(itertools.product([1, 2, 3], [0, 1, 2, 3])))
+@pytest.mark.parametrize("dim,order",
+                         list(itertools.product([1, 2, 3], [0, 1, 2, 3])) + [(1, 6), (2, 5)])
 def test_series_checks_equal_the_naive_split_sums(dim, order):
     for src, dst, iso, other, related in _random_cases(dim, order):
         naive = [_naive_terms(src, k) for k in range(order + 1)]
@@ -485,6 +484,52 @@ def test_series_checks_equal_the_naive_split_sums(dim, order):
         composed = _compose(iso, other)
         assert composed.order == min(iso.order, other.order)
         assert list(composed.phi) == _naive_compose(iso, other)
+
+
+def _series_entry_points(d, iso):
+    """Each entry point that reads the series cap, called on d and iso."""
+    return {"check_deformation": lambda: check_deformation(d),
+            "order_residuals": lambda: order_residuals(d, 0),
+            "transport": lambda: transport(d, iso),
+            "check_equivalence": lambda: check_equivalence(d, d, iso)}
+
+
+def _dense_case(dim, order, rng):
+    def matrix(cols):
+        return Matrix.from_rows([[rng.choice([1, -1, 2, Q(1, 2), Q(-3, 5)]) for _ in range(cols)]
+                                 for _ in range(dim)])
+
+    d = TruncatedDeformation(order, [matrix(dim * dim) for _ in range(order + 1)],
+                             [matrix(dim) for _ in range(order + 1)])
+    return d, FormalIso(order, [Matrix.identity(dim)] + [matrix(dim) for _ in range(order)])
+
+
+def test_series_cap_holds_at_every_entry_point():
+    # (dim (order + 1))^3 <= 50000 at the order each entry point reads: the
+    # deformation's, and for check_equivalence the lower of it and the iso's
+    a = CAT["leftunit2"]
+    past = TruncatedDeformation.constant(a, Matrix.zeros(2, 2), 18)
+    message = ("deformation series stage: dim 2 at order 18 makes a dimension-38 algebra, "
+               "which needs 54872 structure constants, cap 50000")
+    for name, call in _series_entry_points(past, _identity_iso(2, 18)).items():
+        with pytest.raises(BudgetError) as err:
+            call()
+        assert str(err.value) == message, name
+    assert check_equivalence(past, past, _identity_iso(2, 0)).ok
+    # refused before any coefficient work
+    far = TruncatedDeformation.constant(a, Matrix.zeros(2, 2), 600)
+    for name, call in _series_entry_points(far, _identity_iso(2, 600)).items():
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="at order 600"):
+            call()
+        assert time.perf_counter() - start < 1, name
+    # the largest admitted shapes run on dense data
+    rng = random.Random(7)
+    for dim, order in ((1, 35), (2, 17), (3, 11)):
+        for name, call in _series_entry_points(*_dense_case(dim, order, rng)).items():
+            start = time.perf_counter()
+            call()
+            assert time.perf_counter() - start < 5, (name, dim, order)
 
 
 @pytest.mark.parametrize("dim,order", list(itertools.product([1, 2, 3], [0, 1, 2, 3])))

@@ -207,6 +207,24 @@ def test_symbolic_matrix_instantiation_matches_direct_matrix():
                                   [Fraction(0), Fraction(3)]]))
 
 
+BAD_FAMILY_ENTRIES = [
+    ((-1, 1), "v", r"family entry \(-1, 1\): not a \(row, col\) pair in range\(3\)"),
+    ((3, 0), "v", r"family entry \(3, 0\): not a \(row, col\) pair in range\(3\)"),
+    ((0, 1.0), "v", r"family entry \(0, 1\.0\): not a \(row, col\) pair"),
+    ((True, 1), "v", r"family entry \(True, 1\): not a \(row, col\) pair"),
+    ((0, 1, 2), "v", r"family entry \(0, 1, 2\): not a \(row, col\) pair"),
+    ((0, 1), "w", r"family entry \(0, 1\): unknown parameter 'w'"),
+]
+
+
+@pytest.mark.parametrize("key,name,message", BAD_FAMILY_ENTRIES)
+def test_symbolic_matrix_refuses_keys_out_of_range_and_unknown_names(key, name, message):
+    # (-1, 1) would wrap to the last row, and verify_family would report
+    # the residuals of another family
+    with pytest.raises(InputError, match=message):
+        SymbolicMatrix.build(3, ["v", "q"], {key: name, (2, 1): "q"})
+
+
 def test_evaluation_refuses_floats_and_bools():
     # 0.5 would give the float 0.5, not an exact value
     for x in (0.5, 1.0, True):
