@@ -250,10 +250,10 @@ def star(mul, apply, x, y, px, py):
 def identity_residual(identity: str, weight, mul, apply, x, y, px, py):
     """lhs - rhs of one identity at (x, y), with px = P(x) and py = P(y).
 
-    The values mul and apply return have add, sub and scale.  On matrices,
-    with x = y = Id (or the inclusion A -> A[t]), mul = Algebra.product and
-    apply = P.mul, it is the residual cochain of all basis pairs at once;
-    polysys feeds it one basis pair of polynomial vectors at a time:
+    The values mul and apply return have add and sub (and scale, if weighted).
+    With x = y = Id, mul = Algebra.product and apply = P.mul, it is the residual
+    cochain of all basis pairs at once; deformation feeds it coefficient lists,
+    and polysys one basis pair of polynomial vectors at a time:
 
       nijenhuis            P(x)P(y) = P(x*y)
       reynolds             P(x)P(y) = P(xP(y) + P(x)y - P(x)P(y))

@@ -206,9 +206,11 @@ def _run_star_morphism(inputs: dict) -> dict:
 def _run_verify_family(inputs: dict) -> dict:
     a = fileio.load_algebra(inputs["algebra"])
     params = list(inputs["family"]["params"])
-    # each [row, col, name] entry; a malformed one reaches build's key check
-    assign = {tuple(entry[:-1]): entry[-1] for entry in inputs["family"]["assign"]}
-    fam = SymbolicMatrix.build(a.dim, params, assign)
+    entries = inputs["family"]["assign"]
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise InputError(f"family entry {entry!r}: not a [row, col, name] entry")
+    fam = SymbolicMatrix.build(a.dim, params, {(r, c): name for r, c, name in entries})
     system = build_identity_system(a, parse_kind(inputs["kind"]))
     rep = verify_family(system, fam)
     return {"passed": rep.passed,

@@ -65,10 +65,10 @@ def _convolve(f, g) -> Series:
 def _product(nu, f, g) -> Series:
     """nu_t(f, g), whose column i g.cols + j is nu_t(f e_i, g e_j).
 
-    It is nu convolved with the series whose t^j coefficient is sum_{k+l=j} f_k (x) g_l.
+    It is nu convolved with sum_{k+l=j} f_k (x) g_l at t^j, up to the lowest of the three orders.
     """
     return _convolve(nu, [kron_sum([(1, [f[k], g[j - k]]) for k in range(j + 1)])
-                          for j in range(min(len(f), len(g)))])
+                          for j in range(min(len(nu), len(f), len(g)))])
 
 
 def _padded(coefficients, order: int) -> tuple:
@@ -282,13 +282,11 @@ def transport(d: TruncatedDeformation, iso: FormalIso) -> TruncatedDeformation:
     """
     if iso.dim != d.dim:
         raise InputError("dimension mismatch")
-    order = d.order
-    _require_series_cap(d.dim, order)
-    phi = _padded(iso.phi, order)
-    # chi_k depends on phi_0 .. phi_k only: invert no further than d's order
-    k = min(iso.order, order)
-    chi = _padded(FormalIso(k, iso.phi[:k + 1]).inverse_coefficients(), order)
-    return TruncatedDeformation(order, list(_convolve(chi, _product(d.nu, phi, phi))),
+    _require_series_cap(d.dim, d.order)
+    # chi_k depends on phi_0 .. phi_k only: read and invert no further than d's order
+    head = FormalIso(min(iso.order, d.order), iso.phi[:d.order + 1])
+    phi, chi = _padded(head.phi, d.order), _padded(head.inverse_coefficients(), d.order)
+    return TruncatedDeformation(d.order, list(_convolve(chi, _product(d.nu, phi, phi))),
                                 list(_convolve(_convolve(chi, d.p), phi)))
 
 

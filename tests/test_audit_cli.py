@@ -92,15 +92,18 @@ def test_replay_refuses_a_family_entry_out_of_range_or_unnamed(report):
     record, = [ce for c in report.claims for ce in c.counterexamples
                if ce["operation"] == "verify_family"]
     assert replay_counterexample(record)["matches"]
-    for key, name, message in BAD_FAMILY_ENTRIES:
+    # a key that is not a pair makes an entry of another length, refused below
+    for key, name, message in (e for e in BAD_FAMILY_ENTRIES if len(e[0]) == 2):
         bad = copy.deepcopy(record)
         bad["inputs"]["family"]["assign"][0] = [*key, name]
         with pytest.raises(InputError, match=message):
             replay_counterexample(bad)
-    # an entry without a name is refused by the same key check
-    bad["inputs"]["family"]["assign"][0] = [0, 1]
-    with pytest.raises(InputError, match=r"family entry \(0,\): not a \(row, col\) pair"):
-        replay_counterexample(bad)
+    # an entry that is not [row, col, name] is refused before build sees it
+    for entry, shown in (([0, 1], r"\[0, 1\]"), ([0, 1, "v", 2], r"\[0, 1, 'v', 2\]"),
+                         ([], r"\[\]"), (5, "5"), (None, "None")):
+        bad["inputs"]["family"]["assign"][0] = entry
+        with pytest.raises(InputError, match=rf"family entry {shown}: not a \[row, col, name\]"):
+            replay_counterexample(bad)
 
 
 def test_counterexamples_are_self_contained(report):
@@ -713,8 +716,8 @@ def test_cli_refuses_oversized_algebras_before_building(files, capsys, monkeypat
 
 
 def test_cli_refuses_a_deformation_order_past_the_series_cap(files, capsys, monkeypatch):
-    # the series algebra over Q[t]/(t^(order+1)) has dimension dim (order + 1); its cube
-    # meets the same fixed cap as a loaded algebra, which the budget does not move
+    # the cube of dim (order + 1), the dimension of A[t]/(t^(order+1)), meets the same
+    # fixed cap as a loaded algebra, which the budget does not move
     monkeypatch.setenv("RN_BUDGET", str(10 ** 12))
     a = CAT["leftunit2"]
     paths = {}

@@ -299,7 +299,7 @@ def test_rigidity_never_claims_flexible_when_complex_breaks():
 
 # ---------------------------------------------------------------------------
 # Naive reference: the order-n equations as hand-expanded sums over index
-# splits, written without the series algebra A[t]/(t^(N+1)) the module uses
+# splits, written without the convolutions the module uses
 # ---------------------------------------------------------------------------
 
 
@@ -523,8 +523,19 @@ def test_series_cap_holds_at_every_entry_point():
         with pytest.raises(BudgetError, match="at order 600"):
             call()
         assert time.perf_counter() - start < 1, name
-    # the largest admitted shapes run on dense data
+    # an iso of higher order is read only through the order checked
     rng = random.Random(7)
+    low, _ = _dense_case(2, 1, rng)
+    long = _dense_case(2, 600, rng)[1]
+    cut = FormalIso(1, long.phi[:2])
+    start = time.perf_counter()
+    moved, moved_cut = transport(low, long), transport(low, cut)
+    assert (moved.nu, moved.p) == (moved_cut.nu, moved_cut.p)
+    for dst in (low, moved):
+        assert check_equivalence(low, dst, long) == check_equivalence(low, dst, cut)
+    assert check_equivalence(low, moved, long).ok and not check_equivalence(low, low, long).ok
+    assert time.perf_counter() - start < 1
+    # the largest admitted shapes run on dense data
     for dim, order in ((1, 35), (2, 17), (3, 11)):
         for name, call in _series_entry_points(*_dense_case(dim, order, rng)).items():
             start = time.perf_counter()
